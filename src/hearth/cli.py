@@ -29,27 +29,13 @@ from .memory.episodic import EpisodicStore, PersistenceError
 from .memory.scratchpad import Scratchpad
 from .rpc.server import ToolRpcServer, serve_stdio
 from .tools.dispatch import MemoryHandles
-from .world.scenario import (
-    ScenarioError,
-    default_scenario_data,
-    load_scenario,
-    scenario_hash,
-)
+from .world.scenario import ScenarioError, load_scenario, read_scenario, scenario_hash
 from .world.state import WorldState, canonical_json, snapshot
 
 EXIT_OK = 0
 EXIT_TASK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
-
-
-def _load_scenario_arg(path: str | None) -> dict[str, Any]:
-    if path is None:
-        return default_scenario_data()
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    load_scenario(data)
-    return data
 
 
 def _load_baseline(path: str) -> dict[str, Any]:
@@ -94,7 +80,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print("error: --baseline only applies to tasks with a prerequisite",
                   file=sys.stderr)
             return EXIT_CONFIG
-        scenario_data = _load_scenario_arg(args.scenario)
+        scenario_data = read_scenario(args.scenario)
         world = load_scenario(scenario_data)
 
     setup = BackendSetup.from_spec(args.backend)
@@ -222,7 +208,7 @@ def cmd_memory(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    scenario_data = _load_scenario_arg(args.scenario)
+    scenario_data = read_scenario(args.scenario)
     if args.stdio:
         serve_stdio(scenario_data, expose_ground_truth=args.expose_ground_truth)
         return EXIT_OK

@@ -14,6 +14,7 @@ from .metrics import (
 from .runner import (
     BackendSetup,
     ExperimentPlan,
+    ScenarioTemplate,
     TrialOutcome,
     TrialRecord,
     run_memory_protocol,
@@ -31,6 +32,7 @@ __all__ = [
     "MetricsReport",
     "REFERENCE_SUCCESS_RATES",
     "REPORT_FORMATS",
+    "ScenarioTemplate",
     "TASKS",
     "TaskDef",
     "TrialOutcome",

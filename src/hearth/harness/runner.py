@@ -27,13 +27,8 @@ from ..agent.transcript import (
 from ..memory.episodic import EpisodicStore
 from ..memory.scratchpad import Scratchpad
 from ..tools.dispatch import MemoryHandles
-from ..world.scenario import (
-    default_scenario_data,
-    load_scenario,
-    load_scenario_file,
-    scenario_hash,
-)
-from ..world.state import snapshot
+from ..world.scenario import load_scenario, read_scenario, scenario_hash
+from ..world.state import WorldState, snapshot
 from .tasks import TASKS, EvaluationError, TaskDef
 
 VALID_MEMORY_SIZES = (0, 1, 2, 3)
@@ -219,6 +214,21 @@ class BackendSetup:
         return HttpChatBackend(self.http_config)
 
 
+@dataclass(frozen=True)
+class ScenarioTemplate:
+    """A scenario validated once per batch; each trial copies its world."""
+
+    data: dict[str, Any]
+    digest: str
+    initial_world: dict[str, Any]
+
+    @classmethod
+    def load(cls, path: str | None = None) -> "ScenarioTemplate":
+        """Read (None: the bundled scenario) and validate a scenario."""
+        data = read_scenario(path)
+        return cls(data, scenario_hash(data), load_scenario(data).to_dict())
+
+
 @dataclass
 class TrialOutcome:
     """One trial's records plus the reports it minted (for memory pools)."""
@@ -265,7 +275,7 @@ def write_transcript(
 
 
 def run_trial(
-    scenario_data: dict[str, Any],
+    scenario: ScenarioTemplate,
     task_ids: tuple[str, ...],
     setup: BackendSetup,
     store: EpisodicStore,
@@ -276,8 +286,7 @@ def run_trial(
     memory_enabled: bool = True,
 ) -> TrialOutcome:
     """Run one trial: the task sequence on a fresh world, shared store."""
-    world = load_scenario(scenario_data)
-    scenario_digest = scenario_hash(scenario_data)
+    world = WorldState.from_dict(scenario.initial_world)
     handles = MemoryHandles(
         scratchpad=Scratchpad(), store=store, model_id=setup.model_id
     )
@@ -310,8 +319,8 @@ def run_trial(
                 trial_id,
                 task,
                 run,
-                scenario_data,
-                scenario_digest,
+                scenario.data,
+                scenario.digest,
                 setup.model_id,
                 seed,
                 memory_enabled,
@@ -330,7 +339,7 @@ def run_trial(
                 tool_calls=run.tool_calls,
                 termination=run.termination,
                 transcript_path=transcript_path,
-                scenario_hash=scenario_digest,
+                scenario_hash=scenario.digest,
             )
         )
         for record in store.records[size_before:]:
@@ -346,15 +355,6 @@ def run_trial(
         if task_id == "t1" and actual_ok:
             baseline = final_snapshot
     return outcome
-
-
-def _load_plan_scenario(plan: ExperimentPlan) -> dict[str, Any]:
-    if plan.scenario_path is None:
-        return default_scenario_data()
-    with open(plan.scenario_path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    load_scenario(data)
-    return data
 
 
 def _run_batch(
@@ -386,7 +386,7 @@ def _persist_records(plan: ExperimentPlan, records: list[TrialRecord]) -> None:
 
 def run_trials(plan: ExperimentPlan) -> list[TrialRecord]:
     """Execute plan.trials independent trials, each with a fresh store."""
-    scenario_data = _load_plan_scenario(plan)
+    scenario = ScenarioTemplate.load(plan.scenario_path)
     setup = BackendSetup.from_spec(plan.backend)
     limits = RunLimits(max_tool_calls=plan.max_tool_calls)
     transcript_dir = _prepare_output(plan)
@@ -394,7 +394,7 @@ def run_trials(plan: ExperimentPlan) -> list[TrialRecord]:
     def job_for(index: int) -> Callable[[], TrialOutcome]:
         def job() -> TrialOutcome:
             return run_trial(
-                scenario_data,
+                scenario,
                 plan.tasks,
                 setup,
                 EpisodicStore(),
@@ -423,7 +423,7 @@ def run_memory_protocol(plan: ExperimentPlan) -> list[TrialRecord]:
     """
     if not plan.memory_sizes:
         raise EvaluationError("plan.memory_sizes must name at least one size")
-    scenario_data = _load_plan_scenario(plan)
+    scenario = ScenarioTemplate.load(plan.scenario_path)
     setup = BackendSetup.from_spec(plan.backend)
     limits = RunLimits(max_tool_calls=plan.max_tool_calls)
     transcript_dir = _prepare_output(plan)
@@ -448,7 +448,7 @@ def run_memory_protocol(plan: ExperimentPlan) -> list[TrialRecord]:
                     model_id=report["model_id"],
                 )
             outcome = run_trial(
-                scenario_data,
+                scenario,
                 plan.tasks,
                 setup,
                 store,

@@ -69,6 +69,7 @@ class EpisodicStore:
         self.embedder = embedder if embedder is not None else HashedEmbedder()
         self.path = path
         self._records: list[EpisodicRecord] = []
+        self._ids: set[str] = set()
         self._next_seq = 1
         if path is not None and os.path.exists(path):
             self._load(path)
@@ -91,6 +92,7 @@ class EpisodicStore:
                 ) from exc
             self._validate_record(record, where=f"{path}:{number}")
             self._records.append(record)
+            self._ids.add(record.id)
             self._next_seq = max(self._next_seq, record.created_at + 1)
 
     def _validate_record(self, record: EpisodicRecord, where: str) -> None:
@@ -109,7 +111,7 @@ class EpisodicStore:
             raise PersistenceError(
                 f"corrupt record at {where}: embedding norm {norm} is not 1"
             )
-        if any(existing.id == record.id for existing in self._records):
+        if record.id in self._ids:
             raise PersistenceError(f"corrupt record at {where}: duplicate id '{record.id}'")
 
     def add(
@@ -142,6 +144,7 @@ class EpisodicStore:
         if self.path is not None:
             self._persist(record)
         self._records.append(record)
+        self._ids.add(record.id)
         self._next_seq = seq + 1
         return record.id
 
@@ -177,6 +180,7 @@ class EpisodicStore:
     def purge(self) -> None:
         """Drop every record, truncating the backing file if present."""
         self._records.clear()
+        self._ids.clear()
         self._next_seq = 1
         if self.path is not None:
             try:

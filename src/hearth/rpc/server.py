@@ -1,13 +1,13 @@
 """JSON-RPC 2.0 access to the tool interface, for external agents.
 
 Frames are newline-delimited JSON over TCP (or stdio for subprocess
-embedding). Each connection owns at most one session: a private world
-built from the server's scenario plus private memory handles. Tool
-failures travel as successful RPC responses carrying status=failure;
-RPC-level errors are reserved for transport problems such as unknown
-methods or malformed params. Ground-truth snapshots are withheld unless
-the server was started with expose_ground_truth, so a remote agent
-cannot peek at the world state it is supposed to discover.
+embedding). Each connection owns at most one session: a private copy of
+the world the server built once from its scenario, plus private memory
+handles. Tool failures travel as successful RPC responses carrying
+status=failure; RPC-level errors are reserved for transport problems
+such as unknown methods or malformed params. Ground-truth snapshots are
+withheld unless the server was started with expose_ground_truth, so a
+remote agent cannot peek at the world state it is supposed to discover.
 """
 
 from __future__ import annotations
@@ -50,15 +50,15 @@ class _RpcFault(Exception):
 
 
 class RpcConnection:
-    """Per-connection protocol state: one optional session, a call log."""
+    """Per-connection protocol state: one optional session, a call count."""
 
-    def __init__(self, scenario_data: dict[str, Any], expose_ground_truth: bool) -> None:
-        self._scenario_data = scenario_data
+    def __init__(self, initial_world: dict[str, Any], expose_ground_truth: bool) -> None:
+        self._initial_world = initial_world
         self._expose_ground_truth = expose_ground_truth
         self.session_id: str | None = None
         self.world: WorldState | None = None
         self.handles: MemoryHandles | None = None
-        self.call_log: list[tuple[str, str]] = []
+        self.tool_calls = 0
 
     def handle_line(self, line: str) -> str | None:
         """Process one frame; returns the response frame, or None for
@@ -132,7 +132,7 @@ class RpcConnection:
         if not isinstance(model_id, str):
             raise _RpcFault(INVALID_PARAMS, "model_id must be a string")
         self.session_id = _next_session_id()
-        self.world = load_scenario(self._scenario_data)
+        self.world = WorldState.from_dict(self._initial_world)
         self.handles = MemoryHandles(
             scratchpad=Scratchpad(), store=EpisodicStore(), model_id=model_id
         )
@@ -161,16 +161,16 @@ class RpcConnection:
             raise _RpcFault(METHOD_NOT_FOUND, f"unknown method 'tool.{name}'")
         world, handles = self._require_session()
         result = dispatch(
-            ToolCall(name, params, call_index=len(self.call_log)), world, handles
+            ToolCall(name, params, call_index=self.tool_calls), world, handles
         )
-        self.call_log.append((name, result.status))
+        self.tool_calls += 1
         return result.to_dict()
 
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         server: ToolRpcServer = self.server  # type: ignore[assignment]
-        connection = RpcConnection(server.scenario_data, server.expose_ground_truth)
+        connection = RpcConnection(server.initial_world, server.expose_ground_truth)
         while True:
             raw = self.rfile.readline()
             if not raw:
@@ -196,9 +196,9 @@ class ToolRpcServer(socketserver.ThreadingTCPServer):
         scenario_data: dict[str, Any],
         expose_ground_truth: bool = False,
     ) -> None:
-        super().__init__(address, _Handler)
-        self.scenario_data = scenario_data
+        self.initial_world = load_scenario(scenario_data).to_dict()
         self.expose_ground_truth = expose_ground_truth
+        super().__init__(address, _Handler)
 
     @property
     def port(self) -> int:
@@ -216,7 +216,7 @@ def serve_stdio(
 
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
-    connection = RpcConnection(scenario_data, expose_ground_truth)
+    connection = RpcConnection(load_scenario(scenario_data).to_dict(), expose_ground_truth)
     for line in stdin:
         line = line.strip()
         if not line:

@@ -14,7 +14,8 @@ import json
 from importlib import resources
 from typing import Any
 
-import jsonschema
+from jsonschema.exceptions import ValidationError, best_match
+from jsonschema.validators import validator_for
 
 from .semantic_map import SemanticMap
 from .state import (
@@ -111,11 +112,15 @@ SCENARIO_SCHEMA: dict[str, Any] = {
 }
 
 
+# Compiled once; jsonschema.validate re-checks the schema itself per call.
+_VALIDATOR = validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
+
 class ScenarioError(ValueError):
     """Raised when a scenario document cannot be turned into a world."""
 
 
-def _schema_path(error: jsonschema.ValidationError) -> str:
+def _schema_path(error: ValidationError) -> str:
     parts = ["$"]
     for step in error.absolute_path:
         if isinstance(step, int):
@@ -131,12 +136,11 @@ def load_scenario(data: dict[str, Any]) -> WorldState:
     Raises ScenarioError with the offending field named for any schema
     violation, duplicate id, dangling reference, or disconnected map.
     """
-    try:
-        jsonschema.validate(data, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    error = best_match(_VALIDATOR.iter_errors(data))
+    if error is not None:
         raise ScenarioError(
-            f"schema violation at {_schema_path(exc)}: {exc.message}"
-        ) from exc
+            f"schema violation at {_schema_path(error)}: {error.message}"
+        ) from error
 
     smap = SemanticMap()
     for node in data["nodes"]:
@@ -224,7 +228,10 @@ def load_scenario(data: dict[str, Any]) -> WorldState:
     return state
 
 
-def load_scenario_file(path: str) -> WorldState:
+def read_scenario(path: str | None) -> dict[str, Any]:
+    """Read a scenario document from a file, or the bundled one for None."""
+    if path is None:
+        return default_scenario_data()
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -232,7 +239,7 @@ def load_scenario_file(path: str) -> WorldState:
             raise ScenarioError(f"invalid JSON in '{path}': {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario '{path}' must be a JSON object")
-    return load_scenario(data)
+    return data
 
 
 def default_scenario_data() -> dict[str, Any]:

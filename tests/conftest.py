@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import hearth.world.scenario as scenario_module
 from hearth.memory.episodic import EpisodicStore
 from hearth.memory.scratchpad import Scratchpad
 from hearth.tools.dispatch import MemoryHandles, ToolCall, dispatch
@@ -30,3 +31,23 @@ def call_tool(world, handles):
                         world, handles)
 
     return runner
+
+
+class CountingValidator:
+    """Stands in for the compiled scenario validator and counts its uses."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def iter_errors(self, data):
+        self.calls += 1
+        return self.inner.iter_errors(data)
+
+
+@pytest.fixture
+def scenario_validations(monkeypatch) -> CountingValidator:
+    """Count how often scenario documents are validated during a test."""
+    counting = CountingValidator(scenario_module._VALIDATOR)
+    monkeypatch.setattr(scenario_module, "_VALIDATOR", counting)
+    return counting

@@ -1,18 +1,36 @@
 """Independent reference implementations used to cross-check the package.
 
-Nothing here imports the implementation under test beyond data types:
-the Dijkstra oracle uses a dict scan instead of a heap, and the cosine
+The Dijkstra oracle uses a dict scan instead of a heap, and the cosine
 oracle recomputes similarity from scratch and ranks by repeated max
-extraction instead of a sort.
+extraction instead of a sort; neither imports more than data types. The
+schema oracle asks `jsonschema.validate` itself, and the trial oracle
+loads the scenario afresh for every trial, as the package once did.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
 
-from hearth.memory.episodic import EpisodicRecord
+import jsonschema
+
+from hearth.agent.context import PromptConfig
+from hearth.agent.loop import RunLimits, run_task
+from hearth.harness.runner import BackendSetup, ExperimentPlan, write_transcript
+from hearth.harness.tasks import TASKS
+from hearth.memory.episodic import EpisodicRecord, EpisodicStore
+from hearth.memory.scratchpad import Scratchpad
+from hearth.tools.dispatch import MemoryHandles
+from hearth.world.scenario import (
+    SCENARIO_SCHEMA,
+    default_scenario_data,
+    load_scenario,
+    scenario_hash,
+)
 from hearth.world.semantic_map import SemanticMap
+from hearth.world.state import snapshot
 
 
 def dijkstra_cost(smap: SemanticMap, start: str, goal: str) -> float | None:
@@ -95,3 +113,77 @@ def brute_force_search(
         remaining.remove(best)
         picked.append((best[0], best[1]))
     return picked
+
+
+def validate_error(data) -> tuple[str, str] | None:
+    """(keyword, ScenarioError text) for the error `jsonschema.validate`
+    raises on `data`, or None when the document passes the schema."""
+    try:
+        jsonschema.validate(data, SCENARIO_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        path = "$" + "".join(
+            f"[{step}]" if isinstance(step, int) else f".{step}"
+            for step in exc.absolute_path
+        )
+        return exc.validator, f"schema violation at {path}: {exc.message}"
+    return None
+
+
+def per_trial_load_trials(plan: ExperimentPlan) -> None:
+    """Write what `run_trials` writes for a plan without memory sizes, but
+    validate the scenario and build its world for every trial."""
+    data = default_scenario_data()
+    if plan.scenario_path is not None:
+        with open(plan.scenario_path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    setup = BackendSetup.from_spec(plan.backend)
+    transcript_dir = os.path.join(plan.output_dir, "transcripts")
+    os.makedirs(transcript_dir, exist_ok=True)
+    lines = []
+    for index in range(plan.trials):
+        trial_id = f"{plan.name}-{index:03d}"
+        world = load_scenario(data)
+        digest = scenario_hash(data)
+        store = EpisodicStore()
+        handles = MemoryHandles(Scratchpad(), store, setup.model_id)
+        baseline = None
+        achieved: dict[str, bool] = {}
+        for task_id in plan.tasks:
+            task = TASKS[task_id]
+            if task.prerequisite is not None and not achieved.get(task.prerequisite):
+                continue
+            memories = [record.to_dict() for record in store.records]
+            initial_world = world.to_dict()
+            size_before = len(store)
+            run = run_task(
+                world,
+                handles,
+                setup.make(task_id),
+                task.prompt,
+                limits=RunLimits(max_tool_calls=plan.max_tool_calls),
+                prompt_config=PromptConfig(memory_enabled=plan.memory_enabled),
+            )
+            final = snapshot(world)
+            ok = task.check(final, baseline)
+            path = write_transcript(
+                transcript_dir, trial_id, task, run, data, digest, setup.model_id,
+                plan.seed, plan.memory_enabled, memories, initial_world, final,
+            )
+            record = {
+                "trial_id": trial_id,
+                "task_id": task_id,
+                "model_id": setup.model_id,
+                "memory_size_before": size_before,
+                "believed": run.believed_status or "failed",
+                "actual": "succeeded" if ok else "failed",
+                "tool_calls": run.tool_calls,
+                "termination": run.termination,
+                "transcript_path": path,
+                "scenario_hash": digest,
+            }
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+            achieved[task_id] = ok
+            if task_id == "t1" and ok:
+                baseline = final
+    with open(os.path.join(plan.output_dir, "trials.jsonl"), "w", encoding="utf-8") as handle:
+        handle.writelines(lines)

@@ -19,6 +19,7 @@ from hearth.cli import main
 from hearth.harness import (
     BackendSetup,
     ExperimentPlan,
+    ScenarioTemplate,
     TrialRecord,
     check_t1,
     compute_metrics,
@@ -356,7 +357,7 @@ def test_criterion_10_live_smoke(tmp_path, announce):
         )
     setup = BackendSetup.from_spec(f"http:{config_path}")
     outcome = run_trial(
-        default_scenario_data(),
+        ScenarioTemplate.load(),
         ("t1",),
         setup,
         EpisodicStore(),

@@ -9,6 +9,7 @@ import pytest
 
 from hearth.cli import main
 from hearth.memory import EpisodicStore
+from hearth.world import default_scenario_data
 
 RUN_T1 = ["run", "--task", "t1", "--backend", "scripted:optimal"]
 
@@ -66,6 +67,18 @@ class TestRunExitCodes:
         bad.write_text("{broken")
         code = main(RUN_T1 + ["--scenario", str(bad)])
         assert code == 2
+
+    def test_non_object_scenario_file(self, tmp_path, capsys):
+        bad = tmp_path / "scenario.json"
+        bad.write_text("[1, 2]")
+        assert main(RUN_T1 + ["--scenario", str(bad)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_scenario_file_validated_once(self, tmp_path, scenario_validations, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(default_scenario_data()))
+        assert main(RUN_T1 + ["--scenario", str(path)]) == 0
+        assert scenario_validations.calls == 1
 
     def test_argparse_failures_exit_2(self):
         assert main(["run", "--backend", "scripted:optimal"]) == 2
@@ -324,8 +337,27 @@ class TestExperimentCommand:
         plan = self.write_plan(tmp_path, tasks=["t2"])
         assert main(["experiment", plan]) == 2
 
+    @pytest.mark.parametrize("text", ["{broken", "[1, 2]"])
+    def test_unreadable_plan_scenario_is_config_error(self, tmp_path, capsys, text):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        plan = self.write_plan(tmp_path, scenario_path=str(scenario))
+        assert main(["experiment", plan]) == 2
+
+    def test_scenario_validated_once_per_batch(self, tmp_path, scenario_validations, capsys):
+        plan = self.write_plan(tmp_path, tasks=["t1", "t2"], trials=3)
+        assert main(["experiment", plan, "--report-dir", str(tmp_path / "r")]) == 0
+        assert scenario_validations.calls == 1
+
 
 class TestServeStdio:
+    @pytest.mark.parametrize("text", ["{broken", "[1, 2]", '{"nodes": []}'])
+    def test_bad_scenario_exits_2_before_serving(self, tmp_path, capsys, text):
+        bad = tmp_path / "scenario.json"
+        bad.write_text(text)
+        assert main(["serve", "--stdio", "--scenario", str(bad)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_subprocess_round_trip(self):
         frames = [
             {"jsonrpc": "2.0", "id": 1, "method": "session.create", "params": {}},

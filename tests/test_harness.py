@@ -25,6 +25,18 @@ from hearth.harness import (
 )
 from hearth.agent.transcript import Transcript
 
+from .oracles import per_trial_load_trials
+
+
+def read_tree(root):
+    """Every file under root, by relative path, as bytes."""
+    found = {}
+    for folder, _, files in os.walk(root):
+        for file in files:
+            with open(os.path.join(folder, file), "rb") as handle:
+                found[os.path.join(folder, file)] = handle.read()
+    return found
+
 
 def slot(furniture, index):
     return {"kind": "slot", "furniture": furniture, "slot": index}
@@ -308,6 +320,26 @@ class TestRunTrials:
             ]
 
         assert sorted(run_with(1)) == sorted(run_with(3))
+
+    @pytest.mark.parametrize(
+        "tasks, backend",
+        [(["t1", "t2"], "scripted:optimal"), (["t1"], "scripted:hallucinator")],
+    )
+    def test_template_path_matches_per_trial_load(self, tmp_path, monkeypatch, tasks, backend):
+        """Trials copied from one template write exactly what trials that
+        each load the scenario write: every file, byte for byte."""
+        written = {}
+        for name, execute in (("template", run_trials), ("oracle", per_trial_load_trials)):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            plan = ExperimentPlan.from_dict(
+                {"name": "cmp", "tasks": tasks, "backend": backend, "trials": 3,
+                 "seed": 4, "output_dir": "out"}
+            )
+            execute(plan)
+            written[name] = read_tree("out")
+        assert len(written["template"]) == 1 + 3 * len(tasks)
+        assert written["template"] == written["oracle"]
 
     def test_trial_record_roundtrip(self):
         plan = ExperimentPlan.from_dict(

@@ -241,6 +241,17 @@ class TestPersistence:
         with pytest.raises(PersistenceError, match="duplicate id"):
             EpisodicStore(path=str(path))
 
+    def test_duplicate_id_mid_file_names_its_line(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = EpisodicStore(path=str(path))
+        for i in range(5):
+            store.add(f"put the mug away round {i}", "succeeded", "x")
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + [lines[1]] + lines[3:]))
+        with pytest.raises(PersistenceError) as info:
+            EpisodicStore(path=str(path))
+        assert str(info.value) == f"corrupt record at {path}:4: duplicate id 'mem-000002'"
+
     def test_bad_status_rejected_on_load(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = EpisodicStore(path=str(path))

@@ -10,9 +10,10 @@ import pytest
 
 from hearth.memory import EpisodicStore, Scratchpad
 from hearth.rpc import RpcClient, RpcError, ToolRpcServer, serve_stdio
+from hearth.rpc.server import RpcConnection
 from hearth.tools import TOOL_SCHEMAS, MemoryHandles, ToolCall, dispatch
 from hearth.harness import check_t1
-from hearth.world import canonical_json, default_scenario_data, load_scenario
+from hearth.world import canonical_json, default_scenario_data, load_scenario, snapshot
 
 T1_WIRE_SEQUENCE = [
     ("move_to", {"location": "kitchen_table"}),
@@ -109,6 +110,41 @@ class TestSessionLifecycle:
             id_a = a.create_session()["session_id"]
             id_b = b.create_session()["session_id"]
             assert id_a != id_b
+
+    def test_recreated_session_starts_from_the_scenario(self, server):
+        fresh = canonical_json(snapshot(load_scenario(default_scenario_data())))
+        with connect(server) as client:
+            client.create_session()
+            client.tool("move_to", location="kitchen_table")
+            assert client.tool("grab", object="mug")["status"] == "success"
+            client.close_session()
+            client.create_session()
+            assert canonical_json(client.snapshot()) == fresh
+
+    def test_scenario_validated_once_per_server(self, scenario_validations):
+        srv = ToolRpcServer(("127.0.0.1", 0), default_scenario_data())
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            for _ in range(3):
+                with connect(srv) as client:
+                    client.create_session()
+                    client.tool("look_around")
+                    client.close_session()
+                    client.create_session()
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        assert scenario_validations.calls == 1
+
+    def test_connection_counts_tool_calls_across_sessions(self):
+        connection = RpcConnection(load_scenario(default_scenario_data()).to_dict(), False)
+        frames = [{"method": "session.create"}, {"method": "tool.look_around"},
+                  {"method": "session.close"}, {"method": "session.create"},
+                  {"method": "tool.view_scratchpad"}, {"method": "tool.nope"}]
+        for number, frame in enumerate(frames):
+            connection.handle_line(json.dumps({"jsonrpc": "2.0", "id": number, **frame}))
+        assert connection.tool_calls == 2
 
 
 class TestTaskOverWire:
@@ -231,6 +267,19 @@ class TestProtocolErrors:
 
 
 class TestStdioMode:
+    def test_scenario_validated_once_per_stream(self, scenario_validations):
+        frames = ["session.create", "tool.look_around", "session.close", "session.create"]
+        stdin = io.StringIO("".join(
+            json.dumps({"jsonrpc": "2.0", "id": n, "method": m}) + "\n"
+            for n, m in enumerate(frames)
+        ))
+        stdout = io.StringIO()
+        serve_stdio(default_scenario_data(), stdin=stdin, stdout=stdout)
+        responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert all("result" in response for response in responses)
+        assert len(responses) == 4
+        assert scenario_validations.calls == 1
+
     def test_full_exchange_over_streams(self):
         frames = [
             {"jsonrpc": "2.0", "id": 1, "method": "session.create", "params": {}},

@@ -4,8 +4,12 @@ import copy
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema.validators import validator_for
 
 from hearth.world import (
+    SCENARIO_SCHEMA,
     AtLocation,
     Held,
     InSlot,
@@ -22,6 +26,7 @@ from hearth.world import (
     load_scenario,
     objects_in_proximity,
     scenario_hash,
+    shortest_path,
     snapshot,
     validate_state,
 )
@@ -35,6 +40,8 @@ from hearth.world.actions import (
     CAUSE_OCCUPIED,
     CAUSE_OUT_OF_REACH,
 )
+
+from .oracles import validate_error
 
 
 def tiny_scenario(**overrides):
@@ -163,6 +170,145 @@ class TestScenarioLoading:
         data["objects"][0]["placement"] = {"location": "a"}
         world = load_scenario(data)
         assert world.objects["ball"].containment == AtLocation("a")
+
+
+_DELETE = object()
+
+
+def mutated(path, value):
+    """tiny_scenario with the value at `path` replaced (or deleted)."""
+    data = tiny_scenario()
+    *parents, last = path
+    owner = data
+    for step in parents:
+        owner = owner[step]
+    if value is _DELETE:
+        del owner[last]
+    else:
+        owner[last] = value
+    return data
+
+
+# (keyword the error comes from, document). Every keyword the schema uses
+# appears at least once; the last rows break several rules at once, so
+# the error chosen among them is compared too.
+SCHEMA_CASES = [
+    ("type", mutated(("nodes",), "x")),
+    ("type", mutated(("nodes", 0, "x"), "0")),
+    ("type", mutated(("objects", 0, "graspable"), 1)),
+    ("type", mutated(("furniture", 0, "slot_count"), 1.5)),
+    ("type", []),
+    ("required", mutated(("agent", "location"), _DELETE)),
+    ("required", mutated(("edges",), _DELETE)),
+    ("additionalProperties", mutated(("agent", "hat"), "fedora")),
+    ("additionalProperties", mutated(("extra",), 1)),
+    ("minItems", mutated(("nodes",), [])),
+    ("minLength", mutated(("nodes", 0, "id"), "")),
+    ("minLength", mutated(("objects", 0, "placement", "slot"), "")),
+    ("exclusiveMinimum", mutated(("edges", 0, "cost"), 0)),
+    ("exclusiveMinimum", mutated(("agent", "reach_radius"), -1)),
+    ("minimum", mutated(("furniture", 0, "slot_count"), 0)),
+    ("minProperties", mutated(("objects", 0, "placement"), {})),
+    (
+        "maxProperties",
+        mutated(("objects", 0, "placement"), {"slot": "table_layer_1", "location": "a"}),
+    ),
+    (None, {}),
+    (None, {**mutated(("nodes",), []), "agent": {"hat": 1}}),
+    (None, {**mutated(("edges", 0, "cost"), 0), "furniture": [{"id": ""}]}),
+]
+
+
+def schema_keywords(schema):
+    """Every validation keyword used anywhere in a schema."""
+    found = set(schema) - {"properties", "items"}
+    for sub in schema.get("properties", {}).values():
+        found |= schema_keywords(sub)
+    if "items" in schema:
+        found |= schema_keywords(schema["items"])
+    return found
+
+
+class TestSchemaValidator:
+    def test_schema_passes_its_metaschema(self):
+        validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
+
+    def test_cases_cover_every_schema_keyword(self):
+        covered = {keyword for keyword, _ in SCHEMA_CASES if keyword is not None}
+        assert covered == schema_keywords(SCENARIO_SCHEMA)
+
+    @pytest.mark.parametrize("keyword, data", SCHEMA_CASES)
+    def test_error_text_equals_jsonschema_validate(self, keyword, data):
+        expected = validate_error(data)
+        assert expected is not None
+        if keyword is not None:
+            assert expected[0] == keyword
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(data)
+        assert str(info.value) == expected[1]
+
+
+_IDS = st.text(alphabet="abcdefgh_", min_size=1, max_size=6)
+_COORDS = st.floats(min_value=-50, max_value=50, allow_nan=False)
+
+
+@st.composite
+def valid_scenarios(draw):
+    """Connected maps with furniture, objects in slots or loose, an agent."""
+    names = draw(st.lists(_IDS, min_size=1, max_size=6, unique=True))
+    nodes = [
+        {"id": name, "x": draw(_COORDS), "y": draw(_COORDS),
+         "room": draw(st.sampled_from(["kitchen", "hall"]))}
+        for name in names
+    ]
+    positions = {node["id"]: (node["x"], node["y"]) for node in nodes}
+    pairs = [(names[i], draw(st.sampled_from(names[:i]))) for i in range(1, len(names))]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                           max_size=4))
+    edges = []
+    for a, b in pairs:
+        if a == b:
+            continue
+        edge = {"a": a, "b": b}
+        if draw(st.booleans()):
+            straight = math.dist(positions[a], positions[b])
+            edge["cost"] = straight * draw(st.floats(1.0, 2.0)) + draw(st.sampled_from([0.5, 1]))
+        edges.append(edge)
+    furniture_ids = draw(st.lists(_IDS.map("f".__add__), max_size=3, unique=True))
+    furniture = [
+        {"id": fid, "location": draw(st.sampled_from(names)),
+         "slot_count": draw(st.integers(1, 3))}
+        for fid in furniture_ids
+    ]
+    free = [f"{f['id']}_layer_{i + 1}" for f in furniture for i in range(f["slot_count"])]
+    objects = []
+    for oid in draw(st.lists(_IDS.map("o".__add__), max_size=4, unique=True)):
+        if free and draw(st.booleans()):
+            placement = {"slot": free.pop(draw(st.integers(0, len(free) - 1)))}
+        else:
+            placement = {"location": draw(st.sampled_from(names))}
+        objects.append({"id": oid, "kind": draw(_IDS), "graspable": draw(st.booleans()),
+                        "placement": placement})
+    agent = {"location": draw(st.sampled_from(names))}
+    if draw(st.booleans()):
+        agent["reach_radius"] = draw(st.sampled_from([2, 0.5, 3.25]))
+    return {"nodes": nodes, "edges": edges, "furniture": furniture,
+            "objects": objects, "agent": agent}
+
+
+class TestWorldTemplate:
+    @given(valid_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_copy_of_loaded_world_equals_a_fresh_load(self, data):
+        loaded = load_scenario(data)
+        copied = WorldState.from_dict(load_scenario(data).to_dict())
+        assert canonical_json(copied.to_dict()) == canonical_json(loaded.to_dict())
+        assert canonical_json(snapshot(copied)) == canonical_json(snapshot(loaded))
+        start = loaded.agent.location
+        for node in loaded.map.node_ids():
+            assert shortest_path(copied.map, start, node) == shortest_path(
+                loaded.map, start, node
+            )
 
 
 class TestStateInvariants:
