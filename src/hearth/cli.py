@@ -20,6 +20,7 @@ from .harness.metrics import compute_metrics, emit_report, render_json
 from .harness.runner import (
     BackendSetup,
     ExperimentPlan,
+    header_memories,
     run_memory_protocol,
     run_trials,
     write_transcript,
@@ -89,7 +90,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     handles = MemoryHandles(
         scratchpad=Scratchpad(), store=store, model_id=setup.model_id
     )
-    initial_memories = [record.to_dict() for record in store.records]
+    initial_memories = header_memories(store)
     initial_world = world.to_dict()
     limits = RunLimits(max_tool_calls=args.max_tool_calls)
     prompt_config = PromptConfig(memory_enabled=not args.no_memory)

@@ -237,6 +237,13 @@ class TrialOutcome:
     new_reports: list[dict[str, Any]] = field(default_factory=list)
 
 
+def header_memories(store: EpisodicStore) -> list[dict[str, Any]]:
+    """The store's records for a transcript header, without embeddings:
+    replay re-embeds each memory from its `task_description`, so a header
+    stays small however large the store grows."""
+    return [record.without_embedding() for record in store.records]
+
+
 def write_transcript(
     directory: str,
     trial_id: str,
@@ -298,7 +305,7 @@ def run_trial(
         task = TASKS[task_id]
         if task.prerequisite is not None and not achieved.get(task.prerequisite):
             continue
-        initial_memories = [record.to_dict() for record in store.records]
+        initial_memories = header_memories(store)
         initial_world = world.to_dict()
         size_before = len(store)
         backend = setup.make(task_id)

@@ -4,10 +4,7 @@ from .embedding import (
     EMBEDDING_DIM,
     Embedder,
     HashedEmbedder,
-    RemoteEmbedder,
-    cosine,
-    embed_deterministic,
-    normalize,
+    SparseVector,
     tokenize,
 )
 from .episodic import (
@@ -30,10 +27,7 @@ __all__ = [
     "EpisodicStore",
     "HashedEmbedder",
     "PersistenceError",
-    "RemoteEmbedder",
     "Scratchpad",
-    "cosine",
-    "embed_deterministic",
-    "normalize",
+    "SparseVector",
     "tokenize",
 ]

@@ -1,20 +1,20 @@
 """Text embedders for the episodic store.
 
-The default embedder is a hashed bag-of-words: deterministic, offline,
-and cheap, which keeps tests hermetic. A remote embedder client with the
-same interface talks to an OpenAI-compatible embeddings endpoint for
-production-style setups.
+The embedder is a hashed bag-of-words: deterministic, offline, and cheap,
+which keeps tests hermetic. A text fills only one bucket per distinct
+token, about a dozen for a task description, so vectors are built and
+kept sparse.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import re
-from typing import Any, Protocol
-
-import requests
+from dataclasses import dataclass
+from itertools import compress
+from operator import mul
+from typing import Any, Iterable, Protocol
 
 EMBEDDING_DIM = 256
 
@@ -32,39 +32,66 @@ def _stable_hash_64(token: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def normalize(vector: list[float]) -> list[float]:
-    norm = math.sqrt(sum(v * v for v in vector))
-    if norm == 0.0:
-        basis = [0.0] * len(vector)
-        basis[0] = 1.0
-        return basis
-    return [v / norm for v in vector]
+@dataclass(frozen=True, slots=True)
+class SparseVector:
+    """A vector as its non-zero buckets in ascending order, and its norm.
 
+    Every sum runs in bucket order, so norms and dot products equal those
+    of the dense list bit for bit: the buckets left out hold +0.0, and
+    adding a zero term leaves a sum unchanged.
+    """
 
-def cosine(a: list[float], b: list[float]) -> float:
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    dot = sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(y * y for y in b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return dot / (na * nb)
+    dimension: int
+    buckets: tuple[int, ...]
+    values: tuple[float, ...]
+    norm: float
+
+    @classmethod
+    def of(
+        cls, dimension: int, buckets: tuple[int, ...], values: tuple[float, ...]
+    ) -> "SparseVector":
+        return cls(dimension, buckets, values, math.sqrt(sum(map(mul, values, values))))
+
+    @classmethod
+    def from_dense(cls, vector: Iterable[Any]) -> "SparseVector":
+        """Sparse form of a dense list, such as one parsed from JSON.
+
+        Elements convert by float(), which raises for the first one that
+        is not a number, so only the non-zero ones need converting. A
+        -0.0 is dropped like 0.0: no sum can tell them apart.
+        """
+        vector = list(vector)
+        buckets = tuple(compress(range(len(vector)), vector))
+        if len(buckets) + vector.count(0.0) != len(vector):
+            # A false element that is not a number, such as None or "".
+            return cls.from_dense([float(v) for v in vector])
+        values = tuple(map(float, map(vector.__getitem__, buckets)))
+        return cls.of(len(vector), buckets, values)
+
+    def dense(self) -> list[float]:
+        vector = [0.0] * self.dimension
+        for bucket, value in zip(self.buckets, self.values):
+            vector[bucket] = value
+        return vector
+
+    def dot(self, dense: list[float]) -> float:
+        """Dot product with a dense vector of the same dimension."""
+        return sum(map(mul, map(dense.__getitem__, self.buckets), self.values))
 
 
 class Embedder(Protocol):
     @property
     def dimension(self) -> int: ...
 
-    def embed(self, text: str) -> list[float]: ...
+    def embed_sparse(self, text: str) -> SparseVector: ...
 
 
 class HashedEmbedder:
     """Deterministic bag-of-words embedder over hashed token buckets.
 
     Tokens are lowercased alphanumeric runs, each hashed to one of
-    `dimension` buckets; bucket counts are L2-normalized. Empty text maps
-    to the first basis vector so every embedding has unit norm.
+    `dimension` buckets; bucket counts are L2-normalized. Text without a
+    token maps to the first basis vector so every embedding has unit norm.
     """
 
     def __init__(self, dimension: int = EMBEDDING_DIM) -> None:
@@ -76,73 +103,18 @@ class HashedEmbedder:
     def dimension(self) -> int:
         return self._dimension
 
-    def embed(self, text: str) -> list[float]:
-        counts = [0.0] * self._dimension
+    def embed_sparse(self, text: str) -> SparseVector:
+        counts: dict[int, float] = {}
         for token in tokenize(text):
-            counts[_stable_hash_64(token) % self._dimension] += 1.0
-        return normalize(counts)
-
-
-def embed_deterministic(text: str, dimension: int = EMBEDDING_DIM) -> list[float]:
-    return HashedEmbedder(dimension).embed(text)
-
-
-class RemoteEmbedder:
-    """Client for an OpenAI-compatible /embeddings endpoint.
-
-    Responses may carry the vector as {"data": [{"embedding": [...]}]} or
-    as a bare {"embedding": [...]}; both shapes are accepted. Output is
-    re-normalized so downstream cosine math matches the local embedder.
-    """
-
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        dimension: int,
-        api_key_env: str = "HEARTH_API_KEY",
-        timeout_s: float = 30.0,
-        session: requests.Session | None = None,
-    ) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self._dimension = dimension
-        self.api_key_env = api_key_env
-        self.timeout_s = timeout_s
-        self._session = session or requests.Session()
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
+            bucket = _stable_hash_64(token) % self._dimension
+            counts[bucket] = counts.get(bucket, 0.0) + 1.0
+        if not counts:
+            return SparseVector.of(self._dimension, (0,), (1.0,))
+        buckets = tuple(sorted(counts))
+        norm = math.sqrt(sum(counts[b] * counts[b] for b in buckets))
+        return SparseVector.of(
+            self._dimension, buckets, tuple(counts[b] / norm for b in buckets)
+        )
 
     def embed(self, text: str) -> list[float]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env)
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        response = self._session.post(
-            f"{self.base_url}/embeddings",
-            json={"model": self.model, "input": [text]},
-            headers=headers,
-            timeout=self.timeout_s,
-        )
-        response.raise_for_status()
-        vector = _extract_embedding(response.json())
-        if len(vector) != self._dimension:
-            raise ValueError(
-                f"embedding dimension mismatch: expected {self._dimension}, "
-                f"got {len(vector)}"
-            )
-        return normalize([float(v) for v in vector])
-
-
-def _extract_embedding(payload: Any) -> list[float]:
-    if isinstance(payload, dict):
-        if isinstance(payload.get("embedding"), list):
-            return payload["embedding"]
-        data = payload.get("data")
-        if isinstance(data, list) and data and isinstance(data[0], dict):
-            vector = data[0].get("embedding")
-            if isinstance(vector, list):
-                return vector
-    raise ValueError("embeddings response carries no embedding vector")
+        return self.embed_sparse(text).dense()

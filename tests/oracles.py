@@ -4,7 +4,10 @@ The Dijkstra oracle uses a dict scan instead of a heap, and the cosine
 oracle recomputes similarity from scratch and ranks by repeated max
 extraction instead of a sort; neither imports more than data types. The
 schema oracle asks `jsonschema.validate` itself, and the trial oracle
-loads the scenario afresh for every trial, as the package once did.
+loads the scenario afresh for every trial, as the package once did. The
+dense memory path is the store as it was before it kept vectors sparse:
+a dense embedding, and a cosine that sums all 256 buckets and recomputes
+both norms for every record.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from hearth.agent.context import PromptConfig
 from hearth.agent.loop import RunLimits, run_task
 from hearth.harness.runner import BackendSetup, ExperimentPlan, write_transcript
 from hearth.harness.tasks import TASKS
+from hearth.memory.embedding import EMBEDDING_DIM, _stable_hash_64, tokenize
 from hearth.memory.episodic import EpisodicRecord, EpisodicStore
 from hearth.memory.scratchpad import Scratchpad
 from hearth.tools.dispatch import MemoryHandles
@@ -115,6 +119,56 @@ def brute_force_search(
     return picked
 
 
+def dense_embed(text: str, dimension: int = EMBEDDING_DIM) -> list[float]:
+    """The hashed bag-of-words embedding, built as a dense list."""
+    counts = [0.0] * dimension
+    for token in tokenize(text):
+        counts[_stable_hash_64(token) % dimension] += 1.0
+    norm = math.sqrt(sum(v * v for v in counts))
+    if norm == 0.0:
+        basis = [0.0] * dimension
+        basis[0] = 1.0
+        return basis
+    return [v / norm for v in counts]
+
+
+def cosine(a: list[float], b: list[float]) -> float:
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    dot = sum(x * y for x, y in zip(a, b))
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(y * y for y in b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return dot / (na * nb)
+
+
+def dense_search(
+    records: list[EpisodicRecord], query: str, k: int, floor: float
+) -> list[tuple[str, float]]:
+    """(record id, similarity) as the dense store computed them; compare
+    with `==`, since the sparse store must give the same floats."""
+    query_vec = dense_embed(query)
+    scored = [(record, cosine(query_vec, record.embedding)) for record in records]
+    scored = [(record, sim) for record, sim in scored if sim >= floor]
+    scored.sort(key=lambda pair: (-pair[1], -pair[0].created_at))
+    return [(record.id, sim) for record, sim in scored[:k]]
+
+
+def dense_record_line(record: EpisodicRecord) -> str:
+    """The JSONL line the dense store wrote for a record it had added."""
+    data = {
+        "id": record.id,
+        "task_description": record.task_description,
+        "believed_status": record.believed_status,
+        "action_summary": record.action_summary,
+        "embedding": dense_embed(record.task_description),
+        "created_at": record.created_at,
+        "model_id": record.model_id,
+    }
+    return json.dumps(data, sort_keys=True) + "\n"
+
+
 def validate_error(data) -> tuple[str, str] | None:
     """(keyword, ScenarioError text) for the error `jsonschema.validate`
     raises on `data`, or None when the document passes the schema."""
@@ -152,7 +206,10 @@ def per_trial_load_trials(plan: ExperimentPlan) -> None:
             task = TASKS[task_id]
             if task.prerequisite is not None and not achieved.get(task.prerequisite):
                 continue
-            memories = [record.to_dict() for record in store.records]
+            memories = [
+                {key: value for key, value in r.to_dict().items() if key != "embedding"}
+                for r in store.records
+            ]
             initial_world = world.to_dict()
             size_before = len(store)
             run = run_task(

@@ -28,7 +28,7 @@ from hearth.harness import (
     run_trials,
 )
 from hearth.agent import RunLimits, Transcript
-from hearth.memory import EpisodicStore, Scratchpad, embed_deterministic
+from hearth.memory import EpisodicStore, HashedEmbedder, Scratchpad
 from hearth.rpc import RpcClient, ToolRpcServer
 from hearth.tools import MemoryHandles, ToolCall, dispatch
 from hearth.world import (
@@ -224,7 +224,7 @@ def test_criterion_06_memory_search_oracle(tmp_path, announce):
         floor = rng.choice([0.0, 0.2, 0.4])
         got = store.search(query, k=k, floor=floor)
         want = brute_force_search(
-            store.records, embed_deterministic(query), k=k, floor=floor
+            store.records, HashedEmbedder().embed(query), k=k, floor=floor
         )
         assert [r.id for r, _ in got] == [rid for rid, _ in want], f"trial {trial}"
 
@@ -288,7 +288,8 @@ def test_criterion_08_replay_determinism(tmp_path, announce):
     transcript_path = str(out / "run_t1.jsonl")
     assert main(["replay", transcript_path]) == 0
 
-    lines = open(transcript_path).read().splitlines()
+    with open(transcript_path) as handle:
+        lines = handle.read().splitlines()
     for index, line in enumerate(lines):
         data = json.loads(line)
         if data.get("type") == "message" and data["role"] == "tool":

@@ -411,7 +411,8 @@ class TestTranscriptRoundtrip:
         transcript = self.build(world, handles)
         path = str(tmp_path / "run.jsonl")
         transcript.write_jsonl(path)
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         with open(path, "w") as handle:
             handle.write("\n".join(lines[:-1]) + "\n")
         with pytest.raises(TranscriptError, match="missing final"):
@@ -421,7 +422,8 @@ class TestTranscriptRoundtrip:
         transcript = self.build(world, handles)
         path = str(tmp_path / "run.jsonl")
         transcript.write_jsonl(path)
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         with open(path, "w") as handle:
             handle.write("\n".join(lines[1:]) + "\n")
         with pytest.raises(TranscriptError, match="missing header"):

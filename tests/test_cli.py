@@ -7,9 +7,12 @@ import sys
 
 import pytest
 
+from hearth.agent.scripts import T1_DESCRIPTION
 from hearth.cli import main
 from hearth.memory import EpisodicStore
 from hearth.world import default_scenario_data
+
+from .oracles import dense_embed
 
 RUN_T1 = ["run", "--task", "t1", "--backend", "scripted:optimal"]
 
@@ -181,6 +184,36 @@ class TestReplay:
 
     def test_missing_file(self, capsys):
         assert main(["replay", "/nonexistent/run.jsonl"]) == 2
+
+    def test_header_memories_without_embeddings_and_old_headers_replay(
+        self, tmp_path, capsys
+    ):
+        """Headers list memories without embeddings; a header recorded with
+        them, as older versions wrote it, still replays."""
+        store_path = str(tmp_path / "store.jsonl")
+        store = EpisodicStore(path=store_path)
+        store.add(T1_DESCRIPTION, "succeeded", "carried both objects", "m1")
+        store.add("water the garden plants", "failed", "no hose", "m2")
+        out = tmp_path / "mem"
+        assert main(
+            ["run", "--task", "t1", "--backend", "scripted:memory_hinted",
+             "--memory", store_path, "--output-dir", str(out)]
+        ) == 0
+        path = str(out / "run_t1.jsonl")
+        lines = read_lines(path)
+        header = json.loads(lines[0])
+        assert header["initial_memories"] == [
+            {key: value for key, value in record.to_dict().items() if key != "embedding"}
+            for record in store.records
+        ]
+        assert main(["replay", path]) == 0
+        for memory in header["initial_memories"]:
+            memory["embedding"] = dense_embed(memory["task_description"])
+        lines[0] = json.dumps(header, sort_keys=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        assert main(["replay", path]) == 0
+        assert "replay ok:" in capsys.readouterr().out
 
     def test_tampered_message_diverges(self, t1_output, capsys):
         path = self.transcript_path(t1_output)

@@ -13,19 +13,31 @@ from hearth.memory import (
     EpisodicStore,
     HashedEmbedder,
     PersistenceError,
-    RemoteEmbedder,
     Scratchpad,
-    cosine,
-    embed_deterministic,
     tokenize,
 )
 
-from .oracles import brute_force_search
+from .oracles import (
+    brute_force_search,
+    cosine,
+    dense_embed,
+    dense_record_line,
+    dense_search,
+)
 
 VOCAB = [
     "mug", "cube", "box", "shelf", "table", "kitchen", "living", "room",
     "move", "grab", "place", "swap", "clean", "find", "put", "away",
 ]
+
+
+# Texts for the differential tests: any text, text without a token, and
+# sentences over VOCAB so that searches hit.
+TEXTS = st.one_of(
+    st.text(max_size=60),
+    st.sampled_from(["", " ", "!!!", "?!... --- ***", "-", "..."]),
+    st.lists(st.sampled_from(VOCAB), max_size=8).map(" ".join),
+)
 
 
 def norm(vector):
@@ -46,41 +58,40 @@ class TestTokenize:
 class TestHashedEmbedder:
     def test_default_dimension(self):
         assert HashedEmbedder().dimension == EMBEDDING_DIM == 256
-        assert len(embed_deterministic("mug")) == 256
+        assert len(HashedEmbedder().embed("mug")) == 256
 
     def test_deterministic_across_instances(self):
         a = HashedEmbedder().embed("swap the mug and the cube")
         b = HashedEmbedder().embed("swap the mug and the cube")
         assert a == b
-        assert a == embed_deterministic("swap the mug and the cube")
 
     @given(st.text(max_size=200))
     @settings(max_examples=100, deadline=None)
     def test_every_embedding_has_unit_norm(self, text):
-        vector = embed_deterministic(text)
+        vector = HashedEmbedder().embed(text)
         assert norm(vector) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_text_maps_to_first_basis_vector(self):
-        vector = embed_deterministic("")
+        vector = HashedEmbedder().embed("")
         assert vector[0] == 1.0
         assert all(v == 0.0 for v in vector[1:])
-        assert embed_deterministic("!!!") == vector
+        assert HashedEmbedder().embed("!!!") == vector
 
     def test_insensitive_to_case_and_punctuation(self):
-        assert embed_deterministic("Mug, Cube!") == embed_deterministic("mug cube")
+        assert HashedEmbedder().embed("Mug, Cube!") == HashedEmbedder().embed("mug cube")
 
     def test_sensitive_to_token_multiplicity(self):
-        assert embed_deterministic("mug mug cube") != embed_deterministic("mug cube")
+        assert HashedEmbedder().embed("mug mug cube") != HashedEmbedder().embed("mug cube")
 
     def test_identical_text_has_similarity_one(self):
         text = "put the mug, the box, and the cube away on the shelf"
-        sim = cosine(embed_deterministic(text), embed_deterministic(text))
+        sim = cosine(HashedEmbedder().embed(text), HashedEmbedder().embed(text))
         assert sim == pytest.approx(1.0, abs=1e-9)
 
     def test_related_text_outranks_unrelated(self):
-        query = embed_deterministic("swap the mug and the cube on the shelf")
-        related = embed_deterministic("mug cube swap")
-        unrelated = embed_deterministic("water the garden plants every evening")
+        query = HashedEmbedder().embed("swap the mug and the cube on the shelf")
+        related = HashedEmbedder().embed("mug cube swap")
+        unrelated = HashedEmbedder().embed("water the garden plants every evening")
         assert cosine(query, related) > cosine(query, unrelated)
 
     def test_rejects_nonpositive_dimension(self):
@@ -159,7 +170,7 @@ class TestEpisodicStore:
             floor = rng.choice([0.0, 0.2, 0.5])
             got = store.search(query, k=k, floor=floor)
             expected = brute_force_search(
-                store.records, embed_deterministic(query), k=k, floor=floor
+                store.records, HashedEmbedder().embed(query), k=k, floor=floor
             )
             assert [r.id for r, _ in got] == [rid for rid, _ in expected], (
                 f"trial {trial}"
@@ -277,6 +288,110 @@ class TestPersistence:
         store.add("put the mug away", "succeeded", "x")
         assert len(store) == 1
 
+    def test_add_never_mints_an_id_the_store_has(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = EpisodicStore(path=str(path))
+        store.add("put the mug away", "succeeded", "x")
+        store.add("swap the mug and cube", "failed", "y")
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace('"mem-000002"', '"mem-000003"')
+        path.write_text("".join(lines))
+        added = EpisodicStore(path=str(path)).add("stack the boxes", "succeeded", "z")
+        assert added == "mem-000004"
+        reloaded = EpisodicStore(path=str(path))
+        assert [r.id for r in reloaded.records] == ["mem-000001", "mem-000003", "mem-000004"]
+        assert [r.created_at for r in reloaded.records] == [1, 2, 4]
+
+    @pytest.mark.parametrize(
+        "embedding",
+        [
+            [None] + [0.0] * (EMBEDDING_DIM - 1),
+            [""] + [0.0] * (EMBEDDING_DIM - 1),
+            [1.0, "abc"] + [0.0] * (EMBEDDING_DIM - 2),
+            [0.0, [], None, "x"] + [1.0] * (EMBEDDING_DIM - 4),
+            ["1.0"] + [0] * (EMBEDDING_DIM - 1),
+            [True, False] + [0.0] * (EMBEDDING_DIM - 2),
+            5,
+            {"a": 1.0},
+        ],
+        ids=["none", "empty-string", "word", "first-bad-wins", "numeric-string",
+             "booleans", "not-a-list", "object"],
+    )
+    def test_embedding_elements_convert_as_float_does(self, tmp_path, embedding):
+        path = tmp_path / "store.jsonl"
+        record = {
+            "id": "mem-000001",
+            "task_description": "x",
+            "believed_status": "succeeded",
+            "action_summary": "y",
+            "embedding": embedding,
+            "created_at": 1,
+            "model_id": "m",
+        }
+        path.write_text(json.dumps(record) + "\n")
+        try:
+            want = [float(v) for v in embedding]
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(PersistenceError) as info:
+                EpisodicStore(path=str(path))
+            assert str(info.value) == f"corrupt record at {path}:1: {exc}"
+        else:
+            assert EpisodicStore(path=str(path)).records[0].embedding == want
+
+
+class TestDensePath:
+    """The sparse store against the dense path it replaced, with `==`."""
+
+    def test_search_equals_dense_path_in_memory_and_reloaded(self, tmp_path):
+        rng = random.Random(1000)
+        for trial in range(40):
+            path = str(tmp_path / f"store-{trial}.jsonl")
+            store = EpisodicStore(path=path)
+            for _ in range(rng.randint(1, 60)):
+                words = rng.choices(VOCAB + ["!", "--", "MUG"], k=rng.randint(1, 8))
+                store.add(" ".join(words), rng.choice(["succeeded", "failed"]), "s")
+            reloaded = EpisodicStore(path=path)
+            for _ in range(5):
+                query = " ".join(rng.choices(VOCAB, k=rng.randint(0, 5)))
+                k = rng.randint(1, 8)
+                floor = rng.choice([-1.0, 0.0, 0.2, 0.5])
+                want = dense_search(store.records, query, k, floor)
+                for searched in (store, reloaded):
+                    got = searched.search(query, k=k, floor=floor)
+                    assert [(r.id, sim) for r, sim in got] == want, f"trial {trial}"
+
+    @given(
+        texts=st.lists(TEXTS, min_size=1, max_size=12),
+        query=TEXTS,
+        floor=st.sampled_from([-1.0, 0.0, 0.2]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_search_and_embedding_equal_dense_path(self, texts, query, floor):
+        store = EpisodicStore()
+        for text in texts:
+            if text.strip():
+                store.add(text, "succeeded", "s")
+        for record in store.records:
+            line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
+            assert line == dense_record_line(record)
+        assert HashedEmbedder().embed(query) == dense_embed(query)
+        got = store.search(query, k=5, floor=floor)
+        assert [(r.id, sim) for r, sim in got] == dense_search(store.records, query, 5, floor)
+
+    def test_store_lines_equal_dense_lines(self, tmp_path):
+        rng = random.Random(77)
+        path = tmp_path / "store.jsonl"
+        store = EpisodicStore(path=str(path))
+        for _ in range(200):
+            words = rng.choices(VOCAB + ["", "!!"], k=rng.randint(1, 10))
+            text = " ".join(words).strip() or "?"
+            store.add(text, rng.choice(["succeeded", "failed"]), "s", "m")
+        want = [dense_record_line(record) for record in store.records]
+        assert path.read_text().splitlines(keepends=True) == want
+        reloaded = EpisodicStore(path=str(path))
+        lines = [json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reloaded.records]
+        assert lines == want
+
 
 class TestScratchpad:
     def test_append_and_view_joined_by_blank_line(self):
@@ -299,67 +414,3 @@ class TestScratchpad:
         pad.clear()
         assert len(pad) == 0
         assert pad.view() == ""
-
-
-class FakeResponse:
-    def __init__(self, payload):
-        self._payload = payload
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return self._payload
-
-
-class FakeSession:
-    def __init__(self, payload):
-        self.payload = payload
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
-        return FakeResponse(self.payload)
-
-
-class TestRemoteEmbedder:
-    def test_parses_openai_data_shape_and_renormalizes(self):
-        session = FakeSession({"data": [{"embedding": [3.0, 4.0, 0.0]}]})
-        embedder = RemoteEmbedder("http://api.example", "emb-1", 3, session=session)
-        vector = embedder.embed("mug")
-        assert vector == pytest.approx([0.6, 0.8, 0.0])
-        sent = session.requests[0]
-        assert sent["url"] == "http://api.example/embeddings"
-        assert sent["json"] == {"model": "emb-1", "input": ["mug"]}
-
-    def test_parses_bare_embedding_shape(self):
-        session = FakeSession({"embedding": [1.0, 0.0]})
-        embedder = RemoteEmbedder("http://api.example/", "emb-1", 2, session=session)
-        assert embedder.embed("mug") == [1.0, 0.0]
-
-    def test_dimension_mismatch_raises(self):
-        session = FakeSession({"embedding": [1.0, 0.0]})
-        embedder = RemoteEmbedder("http://api.example", "emb-1", 3, session=session)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            embedder.embed("mug")
-
-    def test_missing_vector_raises(self):
-        session = FakeSession({"data": []})
-        embedder = RemoteEmbedder("http://api.example", "emb-1", 2, session=session)
-        with pytest.raises(ValueError, match="no embedding vector"):
-            embedder.embed("mug")
-
-    def test_bearer_token_from_environment(self, monkeypatch):
-        monkeypatch.setenv("HEARTH_API_KEY", "sekrit")
-        session = FakeSession({"embedding": [1.0, 0.0]})
-        embedder = RemoteEmbedder("http://api.example", "emb-1", 2, session=session)
-        embedder.embed("mug")
-        headers = session.requests[0]["headers"]
-        assert headers["Authorization"] == "Bearer sekrit"
-
-    def test_no_auth_header_without_key(self, monkeypatch):
-        monkeypatch.delenv("HEARTH_API_KEY", raising=False)
-        session = FakeSession({"embedding": [1.0, 0.0]})
-        embedder = RemoteEmbedder("http://api.example", "emb-1", 2, session=session)
-        embedder.embed("mug")
-        assert "Authorization" not in session.requests[0]["headers"]
