@@ -16,7 +16,6 @@ from .context import (
     AgentContext,
     PromptConfig,
     build_system_prompt,
-    inject_memories,
     tool_declarations,
 )
 from .http_backend import HttpBackendConfig, HttpChatBackend
@@ -71,7 +70,6 @@ __all__ = [
     "build_system_prompt",
     "call",
     "detect_refusal",
-    "inject_memories",
     "parse_arguments_json",
     "run_task",
     "tool_declarations",

@@ -135,6 +135,13 @@ class RecordedReplayBackend:
 
     def __init__(self, transcript: Transcript) -> None:
         self._recorded = transcript.messages
+        # A run that ended in a backend error recorded the error as its
+        # last assistant turn; replay raises it again at that turn.
+        self._error_index = (
+            len(self._recorded) - 1
+            if transcript.final.termination == "backend_error"
+            else None
+        )
 
     def next_action(
         self, context: AgentContext, declarations: list[dict[str, Any]]
@@ -157,6 +164,10 @@ class RecordedReplayBackend:
                 upcoming.index,
                 f"expected a recorded assistant turn, found role "
                 f"'{upcoming.role}'",
+            )
+        if len(live) == self._error_index:
+            raise BackendError(
+                upcoming.content.removeprefix("[backend error: ").removesuffix("]")
             )
         calls = [
             ProposedCall(

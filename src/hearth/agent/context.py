@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from ..memory.episodic import EpisodicStore
 from ..memory.scratchpad import Scratchpad
 from ..tools.dispatch import ToolResult
 from ..tools.schemas import TOOL_SCHEMAS
@@ -133,10 +132,6 @@ class AgentContext:
             },
         )
 
-    def token_estimate(self) -> int:
-        # Rough chars/4 heuristic; enough to notice runaway contexts.
-        return sum(len(m.content) // 4 + 8 for m in self.messages)
-
     def _window(self) -> list[TranscriptMessage]:
         """Messages to put on the wire: all of them, unless over budget.
 
@@ -208,30 +203,6 @@ def tool_declarations(config: PromptConfig | None = None) -> list[dict[str, Any]
             d for d in declarations if d["function"]["name"] != "search_memory"
         ]
     return declarations
-
-
-def inject_memories(
-    context: AgentContext, store: EpisodicStore, task_prompt: str, k: int
-) -> AgentContext:
-    """Optionally pre-load top-k memories as a user message.
-
-    Off by default in the loop; the agent normally queries explicitly via
-    search_memory. k=0 leaves the context unchanged.
-    """
-    if k <= 0:
-        return context
-    results = store.search(task_prompt, k=k)
-    if not results:
-        return context
-    lines = ["Before you begin, here are reports from similar past tasks:"]
-    for rank, (record, similarity) in enumerate(results, start=1):
-        lines.append(
-            f"{rank}. (believed {record.believed_status}, similarity "
-            f"{similarity:.2f}) {record.task_description} -- "
-            f"{record.action_summary}"
-        )
-    context.append_user("\n".join(lines))
-    return context
 
 
 assert all(name in build_system_prompt() for name in TOOL_SCHEMAS)

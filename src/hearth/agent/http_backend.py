@@ -55,7 +55,6 @@ class HttpChatBackend:
         sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
         self.config = config
-        self.latencies_s: list[float] = []
         self._session = session or requests.Session()
         self._sleep = sleeper
 
@@ -114,7 +113,6 @@ class HttpChatBackend:
         started = time.monotonic()
         payload = self._post_with_retries(body)
         latency = time.monotonic() - started
-        self.latencies_s.append(latency)
         try:
             message = payload["choices"][0]["message"]
         except (KeyError, IndexError, TypeError) as exc:

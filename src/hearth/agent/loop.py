@@ -18,7 +18,6 @@ from .context import (
     AgentContext,
     PromptConfig,
     build_system_prompt,
-    inject_memories,
     tool_declarations,
 )
 from .transcript import TranscriptMessage
@@ -87,7 +86,6 @@ def run_task(
     task_prompt: str,
     limits: RunLimits | None = None,
     prompt_config: PromptConfig | None = None,
-    preinject_memories: int = 0,
 ) -> TaskRun:
     """Drive one task to termination and return its record."""
     limits = limits or RunLimits()
@@ -99,7 +97,6 @@ def run_task(
         max_messages=limits.max_messages,
         scratchpad=memory.scratchpad,
     )
-    inject_memories(context, memory.store, task_prompt, preinject_memories)
     declarations = tool_declarations(prompt_config)
 
     attempts: list[bool] = []

@@ -14,6 +14,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..world.state import WorldState
+
+# The fields replay needs to re-add a header memory to a fresh store.
+MEMORY_FIELDS = ("task_description", "believed_status", "action_summary")
+
 
 class TranscriptError(ValueError):
     """Raised for malformed or incomplete transcript files."""
@@ -107,6 +112,18 @@ class TranscriptHeader:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TranscriptHeader":
+        """Parse a header line; raises ValueError (or KeyError, TypeError)
+        when replay could not rebuild its world or its memories."""
+        initial_memories = data.get("initial_memories", [])
+        for memory in initial_memories:
+            if not isinstance(memory, dict):
+                raise ValueError(f"initial memory is not an object: {memory!r}")
+            for key in MEMORY_FIELDS:
+                if not isinstance(memory.get(key), str):
+                    raise ValueError(f"initial memory lacks '{key}': {memory!r}")
+        initial_world = data.get("initial_world")
+        if initial_world is not None:
+            WorldState.from_dict(initial_world)
         return cls(
             scenario=data["scenario"],
             scenario_hash=data["scenario_hash"],
@@ -116,8 +133,8 @@ class TranscriptHeader:
             task_prompt=data["task_prompt"],
             seed=data.get("seed"),
             memory_enabled=data.get("memory_enabled", True),
-            initial_memories=data.get("initial_memories", []),
-            initial_world=data.get("initial_world"),
+            initial_memories=initial_memories,
+            initial_world=initial_world,
         )
 
 

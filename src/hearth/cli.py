@@ -12,26 +12,33 @@ import os
 import sys
 from typing import Any
 
-from .agent.backends import BackendError, RecordedReplayBackend, ReplayDivergence
-from .agent.context import PROMPT_VERSION, PromptConfig
-from .agent.loop import RunLimits, run_task
+from .agent.backends import BackendError
+from .agent.loop import RunLimits
 from .agent.transcript import Transcript, TranscriptError
 from .harness.metrics import compute_metrics, emit_report, render_json
 from .harness.runner import (
     BackendSetup,
     ExperimentPlan,
-    header_memories,
+    ScenarioTemplate,
+    execute_task,
+    replay_transcript,
     run_memory_protocol,
     run_trials,
-    write_transcript,
+    task_header,
 )
 from .harness.tasks import TASKS, EvaluationError, check_t1
 from .memory.episodic import EpisodicStore, PersistenceError
 from .memory.scratchpad import Scratchpad
 from .rpc.server import ToolRpcServer, serve_stdio
 from .tools.dispatch import MemoryHandles
-from .world.scenario import ScenarioError, load_scenario, read_scenario, scenario_hash
-from .world.state import WorldState, canonical_json, snapshot
+from .world.scenario import ScenarioError, read_scenario, scenario_hash
+from .world.state import WorldState, canonical_json
+
+# perfbench/tracing.py wraps these names here (its WRAP_TARGETS) and
+# fails when one is missing; tasks run them from harness.runner.
+from .agent.loop import run_task  # noqa: F401
+from .world.scenario import load_scenario  # noqa: F401
+from .world.state import snapshot  # noqa: F401
 
 EXIT_OK = 0
 EXIT_TASK_FAILED = 1
@@ -39,7 +46,8 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 
 
-def _load_baseline(path: str) -> dict[str, Any]:
+def _load_baseline(path: str) -> tuple[ScenarioTemplate, dict[str, Any]]:
+    """The scenario, starting world and t1 snapshot of a baseline file."""
     if os.path.isdir(path):
         path = os.path.join(path, "baseline.json")
     with open(path, encoding="utf-8") as handle:
@@ -47,7 +55,13 @@ def _load_baseline(path: str) -> dict[str, Any]:
     for key in ("scenario", "scenario_hash", "world", "snapshot"):
         if key not in baseline:
             raise ValueError(f"baseline file is missing '{key}'")
-    return baseline
+    try:
+        world = WorldState.from_dict(baseline["world"])
+    except ValueError as exc:
+        raise ValueError(f"baseline file '{path}': {exc}") from exc
+    data = baseline["scenario"]
+    template = ScenarioTemplate(data, scenario_hash(data), world.to_dict())
+    return template, baseline["snapshot"]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -65,24 +79,20 @@ def cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_CONFIG
-        baseline = _load_baseline(args.baseline)
-        if not check_t1(baseline["snapshot"]):
+        scenario, baseline_snapshot = _load_baseline(args.baseline)
+        if not check_t1(baseline_snapshot):
             print(
                 "error: baseline snapshot does not satisfy t1; refusing to "
                 "run t2 from it",
                 file=sys.stderr,
             )
             return EXIT_CONFIG
-        scenario_data = baseline["scenario"]
-        world = WorldState.from_dict(baseline["world"])
-        baseline_snapshot = baseline["snapshot"]
     else:
         if args.baseline is not None:
             print("error: --baseline only applies to tasks with a prerequisite",
                   file=sys.stderr)
             return EXIT_CONFIG
-        scenario_data = read_scenario(args.scenario)
-        world = load_scenario(scenario_data)
+        scenario = ScenarioTemplate.load(args.scenario)
 
     setup = BackendSetup.from_spec(args.backend)
     backend = setup.make(task.id)
@@ -90,16 +100,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     handles = MemoryHandles(
         scratchpad=Scratchpad(), store=store, model_id=setup.model_id
     )
-    initial_memories = header_memories(store)
-    initial_world = world.to_dict()
-    limits = RunLimits(max_tool_calls=args.max_tool_calls)
-    prompt_config = PromptConfig(memory_enabled=not args.no_memory)
-
-    run = run_task(
-        world, handles, backend, task.prompt, limits=limits,
-        prompt_config=prompt_config,
+    world = WorldState.from_dict(scenario.initial_world)
+    header = task_header(
+        scenario, task, setup.model_id, args.seed, not args.no_memory, store, world
     )
-    final_snapshot = snapshot(world)
+    limits = RunLimits(max_tool_calls=args.max_tool_calls)
+    run, transcript = execute_task(world, handles, backend, header, limits)
+    final_snapshot = transcript.final.snapshot
     actual_ok = task.check(final_snapshot, baseline_snapshot)
     believed = run.believed_status or "failed"
 
@@ -113,22 +120,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"mean backend latency: {mean_latency:.2f}s")
 
     if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
-        digest = scenario_hash(scenario_data)
-        path = write_transcript(
-            args.output_dir,
-            "run",
-            task,
-            run,
-            scenario_data,
-            digest,
-            setup.model_id,
-            args.seed,
-            not args.no_memory,
-            initial_memories,
-            initial_world,
-            final_snapshot,
-        )
+        path = os.path.join(args.output_dir, f"run_{task.id}.jsonl")
+        transcript.write_jsonl(path)
         print(f"transcript: {path}")
         if task.id == "t1" and actual_ok:
             baseline_path = os.path.join(args.output_dir, "baseline.json")
@@ -136,8 +129,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 handle.write(
                     canonical_json(
                         {
-                            "scenario": scenario_data,
-                            "scenario_hash": digest,
+                            "scenario": scenario.data,
+                            "scenario_hash": scenario.digest,
                             "world": world.to_dict(),
                             "snapshot": final_snapshot,
                         }
@@ -230,88 +223,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     try:
-        transcript = Transcript.read_jsonl(args.transcript)
+        report = replay_transcript(Transcript.read_jsonl(args.transcript))
     except (TranscriptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    header = transcript.header
-    if header.prompt_version != PROMPT_VERSION:
-        print(
-            f"error: transcript prompt version '{header.prompt_version}' does "
-            f"not match current '{PROMPT_VERSION}'",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    recomputed = scenario_hash(header.scenario)
-    if recomputed != header.scenario_hash:
-        print(
-            f"error: scenario hash mismatch: header says "
-            f"{header.scenario_hash}, scenario hashes to {recomputed}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-
-    if header.initial_world is not None:
-        world = WorldState.from_dict(header.initial_world)
-    else:
-        world = load_scenario(header.scenario)
-    store = EpisodicStore()
-    for memory in header.initial_memories:
-        store.add(
-            task_description=memory["task_description"],
-            believed_status=memory["believed_status"],
-            action_summary=memory["action_summary"],
-            model_id=memory.get("model_id", "unknown"),
-        )
-    handles = MemoryHandles(
-        scratchpad=Scratchpad(), store=store, model_id=header.model_id
-    )
-    limits = RunLimits(max_tool_calls=max(transcript.final.tool_calls, 1))
-    backend = RecordedReplayBackend(transcript)
-    try:
-        run = run_task(
-            world,
-            handles,
-            backend,
-            header.task_prompt,
-            limits=limits,
-            prompt_config=PromptConfig(memory_enabled=header.memory_enabled),
-        )
-    except ReplayDivergence as exc:
-        print(f"replay diverged: {exc}", file=sys.stderr)
-        return EXIT_TASK_FAILED
-
-    recorded = transcript.messages
-    if len(run.messages) != len(recorded):
-        print(
-            f"replay diverged: live run has {len(run.messages)} messages, "
-            f"recording has {len(recorded)}",
-            file=sys.stderr,
-        )
-        return EXIT_TASK_FAILED
-    for live, want in zip(run.messages, recorded):
-        if live.semantic_key() != want.semantic_key():
-            print(
-                f"replay diverged: message index {live.index} differs from "
-                f"the recording",
-                file=sys.stderr,
-            )
-            return EXIT_TASK_FAILED
-    if run.termination != transcript.final.termination:
-        print(
-            f"replay diverged: termination '{run.termination}' != recorded "
-            f"'{transcript.final.termination}'",
-            file=sys.stderr,
-        )
-        return EXIT_TASK_FAILED
-    live_snapshot = snapshot(world)
-    if canonical_json(live_snapshot) != canonical_json(transcript.final.snapshot):
-        print("replay diverged: final snapshot differs from the recording",
-              file=sys.stderr)
+    if report.divergence is not None:
+        print(f"replay diverged: {report.divergence}", file=sys.stderr)
         return EXIT_TASK_FAILED
     print(
-        f"replay ok: {len(recorded)} messages, {run.tool_calls} tool calls, "
-        f"termination {run.termination}"
+        f"replay ok: {report.messages} messages, {report.tool_calls} tool calls, "
+        f"termination {report.termination}"
     )
     return EXIT_OK
 

@@ -62,21 +62,6 @@ class GroupMetrics:
             },
         }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "GroupMetrics":
-        return cls(
-            task_id=data["task_id"],
-            model_id=data["model_id"],
-            trials=int(data["trials"]),
-            success_rate=float(data["success_rate"]),
-            mean_tool_calls=float(data["mean_tool_calls"]),
-            confusion=[[int(v) for v in row] for row in data["confusion"]],
-            by_memory_size={
-                int(size): {k: float(v) for k, v in stats.items()}
-                for size, stats in data["by_memory_size"].items()
-            },
-        )
-
 
 @dataclass
 class MetricsReport:
@@ -84,10 +69,6 @@ class MetricsReport:
 
     def to_dict(self) -> dict[str, Any]:
         return {"groups": [group.to_dict() for group in self.groups]}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MetricsReport":
-        return cls(groups=[GroupMetrics.from_dict(g) for g in data["groups"]])
 
     def group(self, task_id: str, model_id: str) -> GroupMetrics:
         for group in self.groups:

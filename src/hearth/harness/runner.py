@@ -1,7 +1,10 @@
-"""Trial runner: executes task batches and the memory-accumulation protocol.
+"""Trial runner: task batches, the memory-accumulation protocol, replay.
 
-Every trial starts from the same scenario document, so differences
-between trials come only from the backend and the seeded memory store.
+`execute_task` is the one path that runs a task and records its
+transcript; `hearth run`, trial batches and `replay_transcript` all go
+through it. Every trial starts from the same scenario document, so
+differences between trials come only from the backend and the seeded
+memory store.
 TrialRecords carry both the agent's belief and the checker's verdict;
 nothing here ever feeds ground truth back to the agent.
 """
@@ -11,16 +14,22 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Iterable
 
-from ..agent.backends import Backend, ScriptedBackend
+from ..agent.backends import (
+    Backend,
+    RecordedReplayBackend,
+    ReplayDivergence,
+    ScriptedBackend,
+)
 from ..agent.context import PROMPT_VERSION, PromptConfig
 from ..agent.http_backend import HttpBackendConfig, HttpChatBackend
-from ..agent.loop import RunLimits, TaskRun, run_task
+from ..agent.loop import TERMINATION_STEP_LIMIT, RunLimits, TaskRun, run_task
 from ..agent.scripts import SCRIPTS
 from ..agent.transcript import (
     Transcript,
+    TranscriptError,
     TranscriptFinal,
     TranscriptHeader,
 )
@@ -28,7 +37,7 @@ from ..memory.episodic import EpisodicStore
 from ..memory.scratchpad import Scratchpad
 from ..tools.dispatch import MemoryHandles
 from ..world.scenario import load_scenario, read_scenario, scenario_hash
-from ..world.state import WorldState, snapshot
+from ..world.state import WorldState, canonical_json, snapshot
 from .tasks import TASKS, EvaluationError, TaskDef
 
 VALID_MEMORY_SIZES = (0, 1, 2, 3)
@@ -127,35 +136,6 @@ class TrialRecord:
     transcript_path: str | None
     scenario_hash: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "trial_id": self.trial_id,
-            "task_id": self.task_id,
-            "model_id": self.model_id,
-            "memory_size_before": self.memory_size_before,
-            "believed": self.believed,
-            "actual": self.actual,
-            "tool_calls": self.tool_calls,
-            "termination": self.termination,
-            "transcript_path": self.transcript_path,
-            "scenario_hash": self.scenario_hash,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TrialRecord":
-        return cls(
-            trial_id=data["trial_id"],
-            task_id=data["task_id"],
-            model_id=data["model_id"],
-            memory_size_before=int(data["memory_size_before"]),
-            believed=data["believed"],
-            actual=data["actual"],
-            tool_calls=int(data["tool_calls"]),
-            termination=data["termination"],
-            transcript_path=data.get("transcript_path"),
-            scenario_hash=data["scenario_hash"],
-        )
-
 
 @dataclass(frozen=True)
 class BackendSetup:
@@ -237,48 +217,151 @@ class TrialOutcome:
     new_reports: list[dict[str, Any]] = field(default_factory=list)
 
 
-def header_memories(store: EpisodicStore) -> list[dict[str, Any]]:
-    """The store's records for a transcript header, without embeddings:
-    replay re-embeds each memory from its `task_description`, so a header
-    stays small however large the store grows."""
-    return [record.without_embedding() for record in store.records]
-
-
-def write_transcript(
-    directory: str,
-    trial_id: str,
+def task_header(
+    scenario: ScenarioTemplate,
     task: TaskDef,
-    run: TaskRun,
-    scenario_data: dict[str, Any],
-    scenario_digest: str,
     model_id: str,
     seed: int | None,
     memory_enabled: bool,
-    initial_memories: list[dict[str, Any]],
-    initial_world: dict[str, Any],
-    final_snapshot: dict[str, Any],
-) -> str:
-    header = TranscriptHeader(
-        scenario=scenario_data,
-        scenario_hash=scenario_digest,
+    store: EpisodicStore,
+    world: WorldState,
+) -> TranscriptHeader:
+    """The transcript header of a task about to start in `world`.
+
+    Memories are listed without embeddings: replay re-embeds each one
+    from its `task_description`, so a header stays small however large
+    the store grows.
+    """
+    return TranscriptHeader(
+        scenario=scenario.data,
+        scenario_hash=scenario.digest,
         prompt_version=PROMPT_VERSION,
         model_id=model_id,
         task_id=task.id,
         task_prompt=task.prompt,
         seed=seed,
         memory_enabled=memory_enabled,
-        initial_memories=initial_memories,
-        initial_world=initial_world,
+        initial_memories=[record.without_embedding() for record in store.records],
+        initial_world=world.to_dict(),
+    )
+
+
+def execute_task(
+    world: WorldState,
+    handles: MemoryHandles,
+    backend: Backend,
+    header: TranscriptHeader,
+    limits: RunLimits,
+) -> tuple[TaskRun, Transcript]:
+    """Run the task `header` describes from `world`; return the run and
+    its transcript, which ends in the ground-truth snapshot."""
+    run = run_task(
+        world,
+        handles,
+        backend,
+        header.task_prompt,
+        limits=limits,
+        prompt_config=PromptConfig(memory_enabled=header.memory_enabled),
     )
     final = TranscriptFinal(
         termination=run.termination,
         believed_status=run.believed_status,
         tool_calls=run.tool_calls,
-        snapshot=final_snapshot,
+        snapshot=snapshot(world),
     )
-    path = os.path.join(directory, f"{trial_id}_{task.id}.jsonl")
-    Transcript(header=header, messages=run.messages, final=final).write_jsonl(path)
-    return path
+    return run, Transcript(header=header, messages=run.messages, final=final)
+
+
+def seed_store(reports: Iterable[dict[str, Any]]) -> EpisodicStore:
+    """A fresh in-memory store holding `reports`, added in order."""
+    store = EpisodicStore()
+    for report in reports:
+        store.add(
+            task_description=report["task_description"],
+            believed_status=report["believed_status"],
+            action_summary=report["action_summary"],
+            model_id=report.get("model_id", "unknown"),
+        )
+    return store
+
+
+@dataclass(frozen=True)
+class ReplayReport:
+    """The live run's counts (the recording's if a divergence stopped it)
+    and how it diverged from the recording, or None if it did not."""
+
+    messages: int
+    tool_calls: int
+    termination: str
+    divergence: str | None = None
+
+
+def replay_transcript(transcript: Transcript) -> ReplayReport:
+    """Re-execute a recorded task against the world and store its header
+    describes, re-emitting the recorded assistant turns.
+
+    Raises TranscriptError when the recording cannot be replayed at all:
+    another prompt version, or a scenario that does not match its hash.
+    """
+    header, recorded = transcript.header, transcript.final
+    if header.prompt_version != PROMPT_VERSION:
+        raise TranscriptError(
+            f"transcript prompt version '{header.prompt_version}' does "
+            f"not match current '{PROMPT_VERSION}'"
+        )
+    recomputed = scenario_hash(header.scenario)
+    if recomputed != header.scenario_hash:
+        raise TranscriptError(
+            f"scenario hash mismatch: header says "
+            f"{header.scenario_hash}, scenario hashes to {recomputed}"
+        )
+    if header.initial_world is not None:
+        world = WorldState.from_dict(header.initial_world)
+    else:
+        world = load_scenario(header.scenario)
+    handles = MemoryHandles(
+        scratchpad=Scratchpad(),
+        store=seed_store(header.initial_memories),
+        model_id=header.model_id,
+    )
+    # One call of headroom lets a run that ended in a refusal or a backend
+    # error reach the turn it ended on; a step limit is the cap itself.
+    headroom = 0 if recorded.termination == TERMINATION_STEP_LIMIT else 1
+    limits = RunLimits(max_tool_calls=max(recorded.tool_calls + headroom, 1))
+    try:
+        _, live = execute_task(
+            world, handles, RecordedReplayBackend(transcript), header, limits
+        )
+    except ReplayDivergence as exc:
+        return ReplayReport(
+            len(transcript.messages), recorded.tool_calls, recorded.termination, str(exc)
+        )
+    return ReplayReport(
+        len(live.messages),
+        live.final.tool_calls,
+        live.final.termination,
+        _divergence(live, transcript),
+    )
+
+
+def _divergence(live: Transcript, recording: Transcript) -> str | None:
+    """How a live run that terminated differs from its recording, or None."""
+    if len(live.messages) != len(recording.messages):
+        return (
+            f"live run has {len(live.messages)} messages, "
+            f"recording has {len(recording.messages)}"
+        )
+    for got, want in zip(live.messages, recording.messages):
+        if got.semantic_key() != want.semantic_key():
+            return f"message index {got.index} differs from the recording"
+    if live.final.termination != recording.final.termination:
+        return (
+            f"termination '{live.final.termination}' != recorded "
+            f"'{recording.final.termination}'"
+        )
+    if canonical_json(live.final.snapshot) != canonical_json(recording.final.snapshot):
+        return "final snapshot differs from the recording"
+    return None
 
 
 def run_trial(
@@ -297,7 +380,6 @@ def run_trial(
     handles = MemoryHandles(
         scratchpad=Scratchpad(), store=store, model_id=setup.model_id
     )
-    prompt_config = PromptConfig(memory_enabled=memory_enabled)
     outcome = TrialOutcome(records=[])
     baseline: dict[str, Any] | None = None
     achieved: dict[str, bool] = {}
@@ -305,36 +387,21 @@ def run_trial(
         task = TASKS[task_id]
         if task.prerequisite is not None and not achieved.get(task.prerequisite):
             continue
-        initial_memories = header_memories(store)
-        initial_world = world.to_dict()
-        size_before = len(store)
-        backend = setup.make(task_id)
-        run = run_task(
-            world,
-            handles,
-            backend,
-            task.prompt,
-            limits=limits,
-            prompt_config=prompt_config,
+        header = task_header(
+            scenario, task, setup.model_id, seed, memory_enabled, store, world
         )
-        final_snapshot = snapshot(world)
+        size_before = len(store)
+        run, transcript = execute_task(
+            world, handles, setup.make(task_id), header, limits
+        )
+        final_snapshot = transcript.final.snapshot
         actual_ok = task.check(final_snapshot, baseline)
         transcript_path = None
         if transcript_dir is not None:
-            transcript_path = write_transcript(
-                transcript_dir,
-                trial_id,
-                task,
-                run,
-                scenario.data,
-                scenario.digest,
-                setup.model_id,
-                seed,
-                memory_enabled,
-                initial_memories,
-                initial_world,
-                final_snapshot,
+            transcript_path = os.path.join(
+                transcript_dir, f"{trial_id}_{task_id}.jsonl"
             )
+            transcript.write_jsonl(transcript_path)
         outcome.records.append(
             TrialRecord(
                 trial_id=trial_id,
@@ -349,15 +416,9 @@ def run_trial(
                 scenario_hash=scenario.digest,
             )
         )
-        for record in store.records[size_before:]:
-            outcome.new_reports.append(
-                {
-                    "task_description": record.task_description,
-                    "believed_status": record.believed_status,
-                    "action_summary": record.action_summary,
-                    "model_id": record.model_id,
-                }
-            )
+        outcome.new_reports.extend(
+            record.without_embedding() for record in store.records[size_before:]
+        )
         achieved[task_id] = actual_ok
         if task_id == "t1" and actual_ok:
             baseline = final_snapshot
@@ -388,7 +449,7 @@ def _persist_records(plan: ExperimentPlan, records: list[TrialRecord]) -> None:
     path = os.path.join(plan.output_dir, "trials.jsonl")
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            handle.write(json.dumps(asdict(record), sort_keys=True) + "\n")
 
 
 def run_trials(plan: ExperimentPlan) -> list[TrialRecord]:
@@ -443,22 +504,13 @@ def run_memory_protocol(plan: ExperimentPlan) -> list[TrialRecord]:
                 f"cannot seed memory size {size}: only {len(pool)} prior "
                 f"reports available"
             )
-        seeds = pool[:size]
         batch_outcomes: list[TrialOutcome] = []
         for index in range(plan.trials):
-            store = EpisodicStore()
-            for report in seeds:
-                store.add(
-                    task_description=report["task_description"],
-                    believed_status=report["believed_status"],
-                    action_summary=report["action_summary"],
-                    model_id=report["model_id"],
-                )
             outcome = run_trial(
                 scenario,
                 plan.tasks,
                 setup,
-                store,
+                seed_store(pool[:size]),
                 limits,
                 trial_id=f"{plan.name}-m{size}-{index:03d}",
                 transcript_dir=transcript_dir,

@@ -141,21 +141,27 @@ class WorldState:
 
     @classmethod
     def from_dict(cls, data: dict) -> WorldState:
-        state = cls(map=SemanticMap.from_dict(data["map"]))
-        for f in data["furniture"]:
-            state.furniture[f["id"]] = Furniture(f["id"], f["location"], list(f["slots"]))
-        for o in data["objects"]:
-            state.objects[o["id"]] = SimObject(
-                o["id"], o["kind"], o["graspable"],
-                containment_from_dict(o["containment"]),
+        """Rebuild a world from `to_dict()` output; raises ValueError when
+        `data` is not a valid world, as in a hand-edited file."""
+        try:
+            state = cls(map=SemanticMap.from_dict(data["map"]))
+            for f in data["furniture"]:
+                furniture = Furniture(f["id"], f["location"], list(f["slots"]))
+                state.furniture[f["id"]] = furniture
+            for o in data["objects"]:
+                state.objects[o["id"]] = SimObject(
+                    o["id"], o["kind"], o["graspable"],
+                    containment_from_dict(o["containment"]),
+                )
+            state.agent = AgentBody(
+                location=data["agent"]["location"],
+                held=data["agent"]["held"],
+                reach_radius=data["agent"]["reach_radius"],
             )
-        state.agent = AgentBody(
-            location=data["agent"]["location"],
-            held=data["agent"]["held"],
-            reach_radius=data["agent"]["reach_radius"],
-        )
-        state.step_counter = data["step_counter"]
-        validate_state(state)
+            state.step_counter = data["step_counter"]
+            validate_state(state)
+        except (LookupError, TypeError, AttributeError, InvariantViolation) as exc:
+            raise ValueError(f"malformed world: {type(exc).__name__}: {exc}") from exc
         return state
 
 

@@ -4,10 +4,10 @@ The Dijkstra oracle uses a dict scan instead of a heap, and the cosine
 oracle recomputes similarity from scratch and ranks by repeated max
 extraction instead of a sort; neither imports more than data types. The
 schema oracle asks `jsonschema.validate` itself, and the trial oracle
-loads the scenario afresh for every trial, as the package once did. The
-dense memory path is the store as it was before it kept vectors sparse:
-a dense embedding, and a cosine that sums all 256 buckets and recomputes
-both norms for every record.
+loads the scenario afresh for every trial and builds each transcript by
+hand, as the package once did. The dense memory path is the store as it
+was before it kept vectors sparse: a dense embedding, and a cosine that
+sums all 256 buckets and recomputes both norms for every record.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ import random
 
 import jsonschema
 
-from hearth.agent.context import PromptConfig
+from hearth.agent.context import PROMPT_VERSION, PromptConfig
 from hearth.agent.loop import RunLimits, run_task
-from hearth.harness.runner import BackendSetup, ExperimentPlan, write_transcript
+from hearth.agent.transcript import Transcript, TranscriptFinal, TranscriptHeader
+from hearth.harness.runner import BackendSetup, ExperimentPlan
 from hearth.harness.tasks import TASKS
 from hearth.memory.embedding import EMBEDDING_DIM, _stable_hash_64, tokenize
 from hearth.memory.episodic import EpisodicRecord, EpisodicStore
@@ -222,10 +223,26 @@ def per_trial_load_trials(plan: ExperimentPlan) -> None:
             )
             final = snapshot(world)
             ok = task.check(final, baseline)
-            path = write_transcript(
-                transcript_dir, trial_id, task, run, data, digest, setup.model_id,
-                plan.seed, plan.memory_enabled, memories, initial_world, final,
+            header = TranscriptHeader(
+                scenario=data,
+                scenario_hash=digest,
+                prompt_version=PROMPT_VERSION,
+                model_id=setup.model_id,
+                task_id=task.id,
+                task_prompt=task.prompt,
+                seed=plan.seed,
+                memory_enabled=plan.memory_enabled,
+                initial_memories=memories,
+                initial_world=initial_world,
             )
+            ending = TranscriptFinal(
+                termination=run.termination,
+                believed_status=run.believed_status,
+                tool_calls=run.tool_calls,
+                snapshot=final,
+            )
+            path = os.path.join(transcript_dir, f"{trial_id}_{task.id}.jsonl")
+            Transcript(header, run.messages, ending).write_jsonl(path)
             record = {
                 "trial_id": trial_id,
                 "task_id": task_id,

@@ -19,7 +19,6 @@ from hearth.agent import (
     TranscriptHeader,
     build_system_prompt,
     detect_refusal,
-    inject_memories,
     run_task,
     tool_declarations,
 )
@@ -40,7 +39,6 @@ from hearth.agent.scripts import (
     optimal_t2,
 )
 from hearth.harness import check_t1, check_t2
-from hearth.memory import EpisodicStore
 from hearth.tools import TOOL_SCHEMAS
 from hearth.world import canonical_json, default_scenario_data, scenario_hash, snapshot
 
@@ -137,33 +135,6 @@ class TestAgentContext:
         context = self.make()
         context.append_assistant_text("thinking")
         assert len(context.to_chat_messages()) == 3
-
-
-class TestInjectMemories:
-    def test_zero_k_is_a_no_op(self):
-        context = AgentContext("sys", "put the mug away")
-        store = EpisodicStore()
-        store.add("put the mug away", "succeeded", "done")
-        inject_memories(context, store, "put the mug away", 0)
-        assert len(context.messages) == 2
-
-    def test_injects_numbered_reports(self):
-        context = AgentContext("sys", "put the mug away")
-        store = EpisodicStore()
-        store.add("put the mug away", "succeeded", "carried it to the shelf")
-        inject_memories(context, store, "put the mug away", 2)
-        assert len(context.messages) == 3
-        note = context.messages[2]
-        assert note.role == "user"
-        assert note.content.startswith(
-            "Before you begin, here are reports from similar past tasks:"
-        )
-        assert "1. (believed succeeded" in note.content
-
-    def test_empty_store_injects_nothing(self):
-        context = AgentContext("sys", "put the mug away")
-        inject_memories(context, EpisodicStore(), "put the mug away", 3)
-        assert len(context.messages) == 2
 
 
 class TestDetectRefusal:

@@ -139,6 +139,20 @@ class TestBaselineFlow:
         )
         assert code == 2
 
+    def test_malformed_baseline_world_is_a_config_error(self, t1_output, capsys):
+        path = t1_output / "baseline.json"
+        baseline = json.loads(path.read_text())
+        baseline["world"] = {}
+        path.write_text(json.dumps(baseline))
+        code = main(
+            ["run", "--task", "t2", "--backend", "scripted:optimal",
+             "--baseline", str(path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: baseline file '{path}': malformed world: KeyError: 'map'\n"
+        )
+
     def test_unswapped_baseline_state_rejected(self, tmp_path, capsys):
         # A baseline whose snapshot does not satisfy t1 must be refused.
         out = tmp_path / "hall"
@@ -214,6 +228,32 @@ class TestReplay:
             handle.write("\n".join(lines) + "\n")
         assert main(["replay", path]) == 0
         assert "replay ok:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("initial_world", {"map": {}}, "malformed world: KeyError: 'nodes'"),
+            (
+                "initial_memories",
+                [{"believed_status": "succeeded", "action_summary": "shelved"}],
+                "initial memory lacks 'task_description'",
+            ),
+        ],
+        ids=["initial_world", "initial_memories"],
+    )
+    def test_malformed_header_is_a_config_error(
+        self, t1_output, capsys, field, value, error
+    ):
+        path = self.transcript_path(t1_output)
+        lines = read_lines(path)
+        header = json.loads(lines[0])
+        header[field] = value
+        lines[0] = json.dumps(header)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        assert main(["replay", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: malformed header line: {error}")
 
     def test_tampered_message_diverges(self, t1_output, capsys):
         path = self.transcript_path(t1_output)

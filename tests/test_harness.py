@@ -11,7 +11,6 @@ from hearth.harness import (
     BackendSetup,
     EvaluationError,
     ExperimentPlan,
-    MetricsReport,
     TrialRecord,
     check_t1,
     check_t2,
@@ -341,12 +340,14 @@ class TestRunTrials:
         assert len(written["template"]) == 1 + 3 * len(tasks)
         assert written["template"] == written["oracle"]
 
-    def test_trial_record_roundtrip(self):
+    def test_trial_record_roundtrip(self, tmp_path):
         plan = ExperimentPlan.from_dict(
-            {"name": "rt", "tasks": ["t1"], "backend": "scripted:optimal"}
+            {"name": "rt", "tasks": ["t1"], "backend": "scripted:optimal",
+             "output_dir": str(tmp_path)}
         )
         record = run_trials(plan)[0]
-        assert TrialRecord.from_dict(record.to_dict()) == record
+        [line] = (tmp_path / "trials.jsonl").read_text().splitlines()
+        assert TrialRecord(**json.loads(line)) == record
 
 
 class TestMemoryProtocol:
@@ -488,10 +489,23 @@ class TestRenderers:
 
     def test_json_roundtrip(self):
         report = self.sample_report()
-        parsed = MetricsReport.from_dict(json.loads(render_json(report)))
-        assert parsed.to_dict() == report.to_dict()
-        group = parsed.group("t1", "m")
-        assert set(group.by_memory_size) == {0, 1}
+        [group] = report.groups
+        assert json.loads(render_json(report)) == {
+            "groups": [
+                {
+                    "task_id": group.task_id,
+                    "model_id": group.model_id,
+                    "trials": group.trials,
+                    "success_rate": group.success_rate,
+                    "mean_tool_calls": group.mean_tool_calls,
+                    "confusion": group.confusion,
+                    "by_memory_size": {
+                        "0": group.by_memory_size[0],
+                        "1": group.by_memory_size[1],
+                    },
+                }
+            ]
+        }
 
     def test_csv_shape(self):
         lines = render_csv(self.sample_report()).strip().splitlines()

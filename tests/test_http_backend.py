@@ -149,10 +149,8 @@ class TestWireParsing:
         )
         first = backend.next_action(fresh_context(), tool_declarations())
         second = backend.next_action(fresh_context(), tool_declarations())
-        assert len(backend.latencies_s) == 2
-        assert all(v >= 0.0 for v in backend.latencies_s)
-        assert first.latency_s == backend.latencies_s[0]
-        assert second.latency_s == backend.latencies_s[1]
+        assert first.latency_s is not None and first.latency_s >= 0.0
+        assert second.latency_s is not None and second.latency_s >= 0.0
 
 
 class TestRetryPolicy:
