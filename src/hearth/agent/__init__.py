@@ -11,21 +11,20 @@ from .backends import (
     parse_arguments_json,
 )
 from .context import (
-    DEFAULT_MESSAGE_BUDGET,
+    MESSAGE_BUDGET,
     PROMPT_VERSION,
     AgentContext,
-    PromptConfig,
     build_system_prompt,
     tool_declarations,
 )
 from .http_backend import HttpBackendConfig, HttpChatBackend
 from .loop import (
+    DEFAULT_MAX_TOOL_CALLS,
     REFUSAL_THRESHOLD,
     TERMINATION_BACKEND_ERROR,
     TERMINATION_END_TASK,
     TERMINATION_REFUSAL,
     TERMINATION_STEP_LIMIT,
-    RunLimits,
     TaskRun,
     detect_refusal,
     run_task,
@@ -44,16 +43,15 @@ __all__ = [
     "Backend",
     "BackendError",
     "BackendReply",
-    "DEFAULT_MESSAGE_BUDGET",
+    "DEFAULT_MAX_TOOL_CALLS",
     "HttpBackendConfig",
     "HttpChatBackend",
+    "MESSAGE_BUDGET",
     "PROMPT_VERSION",
-    "PromptConfig",
     "ProposedCall",
     "REFUSAL_THRESHOLD",
     "RecordedReplayBackend",
     "ReplayDivergence",
-    "RunLimits",
     "SCRIPTS",
     "SCRIPT_CALL_COUNTS",
     "ScriptedBackend",

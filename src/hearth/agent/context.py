@@ -9,27 +9,20 @@ full history always reaches the transcript.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any
 
-from ..memory.scratchpad import Scratchpad
 from ..tools.dispatch import ToolResult
 from ..tools.schemas import TOOL_SCHEMAS
 from .transcript import TranscriptMessage
 
 PROMPT_VERSION = "v1"
 
-DEFAULT_MESSAGE_BUDGET = 200
+# Most messages sent to the backend in one turn.
+MESSAGE_BUDGET = 200
 
 
-@dataclass(frozen=True)
-class PromptConfig:
-    memory_enabled: bool = True
-
-
-def build_system_prompt(config: PromptConfig | None = None) -> str:
-    """Assemble the system prompt. Deterministic for a given config."""
-    config = config or PromptConfig()
+def build_system_prompt(memory_enabled: bool = True) -> str:
+    """Assemble the system prompt; search_memory appears only if enabled."""
     lines = [
         "You are a household robot assistant controlling a mobile body in a",
         "simulated home. You interact with the world only through tool calls;",
@@ -47,7 +40,7 @@ def build_system_prompt(config: PromptConfig | None = None) -> str:
         "Tools for thinking: add_to_scratchpad (write a note to yourself),",
         "view_scratchpad (read your notes back).",
     ]
-    if config.memory_enabled:
+    if memory_enabled:
         lines += [
             "Tool for remembering: search_memory (retrieve reports of similar",
             "past tasks; consult it before exploring from scratch).",
@@ -72,28 +65,10 @@ def build_system_prompt(config: PromptConfig | None = None) -> str:
 class AgentContext:
     """System prompt, task prompt, and the growing message history."""
 
-    def __init__(
-        self,
-        system_prompt: str,
-        task_prompt: str,
-        max_messages: int = DEFAULT_MESSAGE_BUDGET,
-        scratchpad: Scratchpad | None = None,
-    ) -> None:
-        if max_messages < 8:
-            raise ValueError("max_messages too small to hold a working context")
-        self.max_messages = max_messages
-        self.scratchpad = scratchpad
+    def __init__(self, system_prompt: str, task_prompt: str) -> None:
         self.messages: list[TranscriptMessage] = []
         self._append(role="system", content=system_prompt)
         self._append(role="user", content=task_prompt)
-
-    @property
-    def system_prompt(self) -> str:
-        return self.messages[0].content
-
-    @property
-    def task_prompt(self) -> str:
-        return self.messages[1].content
 
     def _append(self, **kwargs: Any) -> TranscriptMessage:
         message = TranscriptMessage(index=len(self.messages), **kwargs)
@@ -138,7 +113,7 @@ class AgentContext:
         Over budget, whole tool-call groups (assistant turn plus its tool
         replies) are dropped oldest-first. Messages 0 and 1 are pinned.
         """
-        if len(self.messages) <= self.max_messages:
+        if len(self.messages) <= MESSAGE_BUDGET:
             return list(self.messages)
         groups: list[list[TranscriptMessage]] = []
         for message in self.messages[2:]:
@@ -148,7 +123,7 @@ class AgentContext:
                 groups.append([message])
         total = len(self.messages)
         kept = groups
-        while kept and total > self.max_messages:
+        while kept and total > MESSAGE_BUDGET:
             total -= len(kept[0])
             kept = kept[1:]
         window = self.messages[:2]
@@ -192,13 +167,12 @@ class AgentContext:
         return wire
 
 
-def tool_declarations(config: PromptConfig | None = None) -> list[dict[str, Any]]:
+def tool_declarations(memory_enabled: bool = True) -> list[dict[str, Any]]:
     """Function declarations offered to the backend, gated like the prompt."""
     from ..tools.schemas import function_declarations
 
-    config = config or PromptConfig()
     declarations = function_declarations()
-    if not config.memory_enabled:
+    if not memory_enabled:
         declarations = [
             d for d in declarations if d["function"]["name"] != "search_memory"
         ]

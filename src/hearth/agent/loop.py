@@ -14,15 +14,11 @@ from typing import Sequence
 from ..tools.dispatch import MemoryHandles, ToolCall, ToolResult, dispatch, failure
 from ..world.state import WorldState
 from .backends import Backend, BackendError
-from .context import (
-    AgentContext,
-    PromptConfig,
-    build_system_prompt,
-    tool_declarations,
-)
+from .context import AgentContext, build_system_prompt, tool_declarations
 from .transcript import TranscriptMessage
 
 REFUSAL_THRESHOLD = 10
+DEFAULT_MAX_TOOL_CALLS = 50
 
 TERMINATION_END_TASK = "end_task"
 TERMINATION_STEP_LIMIT = "step_limit"
@@ -35,23 +31,9 @@ PARALLEL_CALLS_MESSAGE = (
 )
 
 
-@dataclass(frozen=True)
-class RunLimits:
-    max_tool_calls: int = 50
-    refusal_threshold: int = REFUSAL_THRESHOLD
-    max_messages: int = 200
-
-    def __post_init__(self) -> None:
-        if self.max_tool_calls < 1:
-            raise ValueError("max_tool_calls must be >= 1")
-        if self.refusal_threshold < 1:
-            raise ValueError("refusal_threshold must be >= 1")
-
-
 @dataclass
 class TaskRun:
     task_prompt: str
-    terminated: bool
     termination: str
     believed_status: str | None
     tool_calls: int
@@ -64,10 +46,9 @@ class TaskRun:
         return self.believed_status == "succeeded"
 
 
-def detect_refusal(
-    no_action_attempts: Sequence[bool], threshold: int = REFUSAL_THRESHOLD
-) -> bool:
-    """True iff the trailing run of no-action invocations reaches threshold.
+def detect_refusal(no_action_attempts: Sequence[bool]) -> bool:
+    """True iff the trailing run of no-action invocations reaches
+    REFUSAL_THRESHOLD.
 
     Each entry is one backend invocation for the same task; True marks an
     invocation that produced neither a tool call nor end_task. Any action
@@ -76,7 +57,7 @@ def detect_refusal(
     streak = 0
     for no_action in no_action_attempts:
         streak = streak + 1 if no_action else 0
-    return streak >= threshold
+    return streak >= REFUSAL_THRESHOLD
 
 
 def run_task(
@@ -84,34 +65,30 @@ def run_task(
     memory: MemoryHandles,
     backend: Backend,
     task_prompt: str,
-    limits: RunLimits | None = None,
-    prompt_config: PromptConfig | None = None,
+    max_tool_calls: int = DEFAULT_MAX_TOOL_CALLS,
+    memory_enabled: bool = True,
 ) -> TaskRun:
-    """Drive one task to termination and return its record."""
-    limits = limits or RunLimits()
-    prompt_config = prompt_config or PromptConfig()
+    """Drive one task to termination and return its record.
+
+    The run stops after `max_tool_calls` dispatched calls; search_memory
+    is offered only if `memory_enabled`.
+    """
     memory.scratchpad.clear()
-    context = AgentContext(
-        system_prompt=build_system_prompt(prompt_config),
-        task_prompt=task_prompt,
-        max_messages=limits.max_messages,
-        scratchpad=memory.scratchpad,
-    )
-    declarations = tool_declarations(prompt_config)
+    context = AgentContext(build_system_prompt(memory_enabled), task_prompt)
+    declarations = tool_declarations(memory_enabled)
 
     attempts: list[bool] = []
     tool_calls = 0
     latencies: list[float] = []
     # Hard bound on backend invocations so a backend that only ever
     # proposes parallel calls cannot spin the loop forever.
-    max_invocations = limits.max_tool_calls * 3 + limits.refusal_threshold
+    max_invocations = max_tool_calls * 3 + REFUSAL_THRESHOLD
 
     def finish(
         termination: str, believed: str | None, error: str | None = None
     ) -> TaskRun:
         return TaskRun(
             task_prompt=task_prompt,
-            terminated=True,
             termination=termination,
             believed_status=believed,
             tool_calls=tool_calls,
@@ -132,7 +109,7 @@ def run_task(
         if not reply.calls:
             context.append_assistant_text(reply.text or "")
             attempts.append(True)
-            if detect_refusal(attempts, limits.refusal_threshold):
+            if detect_refusal(attempts):
                 return finish(TERMINATION_REFUSAL, None)
             continue
         attempts.append(False)
@@ -162,7 +139,7 @@ def run_task(
             return finish(
                 TERMINATION_END_TASK, result.machine_payload["believed_status"]
             )
-        if tool_calls >= limits.max_tool_calls:
+        if tool_calls >= max_tool_calls:
             return finish(TERMINATION_STEP_LIMIT, None)
 
     return finish(TERMINATION_STEP_LIMIT, None)

@@ -13,7 +13,7 @@ import sys
 from typing import Any
 
 from .agent.backends import BackendError
-from .agent.loop import RunLimits
+from .agent.loop import DEFAULT_MAX_TOOL_CALLS
 from .agent.transcript import Transcript, TranscriptError
 from .harness.metrics import compute_metrics, emit_report, render_json
 from .harness.runner import (
@@ -22,7 +22,6 @@ from .harness.runner import (
     ScenarioTemplate,
     execute_task,
     replay_transcript,
-    run_memory_protocol,
     run_trials,
     task_header,
 )
@@ -69,6 +68,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if task is None:
         print(f"error: unknown task '{args.task}'", file=sys.stderr)
         return EXIT_CONFIG
+    if args.max_tool_calls < 1:
+        raise ValueError("max_tool_calls must be >= 1")
 
     baseline_snapshot: dict[str, Any] | None = None
     if task.prerequisite is not None:
@@ -104,8 +105,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     header = task_header(
         scenario, task, setup.model_id, args.seed, not args.no_memory, store, world
     )
-    limits = RunLimits(max_tool_calls=args.max_tool_calls)
-    run, transcript = execute_task(world, handles, backend, header, limits)
+    run, transcript = execute_task(
+        world, handles, backend, header, args.max_tool_calls
+    )
     final_snapshot = transcript.final.snapshot
     actual_ok = task.check(final_snapshot, baseline_snapshot)
     believed = run.believed_status or "failed"
@@ -147,7 +149,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     plan = ExperimentPlan.from_file(args.plan)
-    records = run_memory_protocol(plan) if plan.memory_sizes else run_trials(plan)
+    records = run_trials(plan)
     report = compute_metrics(records, plan.exclude_backend_errors)
     out_dir = plan.output_dir or args.report_dir
     if out_dir:
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--baseline", help="baseline.json (or its directory) from t1")
     run.add_argument("--memory", help="episodic store JSONL path")
     run.add_argument("--output-dir", help="write transcript and baseline here")
-    run.add_argument("--max-tool-calls", type=int, default=50)
+    run.add_argument("--max-tool-calls", type=int, default=DEFAULT_MAX_TOOL_CALLS)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--no-memory", action="store_true",
                      help="hide search_memory from the agent")

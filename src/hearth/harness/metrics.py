@@ -18,8 +18,6 @@ from typing import Any, Iterable
 from .runner import TrialRecord
 from .tasks import EvaluationError
 
-REPORT_FORMATS = ("json", "csv", "markdown")
-
 # External reference points (published evaluations of remote models on
 # these two tasks), shown alongside local results for orientation.
 REFERENCE_SUCCESS_RATES: dict[str, dict[str, float]] = {
@@ -209,26 +207,19 @@ def render_markdown(report: MetricsReport) -> str:
     return "\n".join(lines)
 
 
-_RENDERERS = {
-    "json": render_json,
-    "csv": render_csv,
-    "markdown": render_markdown,
+_REPORT_FILES = {
+    "metrics.json": render_json,
+    "metrics.csv": render_csv,
+    "metrics.md": render_markdown,
 }
 
-_EXTENSIONS = {"json": "json", "csv": "csv", "markdown": "md"}
 
-
-def emit_report(
-    report: MetricsReport, output_dir: str, formats: Iterable[str] = REPORT_FORMATS
-) -> list[str]:
-    """Write the report in each requested format; returns written paths."""
+def emit_report(report: MetricsReport, output_dir: str) -> list[str]:
+    """Write the report as JSON, CSV and Markdown; returns written paths."""
     paths = []
     os.makedirs(output_dir, exist_ok=True)
-    for fmt in formats:
-        renderer = _RENDERERS.get(fmt)
-        if renderer is None:
-            raise ValueError(f"unknown report format '{fmt}'")
-        path = os.path.join(output_dir, f"metrics.{_EXTENSIONS[fmt]}")
+    for name, renderer in _REPORT_FILES.items():
+        path = os.path.join(output_dir, name)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(renderer(report))
         paths.append(path)

@@ -1,4 +1,4 @@
-"""Trial runner: task batches, the memory-accumulation protocol, replay.
+"""Trial runner: trial batches, the memory-accumulation protocol, replay.
 
 `execute_task` is the one path that runs a task and records its
 transcript; `hearth run`, trial batches and `replay_transcript` all go
@@ -15,6 +15,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from ..agent.backends import (
@@ -23,9 +24,14 @@ from ..agent.backends import (
     ReplayDivergence,
     ScriptedBackend,
 )
-from ..agent.context import PROMPT_VERSION, PromptConfig
+from ..agent.context import PROMPT_VERSION
 from ..agent.http_backend import HttpBackendConfig, HttpChatBackend
-from ..agent.loop import TERMINATION_STEP_LIMIT, RunLimits, TaskRun, run_task
+from ..agent.loop import (
+    DEFAULT_MAX_TOOL_CALLS,
+    TERMINATION_STEP_LIMIT,
+    TaskRun,
+    run_task,
+)
 from ..agent.scripts import SCRIPTS
 from ..agent.transcript import (
     Transcript,
@@ -57,7 +63,7 @@ class ExperimentPlan:
     output_dir: str | None = None
     parallelism: int = 1
     exclude_backend_errors: bool = False
-    max_tool_calls: int = 50
+    max_tool_calls: int = DEFAULT_MAX_TOOL_CALLS
     memory_enabled: bool = True
 
     @classmethod
@@ -95,7 +101,9 @@ class ExperimentPlan:
         parallelism = int(data.get("parallelism", 1))
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        max_tool_calls = int(data.get("max_tool_calls", 50))
+        max_tool_calls = int(data.get("max_tool_calls", DEFAULT_MAX_TOOL_CALLS))
+        if max_tool_calls < 1:
+            raise ValueError("max_tool_calls must be >= 1")
         return cls(
             name=data["name"],
             tasks=tasks,
@@ -251,17 +259,18 @@ def execute_task(
     handles: MemoryHandles,
     backend: Backend,
     header: TranscriptHeader,
-    limits: RunLimits,
+    max_tool_calls: int,
 ) -> tuple[TaskRun, Transcript]:
-    """Run the task `header` describes from `world`; return the run and
-    its transcript, which ends in the ground-truth snapshot."""
+    """Run the task `header` describes from `world`, with search_memory
+    offered as the header says; return the run and its transcript, which
+    ends in the ground-truth snapshot."""
     run = run_task(
         world,
         handles,
         backend,
         header.task_prompt,
-        limits=limits,
-        prompt_config=PromptConfig(memory_enabled=header.memory_enabled),
+        max_tool_calls,
+        header.memory_enabled,
     )
     final = TranscriptFinal(
         termination=run.termination,
@@ -327,10 +336,10 @@ def replay_transcript(transcript: Transcript) -> ReplayReport:
     # One call of headroom lets a run that ended in a refusal or a backend
     # error reach the turn it ended on; a step limit is the cap itself.
     headroom = 0 if recorded.termination == TERMINATION_STEP_LIMIT else 1
-    limits = RunLimits(max_tool_calls=max(recorded.tool_calls + headroom, 1))
+    max_tool_calls = max(recorded.tool_calls + headroom, 1)
     try:
         _, live = execute_task(
-            world, handles, RecordedReplayBackend(transcript), header, limits
+            world, handles, RecordedReplayBackend(transcript), header, max_tool_calls
         )
     except ReplayDivergence as exc:
         return ReplayReport(
@@ -359,6 +368,16 @@ def _divergence(live: Transcript, recording: Transcript) -> str | None:
             f"termination '{live.final.termination}' != recorded "
             f"'{recording.final.termination}'"
         )
+    if live.final.tool_calls != recording.final.tool_calls:
+        return (
+            f"final tool_calls {live.final.tool_calls} != recorded "
+            f"{recording.final.tool_calls}"
+        )
+    if live.final.believed_status != recording.final.believed_status:
+        return (
+            f"final believed_status {live.final.believed_status!r} != recorded "
+            f"{recording.final.believed_status!r}"
+        )
     if canonical_json(live.final.snapshot) != canonical_json(recording.final.snapshot):
         return "final snapshot differs from the recording"
     return None
@@ -369,7 +388,7 @@ def run_trial(
     task_ids: tuple[str, ...],
     setup: BackendSetup,
     store: EpisodicStore,
-    limits: RunLimits,
+    max_tool_calls: int,
     trial_id: str,
     transcript_dir: str | None = None,
     seed: int | None = None,
@@ -392,7 +411,7 @@ def run_trial(
         )
         size_before = len(store)
         run, transcript = execute_task(
-            world, handles, setup.make(task_id), header, limits
+            world, handles, setup.make(task_id), header, max_tool_calls
         )
         final_snapshot = transcript.final.snapshot
         actual_ok = task.check(final_snapshot, baseline)
@@ -453,72 +472,48 @@ def _persist_records(plan: ExperimentPlan, records: list[TrialRecord]) -> None:
 
 
 def run_trials(plan: ExperimentPlan) -> list[TrialRecord]:
-    """Execute plan.trials independent trials, each with a fresh store."""
-    scenario = ScenarioTemplate.load(plan.scenario_path)
-    setup = BackendSetup.from_spec(plan.backend)
-    limits = RunLimits(max_tool_calls=plan.max_tool_calls)
-    transcript_dir = _prepare_output(plan)
+    """Run the plan's trials and return their records in trial order.
 
-    def job_for(index: int) -> Callable[[], TrialOutcome]:
-        def job() -> TrialOutcome:
-            return run_trial(
-                scenario,
-                plan.tasks,
-                setup,
-                EpisodicStore(),
-                limits,
-                trial_id=f"{plan.name}-{index:03d}",
-                transcript_dir=transcript_dir,
-                seed=plan.seed,
-                memory_enabled=plan.memory_enabled,
-            )
-
-        return job
-
-    outcomes = _run_batch(plan.parallelism, [job_for(i) for i in range(plan.trials)])
-    records = [record for outcome in outcomes for record in outcome.records]
-    _persist_records(plan, records)
-    return records
-
-
-def run_memory_protocol(plan: ExperimentPlan) -> list[TrialRecord]:
-    """Memory-accumulation protocol: one batch per requested store size.
-
-    Each batch seeds every trial's fresh store with exactly m reports
-    harvested from earlier executions (believed labels included, wrong or
-    not). Batches run in the order given, so size 0 must come before any
-    size that needs its reports.
+    Without memory sizes, one batch of plan.trials trials runs, each with
+    an empty store. Otherwise this is the memory-accumulation protocol:
+    one batch per size, in the order given, each trial's fresh store
+    seeded with exactly that many reports harvested from the batches
+    before it (believed labels included, wrong or not), so size 0 must
+    come before any size that needs its reports. Trials of one batch run
+    plan.parallelism at a time.
     """
-    if not plan.memory_sizes:
-        raise EvaluationError("plan.memory_sizes must name at least one size")
     scenario = ScenarioTemplate.load(plan.scenario_path)
     setup = BackendSetup.from_spec(plan.backend)
-    limits = RunLimits(max_tool_calls=plan.max_tool_calls)
     transcript_dir = _prepare_output(plan)
+    if plan.memory_sizes:
+        batches = [(f"m{size}-", size) for size in plan.memory_sizes]
+    else:
+        batches = [("", 0)]
 
     pool: list[dict[str, Any]] = []
     records: list[TrialRecord] = []
-    for size in plan.memory_sizes:
+    for prefix, size in batches:
         if size > len(pool):
             raise EvaluationError(
                 f"cannot seed memory size {size}: only {len(pool)} prior "
                 f"reports available"
             )
-        batch_outcomes: list[TrialOutcome] = []
-        for index in range(plan.trials):
-            outcome = run_trial(
+        jobs = [
+            partial(
+                run_trial,
                 scenario,
                 plan.tasks,
                 setup,
                 seed_store(pool[:size]),
-                limits,
-                trial_id=f"{plan.name}-m{size}-{index:03d}",
+                plan.max_tool_calls,
+                trial_id=f"{plan.name}-{prefix}{index:03d}",
                 transcript_dir=transcript_dir,
                 seed=plan.seed,
                 memory_enabled=plan.memory_enabled,
             )
-            batch_outcomes.append(outcome)
-        for outcome in batch_outcomes:
+            for index in range(plan.trials)
+        ]
+        for outcome in _run_batch(plan.parallelism, jobs):
             records.extend(outcome.records)
             pool.extend(outcome.new_reports)
     _persist_records(plan, records)

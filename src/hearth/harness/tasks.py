@@ -28,10 +28,16 @@ def _object_containment(snapshot: dict[str, Any], object_id: str) -> dict[str, A
     return objects[object_id]
 
 
-def _slot_of(containment: dict[str, Any]) -> tuple[str, int] | None:
+def _slot_of(snapshot: dict[str, Any], object_id: str) -> tuple[str, int] | None:
+    containment = _object_containment(snapshot, object_id)
     if containment.get("kind") != "slot":
         return None
-    return containment["furniture"], containment["slot"]
+    try:
+        return containment["furniture"], containment["slot"]
+    except KeyError as exc:
+        raise EvaluationError(
+            f"malformed snapshot: object '{object_id}' is in a slot without {exc}"
+        ) from exc
 
 
 def _hand_empty(snapshot: dict[str, Any]) -> bool:
@@ -43,7 +49,7 @@ def check_t1(snapshot: dict[str, Any]) -> bool:
     the agent holds nothing."""
     taken: set[tuple[str, int]] = set()
     for object_id in T1_ITEMS:
-        slot = _slot_of(_object_containment(snapshot, object_id))
+        slot = _slot_of(snapshot, object_id)
         if slot is None or slot[0] != SHELF_ID or slot in taken:
             return False
         taken.add(slot)
@@ -55,12 +61,12 @@ def check_t2(snapshot: dict[str, Any], baseline: dict[str, Any] | None) -> bool:
     untouched, and the agent holds nothing."""
     if baseline is None:
         raise EvaluationError("t2 requires a baseline snapshot from t1")
-    mug_before = _slot_of(_object_containment(baseline, "mug"))
-    cube_before = _slot_of(_object_containment(baseline, "cube"))
+    mug_before = _slot_of(baseline, "mug")
+    cube_before = _slot_of(baseline, "cube")
     if mug_before is None or cube_before is None:
         raise EvaluationError("baseline does not place mug and cube in slots")
-    mug_now = _slot_of(_object_containment(snapshot, "mug"))
-    cube_now = _slot_of(_object_containment(snapshot, "cube"))
+    mug_now = _slot_of(snapshot, "mug")
+    cube_now = _slot_of(snapshot, "cube")
     box_unchanged = _object_containment(snapshot, "box") == _object_containment(
         baseline, "box"
     )

@@ -2,7 +2,6 @@
 
 from .embedding import (
     EMBEDDING_DIM,
-    Embedder,
     HashedEmbedder,
     SparseVector,
     tokenize,
@@ -22,7 +21,6 @@ __all__ = [
     "DEFAULT_SEARCH_K",
     "DEFAULT_SIMILARITY_FLOOR",
     "EMBEDDING_DIM",
-    "Embedder",
     "EpisodicRecord",
     "EpisodicStore",
     "HashedEmbedder",

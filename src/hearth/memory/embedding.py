@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress
 from operator import mul
-from typing import Any, Iterable, Protocol
+from typing import Any, Iterable
 
 EMBEDDING_DIM = 256
 
@@ -79,41 +79,25 @@ class SparseVector:
         return sum(map(mul, map(dense.__getitem__, self.buckets), self.values))
 
 
-class Embedder(Protocol):
-    @property
-    def dimension(self) -> int: ...
-
-    def embed_sparse(self, text: str) -> SparseVector: ...
-
-
 class HashedEmbedder:
     """Deterministic bag-of-words embedder over hashed token buckets.
 
     Tokens are lowercased alphanumeric runs, each hashed to one of
-    `dimension` buckets; bucket counts are L2-normalized. Text without a
+    EMBEDDING_DIM buckets; bucket counts are L2-normalized. Text without a
     token maps to the first basis vector so every embedding has unit norm.
     """
-
-    def __init__(self, dimension: int = EMBEDDING_DIM) -> None:
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        self._dimension = dimension
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
 
     def embed_sparse(self, text: str) -> SparseVector:
         counts: dict[int, float] = {}
         for token in tokenize(text):
-            bucket = _stable_hash_64(token) % self._dimension
+            bucket = _stable_hash_64(token) % EMBEDDING_DIM
             counts[bucket] = counts.get(bucket, 0.0) + 1.0
         if not counts:
-            return SparseVector.of(self._dimension, (0,), (1.0,))
+            return SparseVector.of(EMBEDDING_DIM, (0,), (1.0,))
         buckets = tuple(sorted(counts))
         norm = math.sqrt(sum(counts[b] * counts[b] for b in buckets))
         return SparseVector.of(
-            self._dimension, buckets, tuple(counts[b] / norm for b in buckets)
+            EMBEDDING_DIM, buckets, tuple(counts[b] / norm for b in buckets)
         )
 
     def embed(self, text: str) -> list[float]:

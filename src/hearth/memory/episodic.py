@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
-from .embedding import Embedder, HashedEmbedder, SparseVector
+from .embedding import EMBEDDING_DIM, HashedEmbedder, SparseVector
 
 BELIEVED_STATUSES = ("succeeded", "failed")
 
@@ -77,8 +77,8 @@ class EpisodicRecord:
 class EpisodicStore:
     """Long-term memory of task reports, searchable by text similarity."""
 
-    def __init__(self, embedder: Embedder | None = None, path: str | None = None) -> None:
-        self.embedder = embedder if embedder is not None else HashedEmbedder()
+    def __init__(self, path: str | None = None) -> None:
+        self.embedder = HashedEmbedder()
         self.path = path
         self._records: list[EpisodicRecord] = []
         self._ids: set[str] = set()
@@ -113,10 +113,10 @@ class EpisodicStore:
                 f"corrupt record at {where}: bad believed_status "
                 f"'{record.believed_status}'"
             )
-        if record.vector.dimension != self.embedder.dimension:
+        if record.vector.dimension != EMBEDDING_DIM:
             raise PersistenceError(
                 f"corrupt record at {where}: embedding dimension "
-                f"{record.vector.dimension} != {self.embedder.dimension}"
+                f"{record.vector.dimension} != {EMBEDDING_DIM}"
             )
         if abs(record.vector.norm - 1.0) > 1e-6:
             raise PersistenceError(

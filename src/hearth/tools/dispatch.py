@@ -23,7 +23,7 @@ from ..world.actions import (
 )
 from ..world.semantic_map import UnknownLocationError
 from ..world.state import WorldState
-from .schemas import TOOL_SCHEMAS, ToolSchema, python_type
+from .schemas import TOOL_SCHEMAS, ToolSchema
 
 STATUS_SUCCESS = "success"
 STATUS_FAILURE = "failure"
@@ -72,10 +72,6 @@ def failure(message: str, cause: str, **payload: Any) -> ToolResult:
     return ToolResult(STATUS_FAILURE, message, payload)
 
 
-def _type_name(value: Any) -> str:
-    return type(value).__name__
-
-
 def _validate_arguments(schema: ToolSchema, arguments: Any) -> ToolResult | None:
     if not isinstance(arguments, dict):
         return failure(
@@ -93,25 +89,18 @@ def _validate_arguments(schema: ToolSchema, arguments: Any) -> ToolResult | None
             )
     for param in schema.params:
         if param.name not in arguments:
-            if param.required:
-                return failure(
-                    f"Tool call failed (invalid-arguments): missing required "
-                    f"argument '{param.name}' for '{schema.name}'.",
-                    cause="invalid-arguments",
-                    argument=param.name,
-                )
-            continue
+            return failure(
+                f"Tool call failed (invalid-arguments): missing required "
+                f"argument '{param.name}' for '{schema.name}'.",
+                cause="invalid-arguments",
+                argument=param.name,
+            )
         value = arguments[param.name]
-        expected = python_type(param)
-        if isinstance(value, bool) and expected is not bool:
-            ok = False
-        else:
-            ok = isinstance(value, expected)
-        if not ok:
+        if not isinstance(value, str):
             return failure(
                 f"Tool call failed (invalid-arguments): argument "
-                f"'{param.name}' for '{schema.name}' must be a {param.type}, "
-                f"got {_type_name(value)}.",
+                f"'{param.name}' for '{schema.name}' must be a string, "
+                f"got {type(value).__name__}.",
                 cause="invalid-arguments",
                 argument=param.name,
             )

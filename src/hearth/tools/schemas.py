@@ -1,10 +1,11 @@
 """Declarative schemas for the eight agent-facing tools.
 
 Every tool the reasoning backend may call is declared here once, with
-its parameter names, types, and requiredness.  The dispatcher validates
-arguments against these specs before any handler runs, and the chat
-backends export the same specs as function declarations so the model
-and the executor can never disagree about the calling convention.
+its parameter names; every parameter is a required string.  The
+dispatcher validates arguments against these specs before any handler
+runs, and the chat backends export the same specs as function
+declarations so the model and the executor can never disagree about the
+calling convention.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from typing import Any
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One named tool parameter."""
+    """One named tool parameter: a required string."""
 
     name: str
-    type: str
     description: str
-    required: bool = True
     enum: tuple[str, ...] | None = None
 
 
@@ -32,19 +31,8 @@ class ToolSchema:
     description: str
     params: tuple[ParamSpec, ...] = field(default_factory=tuple)
 
-    def required_names(self) -> set[str]:
-        return {p.name for p in self.params if p.required}
-
     def param_names(self) -> set[str]:
         return {p.name for p in self.params}
-
-
-_PY_TYPES: dict[str, type | tuple[type, ...]] = {
-    "string": str,
-    "integer": int,
-    "number": (int, float),
-    "boolean": bool,
-}
 
 
 TOOL_SCHEMAS: dict[str, ToolSchema] = {
@@ -57,7 +45,7 @@ TOOL_SCHEMAS: dict[str, ToolSchema] = {
                 "automatically; the result reports the path taken."
             ),
             params=(
-                ParamSpec("location", "string", "Identifier of the target location."),
+                ParamSpec("location", "Identifier of the target location."),
             ),
         ),
         ToolSchema(
@@ -67,7 +55,7 @@ TOOL_SCHEMAS: dict[str, ToolSchema] = {
                 "of reach, not graspable, or your hand is already full."
             ),
             params=(
-                ParamSpec("object", "string", "Identifier of the object to pick up."),
+                ParamSpec("object", "Identifier of the object to pick up."),
             ),
         ),
         ToolSchema(
@@ -78,7 +66,7 @@ TOOL_SCHEMAS: dict[str, ToolSchema] = {
                 "occupied."
             ),
             params=(
-                ParamSpec("slot", "string", "Name of the target slot."),
+                ParamSpec("slot", "Name of the target slot."),
             ),
         ),
         ToolSchema(
@@ -92,7 +80,7 @@ TOOL_SCHEMAS: dict[str, ToolSchema] = {
             name="add_to_scratchpad",
             description="Append a short note to your working scratchpad.",
             params=(
-                ParamSpec("text", "string", "Text of the note to record."),
+                ParamSpec("text", "Text of the note to record."),
             ),
         ),
         ToolSchema(
@@ -106,7 +94,7 @@ TOOL_SCHEMAS: dict[str, ToolSchema] = {
                 "similar to a query."
             ),
             params=(
-                ParamSpec("query", "string", "Free-text description to match."),
+                ParamSpec("query", "Free-text description to match."),
             ),
         ),
         ToolSchema(
@@ -118,28 +106,21 @@ TOOL_SCHEMAS: dict[str, ToolSchema] = {
             params=(
                 ParamSpec(
                     "task_description",
-                    "string",
                     "Short restatement of the task you were given.",
                 ),
                 ParamSpec(
                     "status",
-                    "string",
                     "Your own judgement of the outcome.",
                     enum=("succeeded", "failed"),
                 ),
                 ParamSpec(
                     "action_summary",
-                    "string",
                     "One-paragraph report of what you did and what happened.",
                 ),
             ),
         ),
     )
 }
-
-
-def python_type(spec: ParamSpec) -> type | tuple[type, ...]:
-    return _PY_TYPES[spec.type]
 
 
 def function_declarations() -> list[dict[str, Any]]:
@@ -149,7 +130,7 @@ def function_declarations() -> list[dict[str, Any]]:
         properties: dict[str, Any] = {}
         for param in schema.params:
             prop: dict[str, Any] = {
-                "type": param.type,
+                "type": "string",
                 "description": param.description,
             }
             if param.enum is not None:
@@ -164,7 +145,7 @@ def function_declarations() -> list[dict[str, Any]]:
                     "parameters": {
                         "type": "object",
                         "properties": properties,
-                        "required": sorted(schema.required_names()),
+                        "required": sorted(schema.param_names()),
                     },
                 },
             }

@@ -19,8 +19,8 @@ import random
 
 import jsonschema
 
-from hearth.agent.context import PROMPT_VERSION, PromptConfig
-from hearth.agent.loop import RunLimits, run_task
+from hearth.agent.context import PROMPT_VERSION
+from hearth.agent.loop import run_task
 from hearth.agent.transcript import Transcript, TranscriptFinal, TranscriptHeader
 from hearth.harness.runner import BackendSetup, ExperimentPlan
 from hearth.harness.tasks import TASKS
@@ -218,8 +218,8 @@ def per_trial_load_trials(plan: ExperimentPlan) -> None:
                 handles,
                 setup.make(task_id),
                 task.prompt,
-                limits=RunLimits(max_tool_calls=plan.max_tool_calls),
-                prompt_config=PromptConfig(memory_enabled=plan.memory_enabled),
+                plan.max_tool_calls,
+                plan.memory_enabled,
             )
             final = snapshot(world)
             ok = task.check(final, baseline)

@@ -23,11 +23,10 @@ from hearth.harness import (
     TrialRecord,
     check_t1,
     compute_metrics,
-    run_memory_protocol,
     run_trial,
     run_trials,
 )
-from hearth.agent import RunLimits, Transcript
+from hearth.agent import DEFAULT_MAX_TOOL_CALLS, Transcript
 from hearth.memory import EpisodicStore, HashedEmbedder, Scratchpad
 from hearth.rpc import RpcClient, ToolRpcServer
 from hearth.tools import MemoryHandles, ToolCall, dispatch
@@ -259,7 +258,7 @@ def test_criterion_07_memory_protocol_reduces_tool_calls(announce):
             "memory_sizes": [0, 1, 2, 3],
         }
     )
-    records = run_memory_protocol(plan)
+    records = run_trials(plan)
     for record in records:
         assert record.memory_size_before in (0, 1, 2, 3)
     stats = (
@@ -362,7 +361,7 @@ def test_criterion_10_live_smoke(tmp_path, announce):
         ("t1",),
         setup,
         EpisodicStore(),
-        RunLimits(),
+        DEFAULT_MAX_TOOL_CALLS,
         trial_id="live-000",
         transcript_dir=str(tmp_path),
     )

@@ -83,6 +83,13 @@ class TestRunExitCodes:
         assert main(RUN_T1 + ["--scenario", str(path)]) == 0
         assert scenario_validations.calls == 1
 
+    def test_zero_tool_call_budget_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(RUN_T1 + ["--max-tool-calls", "0", "--output-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: max_tool_calls must be >= 1\n"
+        assert not out.exists()
+
     def test_argparse_failures_exit_2(self):
         assert main(["run", "--backend", "scripted:optimal"]) == 2
         assert main(["run", "--task", "t9", "--backend", "scripted:optimal"]) == 2
@@ -151,6 +158,23 @@ class TestBaselineFlow:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: baseline file '{path}': malformed world: KeyError: 'map'\n"
+        )
+
+    def test_baseline_slot_without_furniture_is_a_config_error(
+        self, t1_output, capsys
+    ):
+        path = t1_output / "baseline.json"
+        baseline = json.loads(path.read_text())
+        baseline["snapshot"]["objects"]["mug"] = {"kind": "slot"}
+        path.write_text(json.dumps(baseline))
+        code = main(
+            ["run", "--task", "t2", "--backend", "scripted:optimal",
+             "--baseline", str(path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: malformed snapshot: object 'mug' is in a slot without "
+            "'furniture'\n"
         )
 
     def test_unswapped_baseline_state_rejected(self, tmp_path, capsys):

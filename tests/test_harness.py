@@ -1,7 +1,9 @@
 """Harness: checkers, trial batches, memory protocol, metrics rendering."""
 
+import itertools
 import json
 import os
+import threading
 
 import pytest
 
@@ -19,10 +21,11 @@ from hearth.harness import (
     render_csv,
     render_json,
     render_markdown,
-    run_memory_protocol,
     run_trials,
 )
 from hearth.agent.transcript import Transcript
+from hearth.cli import main
+from hearth.harness import runner
 
 from .oracles import per_trial_load_trials
 
@@ -193,6 +196,8 @@ class TestExperimentPlan:
             ExperimentPlan.from_dict(self.base(trials=0))
         with pytest.raises(ValueError, match="parallelism"):
             ExperimentPlan.from_dict(self.base(parallelism=0))
+        with pytest.raises(ValueError, match="max_tool_calls must be >= 1"):
+            ExperimentPlan.from_dict(self.base(max_tool_calls=0))
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -361,7 +366,7 @@ class TestMemoryProtocol:
                 "memory_sizes": list(sizes),
             }
         )
-        return run_memory_protocol(plan)
+        return run_trials(plan)
 
     def test_memory_shortens_runs(self):
         records = self.run_plan((0, 1, 2, 3))
@@ -383,12 +388,40 @@ class TestMemoryProtocol:
         with pytest.raises(EvaluationError, match="only 0 prior reports"):
             self.run_plan((1,), trials=1)
 
-    def test_requires_sizes(self):
-        plan = ExperimentPlan.from_dict(
-            {"name": "mem", "tasks": ["t1"], "backend": "scripted:memory_hinted"}
-        )
-        with pytest.raises(EvaluationError, match="memory_sizes"):
-            run_memory_protocol(plan)
+    def test_batches_honour_parallelism(self, tmp_path, monkeypatch, capsys):
+        """Each memory-size batch runs plan.parallelism trials at a time and
+        writes the same bytes as a serial run."""
+        threads = set()
+        first_two = threading.Barrier(2, timeout=5)
+        calls = itertools.count()
+        run_trial = runner.run_trial
+
+        def overlapping_run_trial(*args, **kwargs):
+            threads.add(threading.get_ident())
+            if next(calls) < 2:
+                first_two.wait()  # the first two trials must run at once
+            return run_trial(*args, **kwargs)
+
+        written = {}
+        for parallelism in (1, 2):
+            (tmp_path / str(parallelism)).mkdir()
+            monkeypatch.chdir(tmp_path / str(parallelism))
+            with open("plan.json", "w", encoding="utf-8") as handle:
+                json.dump(
+                    {"name": "mem", "tasks": ["t1"],
+                     "backend": "scripted:memory_hinted", "trials": 3,
+                     "memory_sizes": [0, 1, 2], "parallelism": parallelism,
+                     "output_dir": "out"},
+                    handle,
+                )
+            if parallelism == 2:
+                monkeypatch.setattr(runner, "run_trial", overlapping_run_trial)
+            assert main(["experiment", "plan.json"]) == 0
+            written[parallelism] = (read_tree("out"), capsys.readouterr())
+        files = written[1][0]
+        assert len(files) == 4 + 9  # trials.jsonl, three metrics files, transcripts
+        assert written[2] == written[1]
+        assert len(threads) > 1
 
 
 def fake_record(
@@ -528,10 +561,6 @@ class TestRenderers:
         assert names == ["metrics.csv", "metrics.json", "metrics.md"]
         for path in paths:
             assert os.path.getsize(path) > 0
-
-    def test_emit_report_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown report format"):
-            emit_report(self.sample_report(), str(tmp_path), formats=["yaml"])
 
 
 class TestReferenceRates:

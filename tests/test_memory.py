@@ -57,8 +57,8 @@ class TestTokenize:
 
 class TestHashedEmbedder:
     def test_default_dimension(self):
-        assert HashedEmbedder().dimension == EMBEDDING_DIM == 256
-        assert len(HashedEmbedder().embed("mug")) == 256
+        assert len(HashedEmbedder().embed("mug")) == EMBEDDING_DIM == 256
+        assert HashedEmbedder().embed_sparse("mug").dimension == EMBEDDING_DIM
 
     def test_deterministic_across_instances(self):
         a = HashedEmbedder().embed("swap the mug and the cube")
@@ -93,10 +93,6 @@ class TestHashedEmbedder:
         related = HashedEmbedder().embed("mug cube swap")
         unrelated = HashedEmbedder().embed("water the garden plants every evening")
         assert cosine(query, related) > cosine(query, unrelated)
-
-    def test_rejects_nonpositive_dimension(self):
-        with pytest.raises(ValueError):
-            HashedEmbedder(0)
 
 
 class TestCosine:

@@ -5,7 +5,12 @@ import os
 
 import pytest
 
-from hearth.agent import BackendError, RunLimits, ScriptedBackend, call
+from hearth.agent import (
+    DEFAULT_MAX_TOOL_CALLS,
+    BackendError,
+    ScriptedBackend,
+    call,
+)
 from hearth.agent.transcript import Transcript, TranscriptError
 from hearth.cli import main
 from hearth.harness import (
@@ -16,7 +21,6 @@ from hearth.harness import (
     ScenarioTemplate,
     execute_task,
     replay_transcript,
-    run_memory_protocol,
     run_trials,
     task_header,
 )
@@ -32,7 +36,9 @@ def record(tmp_path, backend):
     store = EpisodicStore()
     header = task_header(scenario, TASKS["t1"], "m", None, True, store, world)
     handles = MemoryHandles(Scratchpad(), store, "m")
-    _, transcript = execute_task(world, handles, backend, header, RunLimits())
+    _, transcript = execute_task(
+        world, handles, backend, header, DEFAULT_MAX_TOOL_CALLS
+    )
     path = str(tmp_path / "run_t1.jsonl")
     transcript.write_jsonl(path)
     return path
@@ -66,6 +72,14 @@ def move_agent(transcript):
     transcript.final.snapshot["agent"]["location"] = "living_room_center"
 
 
+def claim_more_tool_calls(transcript):
+    transcript.final.tool_calls = 99
+
+
+def claim_failure(transcript):
+    transcript.final.believed_status = "failed"
+
+
 @pytest.mark.parametrize(
     "edit, divergence",
     [
@@ -75,9 +89,11 @@ def move_agent(transcript):
         (drop_message, "live run has 30 messages, recording has 29"),
         (change_termination, "termination 'end_task' != recorded 'refusal'"),
         (move_agent, "final snapshot differs from the recording"),
+        (claim_more_tool_calls, "final tool_calls 14 != recorded 99"),
+        (claim_failure, "final believed_status 'succeeded' != recorded 'failed'"),
     ],
     ids=["clean", "message", "extra-message", "missing-message", "termination",
-         "snapshot"],
+         "snapshot", "final-tool-calls", "final-believed-status"],
 )
 def test_verdict(recording, edit, divergence):
     edit(recording)
@@ -87,6 +103,20 @@ def test_verdict(recording, edit, divergence):
     else:
         assert report.divergence is not None
         assert report.divergence.startswith(divergence)
+
+
+def test_edited_final_line_fails_replay(tmp_path, capsys):
+    """A final line claiming another count and belief is a divergence
+    (exit 1), not a clean replay."""
+    path = record(tmp_path, BackendSetup.from_spec("scripted:optimal").make("t1"))
+    transcript = Transcript.read_jsonl(path)
+    transcript.final.tool_calls = 99
+    transcript.final.believed_status = "failed"
+    transcript.write_jsonl(path)
+    assert main(["replay", path]) == 1
+    assert capsys.readouterr().err == (
+        "replay diverged: final tool_calls 14 != recorded 99\n"
+    )
 
 
 def test_prompt_version_mismatch(recording):
@@ -156,7 +186,7 @@ def test_every_recorded_trial_replays(tmp_path, plan):
     plan = ExperimentPlan.from_dict(
         {"name": "sweep", "output_dir": str(tmp_path), "seed": 5, **plan}
     )
-    records = (run_memory_protocol if plan.memory_sizes else run_trials)(plan)
+    records = run_trials(plan)
     directory = tmp_path / "transcripts"
     reports = {
         name: replay_transcript(Transcript.read_jsonl(str(directory / name)))
