@@ -75,9 +75,6 @@ class AgentContext:
         self.messages.append(message)
         return message
 
-    def append_user(self, text: str) -> TranscriptMessage:
-        return self._append(role="user", content=text)
-
     def append_assistant_text(self, text: str) -> TranscriptMessage:
         return self._append(role="assistant", content=text)
 

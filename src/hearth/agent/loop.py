@@ -41,10 +41,6 @@ class TaskRun:
     latencies_s: list[float] = field(default_factory=list)
     error: str | None = None
 
-    @property
-    def believed_succeeded(self) -> bool:
-        return self.believed_status == "succeeded"
-
 
 def detect_refusal(no_action_attempts: Sequence[bool]) -> bool:
     """True iff the trailing run of no-action invocations reaches

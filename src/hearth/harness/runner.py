@@ -98,6 +98,9 @@ class ExperimentPlan:
                 raise ValueError(
                     f"memory_sizes must lie in {list(VALID_MEMORY_SIZES)}, got {bad}"
                 )
+            repeated = sorted({m for m in memory_sizes if memory_sizes.count(m) > 1})
+            if repeated:
+                raise ValueError(f"memory_sizes lists {repeated} more than once")
         parallelism = int(data.get("parallelism", 1))
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
@@ -249,7 +252,7 @@ def task_header(
         task_prompt=task.prompt,
         seed=seed,
         memory_enabled=memory_enabled,
-        initial_memories=[record.without_embedding() for record in store.records],
+        initial_memories=[record.to_dict() for record in store.records],
         initial_world=world.to_dict(),
     )
 
@@ -436,7 +439,7 @@ def run_trial(
             )
         )
         outcome.new_reports.extend(
-            record.without_embedding() for record in store.records[size_before:]
+            record.to_dict() for record in store.records[size_before:]
         )
         achieved[task_id] = actual_ok
         if task_id == "t1" and actual_ok:

@@ -25,7 +25,10 @@ def _object_containment(snapshot: dict[str, Any], object_id: str) -> dict[str, A
         raise EvaluationError(
             f"scenario mismatch: snapshot has no object '{object_id}'"
         )
-    return objects[object_id]
+    containment = objects[object_id]
+    if not isinstance(containment, dict):
+        raise EvaluationError(f"malformed snapshot: object '{object_id}' is not an object")
+    return containment
 
 
 def _slot_of(snapshot: dict[str, Any], object_id: str) -> tuple[str, int] | None:

@@ -12,9 +12,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
-from itertools import compress
 from operator import mul
-from typing import Any, Iterable
 
 EMBEDDING_DIM = 256
 
@@ -41,41 +39,18 @@ class SparseVector:
     adding a zero term leaves a sum unchanged.
     """
 
-    dimension: int
     buckets: tuple[int, ...]
     values: tuple[float, ...]
     norm: float
 
-    @classmethod
-    def of(
-        cls, dimension: int, buckets: tuple[int, ...], values: tuple[float, ...]
-    ) -> "SparseVector":
-        return cls(dimension, buckets, values, math.sqrt(sum(map(mul, values, values))))
-
-    @classmethod
-    def from_dense(cls, vector: Iterable[Any]) -> "SparseVector":
-        """Sparse form of a dense list, such as one parsed from JSON.
-
-        Elements convert by float(), which raises for the first one that
-        is not a number, so only the non-zero ones need converting. A
-        -0.0 is dropped like 0.0: no sum can tell them apart.
-        """
-        vector = list(vector)
-        buckets = tuple(compress(range(len(vector)), vector))
-        if len(buckets) + vector.count(0.0) != len(vector):
-            # A false element that is not a number, such as None or "".
-            return cls.from_dense([float(v) for v in vector])
-        values = tuple(map(float, map(vector.__getitem__, buckets)))
-        return cls.of(len(vector), buckets, values)
-
     def dense(self) -> list[float]:
-        vector = [0.0] * self.dimension
+        vector = [0.0] * EMBEDDING_DIM
         for bucket, value in zip(self.buckets, self.values):
             vector[bucket] = value
         return vector
 
     def dot(self, dense: list[float]) -> float:
-        """Dot product with a dense vector of the same dimension."""
+        """Dot product with a dense vector of EMBEDDING_DIM buckets."""
         return sum(map(mul, map(dense.__getitem__, self.buckets), self.values))
 
 
@@ -93,12 +68,11 @@ class HashedEmbedder:
             bucket = _stable_hash_64(token) % EMBEDDING_DIM
             counts[bucket] = counts.get(bucket, 0.0) + 1.0
         if not counts:
-            return SparseVector.of(EMBEDDING_DIM, (0,), (1.0,))
+            return SparseVector((0,), (1.0,), 1.0)
         buckets = tuple(sorted(counts))
         norm = math.sqrt(sum(counts[b] * counts[b] for b in buckets))
-        return SparseVector.of(
-            EMBEDDING_DIM, buckets, tuple(counts[b] / norm for b in buckets)
-        )
+        values = tuple(counts[b] / norm for b in buckets)
+        return SparseVector(buckets, values, math.sqrt(sum(map(mul, values, values))))
 
     def embed(self, text: str) -> list[float]:
         return self.embed_sparse(text).dense()

@@ -7,7 +7,10 @@ with its norm computed once, so a scan costs about a microsecond per
 record and a store of thousands of records is searched in milliseconds.
 The similarities equal those of a dense cosine bit for bit. With a path
 the store is durable: every record is flushed and fsynced before `add`
-returns. The file keeps every embedding dense, one JSON line per record.
+returns. The file holds one JSON line of text fields per record; the
+embedding is a pure function of `task_description`, so it is not stored
+but rebuilt on load. An `embedding` in a line written by an older
+version is ignored.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
-from .embedding import EMBEDDING_DIM, HashedEmbedder, SparseVector
+from .embedding import HashedEmbedder, SparseVector
 
 BELIEVED_STATUSES = ("succeeded", "failed")
 
 DEFAULT_SEARCH_K = 3
 DEFAULT_SIMILARITY_FLOOR = 0.2
 
-_UNIT_NORM_TOL = 1e-9
+# Fields a store line must hold as strings; the embedder reads one of them.
+_TEXT_FIELDS = ("id", "task_description", "action_summary", "model_id")
 
 
 class PersistenceError(RuntimeError):
@@ -41,14 +45,9 @@ class EpisodicRecord:
     created_at: int
     model_id: str
 
-    @property
-    def embedding(self) -> list[float]:
-        """The dense embedding, built on each access."""
-        return self.vector.dense()
-
-    def without_embedding(self) -> dict[str, Any]:
-        """Every field but the embedding, which is derived from
-        `task_description`."""
+    def to_dict(self) -> dict[str, Any]:
+        """Every field but the vector, which is derived from
+        `task_description`: a store line, or a transcript header memory."""
         return {
             "id": self.id,
             "task_description": self.task_description,
@@ -57,21 +56,6 @@ class EpisodicRecord:
             "created_at": self.created_at,
             "model_id": self.model_id,
         }
-
-    def to_dict(self) -> dict[str, Any]:
-        return {**self.without_embedding(), "embedding": self.embedding}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "EpisodicRecord":
-        return cls(
-            id=data["id"],
-            task_description=data["task_description"],
-            believed_status=data["believed_status"],
-            action_summary=data["action_summary"],
-            vector=SparseVector.from_dense(data["embedding"]),
-            created_at=int(data["created_at"]),
-            model_id=data["model_id"],
-        )
 
 
 class EpisodicStore:
@@ -97,34 +81,36 @@ class EpisodicStore:
             if not line:
                 continue
             try:
-                record = EpisodicRecord.from_dict(json.loads(line))
+                record = self._parse(json.loads(line))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise PersistenceError(
                     f"corrupt record at {path}:{number}: {exc}"
                 ) from exc
-            self._validate_record(record, where=f"{path}:{number}")
             self._records.append(record)
             self._ids.add(record.id)
             self._next_seq = max(self._next_seq, record.created_at + 1)
 
-    def _validate_record(self, record: EpisodicRecord, where: str) -> None:
-        if record.believed_status not in BELIEVED_STATUSES:
-            raise PersistenceError(
-                f"corrupt record at {where}: bad believed_status "
-                f"'{record.believed_status}'"
-            )
-        if record.vector.dimension != EMBEDDING_DIM:
-            raise PersistenceError(
-                f"corrupt record at {where}: embedding dimension "
-                f"{record.vector.dimension} != {EMBEDDING_DIM}"
-            )
-        if abs(record.vector.norm - 1.0) > 1e-6:
-            raise PersistenceError(
-                f"corrupt record at {where}: embedding norm "
-                f"{record.vector.norm} is not 1"
-            )
-        if record.id in self._ids:
-            raise PersistenceError(f"corrupt record at {where}: duplicate id '{record.id}'")
+    def _parse(self, data: dict[str, Any]) -> EpisodicRecord:
+        """The record a store line holds, re-embedded; raises ValueError
+        (or KeyError, TypeError) for a line the store would not write."""
+        for name in _TEXT_FIELDS:
+            if not isinstance(data[name], str):
+                kind = type(data[name]).__name__
+                raise ValueError(f"{name} must be a string, not {kind}")
+        created_at = int(data["created_at"])
+        if data["believed_status"] not in BELIEVED_STATUSES:
+            raise ValueError(f"bad believed_status '{data['believed_status']}'")
+        if data["id"] in self._ids:
+            raise ValueError(f"duplicate id '{data['id']}'")
+        return EpisodicRecord(
+            id=data["id"],
+            task_description=data["task_description"],
+            believed_status=data["believed_status"],
+            action_summary=data["action_summary"],
+            vector=self.embedder.embed_sparse(data["task_description"]),
+            created_at=created_at,
+            model_id=data["model_id"],
+        )
 
     def add(
         self,
@@ -188,8 +174,9 @@ class EpisodicStore:
         query_vec = self.embedder.embed_sparse(query)
         dense = query_vec.dense()
         query_norm = query_vec.norm
-        # No norm is zero: embeddings have unit norm and _load rejects
-        # any other, so this is the dense cosine without its zero guard.
+        # No norm is zero: every vector, loaded ones too, comes from the
+        # embedder, which gives unit norm; so this is the dense cosine
+        # without its zero guard.
         scored = []
         for record in self._records:
             vector = record.vector

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 import socketserver
+import sys
 import threading
-from typing import Any, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from ..memory.episodic import EpisodicStore
 from ..memory.scratchpad import Scratchpad
@@ -167,21 +168,34 @@ class RpcConnection:
         return result.to_dict()
 
 
+def _decoded(frames: Iterable[bytes]) -> Iterator[str]:
+    # Bytes that are not UTF-8 decode to lone surrogates, which JSON
+    # accepts only inside a string: such a frame gets PARSE_ERROR, and
+    # the connection goes on.
+    return (frame.decode("utf-8", "surrogateescape") for frame in frames)
+
+
+def _serve(
+    connection: RpcConnection, lines: Iterable[str], write: Callable[[str], Any]
+) -> None:
+    """The read-dispatch-write loop of both transports."""
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        response = connection.handle_line(line)
+        if response is not None:
+            write(response + "\n")
+
+
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         server: ToolRpcServer = self.server  # type: ignore[assignment]
-        connection = RpcConnection(server.initial_world, server.expose_ground_truth)
-        while True:
-            raw = self.rfile.readline()
-            if not raw:
-                break
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
-            response = connection.handle_line(line)
-            if response is not None:
-                self.wfile.write(response.encode("utf-8") + b"\n")
-                self.wfile.flush()
+        _serve(
+            RpcConnection(server.initial_world, server.expose_ground_truth),
+            _decoded(self.rfile),
+            lambda frame: self.wfile.write(frame.encode("utf-8")),
+        )
 
 
 class ToolRpcServer(socketserver.ThreadingTCPServer):
@@ -212,16 +226,14 @@ def serve_stdio(
     stdout: TextIO | None = None,
 ) -> None:
     """Serve one implicit connection over stdin/stdout."""
-    import sys
+    out = stdout or sys.stdout
 
-    stdin = stdin or sys.stdin
-    stdout = stdout or sys.stdout
-    connection = RpcConnection(load_scenario(scenario_data).to_dict(), expose_ground_truth)
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        response = connection.handle_line(line)
-        if response is not None:
-            stdout.write(response + "\n")
-            stdout.flush()
+    def write(frame: str) -> None:
+        out.write(frame)
+        out.flush()
+
+    _serve(
+        RpcConnection(load_scenario(scenario_data).to_dict(), expose_ground_truth),
+        stdin if stdin is not None else _decoded(sys.stdin.buffer),
+        write,
+    )

@@ -74,9 +74,6 @@ class SemanticMap:
         self.require(node_id)
         return sorted(self.adjacency[node_id].items())
 
-    def node_ids(self) -> list[str]:
-        return sorted(self.positions)
-
     def is_connected(self) -> bool:
         if not self.positions:
             return True
@@ -153,11 +150,3 @@ def shortest_path(smap: SemanticMap, start: str, goal: str) -> list[str] | None:
                 parent[nbr] = node
                 heapq.heappush(open_heap, (tentative + h(nbr), nbr))
     return None
-
-
-def path_cost(smap: SemanticMap, path: list[str]) -> float:
-    """Total edge cost along a node sequence; raises if an edge is missing."""
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        total += smap.adjacency[a][b]
-    return total

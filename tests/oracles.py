@@ -7,7 +7,9 @@ schema oracle asks `jsonschema.validate` itself, and the trial oracle
 loads the scenario afresh for every trial and builds each transcript by
 hand, as the package once did. The dense memory path is the store as it
 was before it kept vectors sparse: a dense embedding, and a cosine that
-sums all 256 buckets and recomputes both norms for every record.
+sums all 256 buckets and recomputes both norms for every record. Its
+records' embeddings come from `dense_embed` of their descriptions, never
+from the store under test.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ def dijkstra_cost(smap: SemanticMap, start: str, goal: str) -> float | None:
     return None if dist[goal] == math.inf else dist[goal]
 
 
+def path_cost(smap: SemanticMap, path: list[str]) -> float:
+    """Total edge cost along a node sequence; raises if an edge is missing."""
+    return sum(smap.adjacency[a][b] for a, b in zip(path, path[1:]))
+
+
 def random_connected_map(rng: random.Random, max_nodes: int = 12) -> SemanticMap:
     """Random connected map with costs >= Euclidean distance."""
     count = rng.randint(2, max_nodes)
@@ -102,9 +109,10 @@ def brute_force_search(
     """(record id, similarity) by exhaustive scan and max extraction."""
     scored = []
     for record in records:
-        dot = math.fsum(q * v for q, v in zip(query_vector, record.embedding))
+        embedding = dense_embed(record.task_description)
+        dot = math.fsum(q * v for q, v in zip(query_vector, embedding))
         nq = math.sqrt(math.fsum(q * q for q in query_vector))
-        nv = math.sqrt(math.fsum(v * v for v in record.embedding))
+        nv = math.sqrt(math.fsum(v * v for v in embedding))
         similarity = 0.0 if nq == 0.0 or nv == 0.0 else dot / (nq * nv)
         if similarity >= floor:
             scored.append((record.id, similarity, record.created_at))
@@ -150,14 +158,18 @@ def dense_search(
     """(record id, similarity) as the dense store computed them; compare
     with `==`, since the sparse store must give the same floats."""
     query_vec = dense_embed(query)
-    scored = [(record, cosine(query_vec, record.embedding)) for record in records]
+    scored = [
+        (record, cosine(query_vec, dense_embed(record.task_description)))
+        for record in records
+    ]
     scored = [(record, sim) for record, sim in scored if sim >= floor]
     scored.sort(key=lambda pair: (-pair[1], -pair[0].created_at))
     return [(record.id, sim) for record, sim in scored[:k]]
 
 
 def dense_record_line(record: EpisodicRecord) -> str:
-    """The JSONL line the dense store wrote for a record it had added."""
+    """The JSONL line the dense store wrote for a record it had added:
+    the store's first format, which kept the embedding."""
     data = {
         "id": record.id,
         "task_description": record.task_description,
@@ -207,10 +219,7 @@ def per_trial_load_trials(plan: ExperimentPlan) -> None:
             task = TASKS[task_id]
             if task.prerequisite is not None and not achieved.get(task.prerequisite):
                 continue
-            memories = [
-                {key: value for key, value in r.to_dict().items() if key != "embedding"}
-                for r in store.records
-            ]
+            memories = [r.to_dict() for r in store.records]
             initial_world = world.to_dict()
             size_before = len(store)
             run = run_task(

@@ -37,12 +37,11 @@ from hearth.world import (
     default_scenario,
     default_scenario_data,
     load_scenario,
-    path_cost,
     shortest_path,
     snapshot,
 )
 
-from .oracles import brute_force_search, dijkstra_cost, random_connected_map
+from .oracles import brute_force_search, dijkstra_cost, path_cost, random_connected_map
 from .test_rpc import T1_WIRE_SEQUENCE, random_arguments
 
 
@@ -149,7 +148,7 @@ def test_criterion_04_astar_matches_dijkstra_oracle(announce):
     rng = random.Random(99)
     for trial in range(100):
         smap = random_connected_map(rng)
-        nodes = smap.node_ids()
+        nodes = sorted(smap.positions)
         start, goal = rng.choice(nodes), rng.choice(nodes)
         path = shortest_path(smap, start, goal)
         assert path is not None
@@ -160,8 +159,8 @@ def test_criterion_04_astar_matches_dijkstra_oracle(announce):
         assert abs(path_cost(smap, path) - expected) < 1e-9, f"trial {trial}"
 
     smap = default_scenario().map
-    kitchen = [n for n in smap.node_ids() if smap.rooms[n] == "kitchen"]
-    living = [n for n in smap.node_ids() if smap.rooms[n] == "living_room"]
+    kitchen = [n for n in sorted(smap.positions) if smap.rooms[n] == "kitchen"]
+    living = [n for n in sorted(smap.positions) if smap.rooms[n] == "living_room"]
     for a in kitchen:
         for b in living:
             assert "hallway" in shortest_path(smap, a, b)

@@ -173,7 +173,6 @@ class TestScriptedRuns:
         run = run_script(world, handles, hallucinator_t1)
         assert run.termination == TERMINATION_END_TASK
         assert run.believed_status == "succeeded"
-        assert run.believed_succeeded
         assert run.tool_calls == 9
         assert not check_t1(snapshot(world))
 
@@ -181,7 +180,6 @@ class TestScriptedRuns:
         run = run_script(world, handles, SCRIPTS["refuser"]["t1"])
         assert run.termination == TERMINATION_REFUSAL
         assert run.believed_status is None
-        assert not run.believed_succeeded
         assert run.tool_calls == 0
         texts = [m for m in run.messages if m.role == "assistant"]
         assert len(texts) == 10

@@ -164,18 +164,20 @@ class TestBaselineFlow:
         self, t1_output, capsys
     ):
         path = t1_output / "baseline.json"
-        baseline = json.loads(path.read_text())
-        baseline["snapshot"]["objects"]["mug"] = {"kind": "slot"}
-        path.write_text(json.dumps(baseline))
-        code = main(
-            ["run", "--task", "t2", "--backend", "scripted:optimal",
-             "--baseline", str(path)]
-        )
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: malformed snapshot: object 'mug' is in a slot without "
-            "'furniture'\n"
-        )
+        original = json.loads(path.read_text())
+        for entry, error in [
+            ({"kind": "slot"}, "object 'mug' is in a slot without 'furniture'"),
+            (5, "object 'mug' is not an object"),
+        ]:
+            baseline = json.loads(json.dumps(original))
+            baseline["snapshot"]["objects"]["mug"] = entry
+            path.write_text(json.dumps(baseline))
+            code = main(
+                ["run", "--task", "t2", "--backend", "scripted:optimal",
+                 "--baseline", str(path)]
+            )
+            assert code == 2
+            assert capsys.readouterr().err == f"error: malformed snapshot: {error}\n"
 
     def test_unswapped_baseline_state_rejected(self, tmp_path, capsys):
         # A baseline whose snapshot does not satisfy t1 must be refused.
@@ -240,10 +242,7 @@ class TestReplay:
         path = str(out / "run_t1.jsonl")
         lines = read_lines(path)
         header = json.loads(lines[0])
-        assert header["initial_memories"] == [
-            {key: value for key, value in record.to_dict().items() if key != "embedding"}
-            for record in store.records
-        ]
+        assert header["initial_memories"] == [record.to_dict() for record in store.records]
         assert main(["replay", path]) == 0
         for memory in header["initial_memories"]:
             memory["embedding"] = dense_embed(memory["task_description"])

@@ -190,6 +190,9 @@ class TestExperimentPlan:
         assert plan.memory_sizes == (0, 1, 2, 3)
         with pytest.raises(ValueError, match="memory_sizes"):
             ExperimentPlan.from_dict(self.base(memory_sizes=[0, 4]))
+        # Two batches of one size would share trial ids and transcripts.
+        with pytest.raises(ValueError, match=r"memory_sizes lists \[0\] more than once"):
+            ExperimentPlan.from_dict(self.base(memory_sizes=[0, 1, 0]))
 
     def test_positive_counts_required(self):
         with pytest.raises(ValueError, match="trials"):

@@ -40,8 +40,20 @@ TEXTS = st.one_of(
 )
 
 
+STORE_FIELDS = {
+    "id", "task_description", "believed_status", "action_summary", "created_at", "model_id",
+}
+
+
 def norm(vector):
     return math.sqrt(sum(v * v for v in vector))
+
+
+def text_line(record):
+    """The dense store's line for a record, without its embedding."""
+    data = json.loads(dense_record_line(record))
+    del data["embedding"]
+    return json.dumps(data, sort_keys=True) + "\n"
 
 
 class TestTokenize:
@@ -58,7 +70,6 @@ class TestTokenize:
 class TestHashedEmbedder:
     def test_default_dimension(self):
         assert len(HashedEmbedder().embed("mug")) == EMBEDDING_DIM == 256
-        assert HashedEmbedder().embed_sparse("mug").dimension == EMBEDDING_DIM
 
     def test_deterministic_across_instances(self):
         a = HashedEmbedder().embed("swap the mug and the cube")
@@ -219,25 +230,24 @@ class TestPersistence:
         path = tmp_path / "store.jsonl"
         store = EpisodicStore(path=str(path))
         store.add("put the mug away", "succeeded", "x")
+        good = path.read_text()
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("{not json\n")
         with pytest.raises(PersistenceError, match=r"corrupt record at .*:2"):
             EpisodicStore(path=str(path))
-
-    def test_non_unit_embedding_rejected_on_load(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        record = {
-            "id": "mem-000001",
-            "task_description": "x",
-            "believed_status": "succeeded",
-            "action_summary": "y",
-            "embedding": [2.0] + [0.0] * (EMBEDDING_DIM - 1),
-            "created_at": 1,
-            "model_id": "m",
-        }
-        path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(PersistenceError, match="norm"):
-            EpisodicStore(path=str(path))
+        # Fields the loader reads as text must be strings, or the line is
+        # corrupt; the embedder never sees them.
+        for field, value, error in [
+            ("id", ["mem-000002"], "id must be a string, not list"),
+            ("task_description", 7, "task_description must be a string, not int"),
+            ("action_summary", None, "action_summary must be a string, not NoneType"),
+            ("model_id", {"m": 1}, "model_id must be a string, not dict"),
+        ]:
+            bad = {**json.loads(good), "id": "mem-000002", "created_at": 2, field: value}
+            path.write_text(good + json.dumps(bad) + "\n")
+            with pytest.raises(PersistenceError) as info:
+                EpisodicStore(path=str(path))
+            assert str(info.value) == f"corrupt record at {path}:2: {error}"
 
     def test_duplicate_id_rejected_on_load(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -301,6 +311,7 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "embedding",
         [
+            [2.0] + [0.0] * (EMBEDDING_DIM - 1),
             [None] + [0.0] * (EMBEDDING_DIM - 1),
             [""] + [0.0] * (EMBEDDING_DIM - 1),
             [1.0, "abc"] + [0.0] * (EMBEDDING_DIM - 2),
@@ -310,14 +321,16 @@ class TestPersistence:
             5,
             {"a": 1.0},
         ],
-        ids=["none", "empty-string", "word", "first-bad-wins", "numeric-string",
-             "booleans", "not-a-list", "object"],
+        ids=["non-unit", "none", "empty-string", "word", "first-bad-wins",
+             "numeric-string", "booleans", "not-a-list", "object"],
     )
-    def test_embedding_elements_convert_as_float_does(self, tmp_path, embedding):
+    def test_old_line_embedding_is_ignored(self, tmp_path, embedding):
+        """A line in the first store format carries an embedding; the
+        loader neither reads nor checks it, and re-embeds the description."""
         path = tmp_path / "store.jsonl"
         record = {
             "id": "mem-000001",
-            "task_description": "x",
+            "task_description": "put the mug away",
             "believed_status": "succeeded",
             "action_summary": "y",
             "embedding": embedding,
@@ -325,20 +338,17 @@ class TestPersistence:
             "model_id": "m",
         }
         path.write_text(json.dumps(record) + "\n")
-        try:
-            want = [float(v) for v in embedding]
-        except (TypeError, ValueError) as exc:
-            with pytest.raises(PersistenceError) as info:
-                EpisodicStore(path=str(path))
-            assert str(info.value) == f"corrupt record at {path}:1: {exc}"
-        else:
-            assert EpisodicStore(path=str(path)).records[0].embedding == want
+        [loaded] = EpisodicStore(path=str(path)).records
+        assert loaded.vector == HashedEmbedder().embed_sparse("put the mug away")
+        assert loaded.to_dict() == {k: v for k, v in record.items() if k != "embedding"}
 
 
 class TestDensePath:
     """The sparse store against the dense path it replaced, with `==`."""
 
     def test_search_equals_dense_path_in_memory_and_reloaded(self, tmp_path):
+        """Stores in the text-only format, in the dense store's format with
+        embeddings, and in both at once, in memory and reloaded."""
         rng = random.Random(1000)
         for trial in range(40):
             path = str(tmp_path / f"store-{trial}.jsonl")
@@ -346,13 +356,21 @@ class TestDensePath:
             for _ in range(rng.randint(1, 60)):
                 words = rng.choices(VOCAB + ["!", "--", "MUG"], k=rng.randint(1, 8))
                 store.add(" ".join(words), rng.choice(["succeeded", "failed"]), "s")
-            reloaded = EpisodicStore(path=path)
+            dense_path = str(tmp_path / f"dense-{trial}.jsonl")
+            with open(dense_path, "w", encoding="utf-8") as handle:
+                handle.writelines(dense_record_line(r) for r in store.records)
+            reloaded, dense = EpisodicStore(path=path), EpisodicStore(path=dense_path)
+            mixed = EpisodicStore(path=dense_path)
+            mixed.add("put the mug away", "failed", "s")
+            mixed_reloaded = EpisodicStore(path=dense_path)
+            assert reloaded.records == dense.records == store.records
+            assert mixed_reloaded.records == mixed.records
             for _ in range(5):
                 query = " ".join(rng.choices(VOCAB, k=rng.randint(0, 5)))
                 k = rng.randint(1, 8)
                 floor = rng.choice([-1.0, 0.0, 0.2, 0.5])
-                want = dense_search(store.records, query, k, floor)
-                for searched in (store, reloaded):
+                for searched in (store, reloaded, dense, mixed, mixed_reloaded):
+                    want = dense_search(searched.records, query, k, floor)
                     got = searched.search(query, k=k, floor=floor)
                     assert [(r.id, sim) for r, sim in got] == want, f"trial {trial}"
 
@@ -368,13 +386,14 @@ class TestDensePath:
             if text.strip():
                 store.add(text, "succeeded", "s")
         for record in store.records:
-            line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
-            assert line == dense_record_line(record)
+            assert json.dumps(record.to_dict(), sort_keys=True) + "\n" == text_line(record)
         assert HashedEmbedder().embed(query) == dense_embed(query)
         got = store.search(query, k=5, floor=floor)
         assert [(r.id, sim) for r, sim in got] == dense_search(store.records, query, 5, floor)
 
     def test_store_lines_equal_dense_lines(self, tmp_path):
+        """Store lines are the dense store's lines without the embedding:
+        six text and integer fields, which reload to the same records."""
         rng = random.Random(77)
         path = tmp_path / "store.jsonl"
         store = EpisodicStore(path=str(path))
@@ -382,11 +401,10 @@ class TestDensePath:
             words = rng.choices(VOCAB + ["", "!!"], k=rng.randint(1, 10))
             text = " ".join(words).strip() or "?"
             store.add(text, rng.choice(["succeeded", "failed"]), "s", "m")
-        want = [dense_record_line(record) for record in store.records]
+        want = [text_line(record) for record in store.records]
         assert path.read_text().splitlines(keepends=True) == want
-        reloaded = EpisodicStore(path=str(path))
-        lines = [json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reloaded.records]
-        assert lines == want
+        assert all(set(json.loads(line)) == STORE_FIELDS for line in want)
+        assert EpisodicStore(path=str(path)).records == store.records
 
 
 class TestScratchpad:

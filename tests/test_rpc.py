@@ -67,7 +67,10 @@ class RawConnection:
         self._reader = self._socket.makefile("r", encoding="utf-8")
 
     def send(self, text):
-        self._socket.sendall(text.encode("utf-8") + b"\n")
+        self.send_bytes(text.encode("utf-8"))
+
+    def send_bytes(self, frame):
+        self._socket.sendall(frame + b"\n")
 
     def recv(self):
         return json.loads(self._reader.readline())
@@ -206,6 +209,18 @@ class TestProtocolErrors:
             response = raw.recv()
             assert response["error"]["code"] == -32700
             assert response["id"] is None
+        finally:
+            raw.close()
+
+    def test_non_utf8_frame_is_a_parse_error_and_the_connection_goes_on(self, server):
+        raw = RawConnection(server)
+        try:
+            raw.send_bytes(b"\xff\xfe{}")
+            response = raw.recv()
+            assert response["error"]["code"] == -32700
+            assert response["id"] is None
+            raw.send(json.dumps({"jsonrpc": "2.0", "id": 1, "method": "session.create"}))
+            assert raw.recv()["result"]["session_id"].startswith("sess-")
         finally:
             raw.close()
 

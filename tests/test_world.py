@@ -305,7 +305,7 @@ class TestWorldTemplate:
         assert canonical_json(copied.to_dict()) == canonical_json(loaded.to_dict())
         assert canonical_json(snapshot(copied)) == canonical_json(snapshot(loaded))
         start = loaded.agent.location
-        for node in loaded.map.node_ids():
+        for node in sorted(loaded.map.positions):
             assert shortest_path(copied.map, start, node) == shortest_path(
                 loaded.map, start, node
             )
