@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Protocol
+from typing import Any, Callable, Protocol
 
 from .context import AgentContext
+from .scripts import Script
 from .transcript import Transcript, TranscriptMessage
 
 
@@ -55,13 +56,6 @@ class Backend(Protocol):
     ) -> BackendReply: ...
 
 
-# Scripts are generators that yield ToolCall-shaped dicts or plain text
-# and receive the tool's answer at the next yield.
-ScriptItem = Any
-Script = Generator[ScriptItem, str | None, None]
-ScriptFactory = Callable[[], Script]
-
-
 def _last_tool_message(context: AgentContext) -> str | None:
     for message in reversed(context.messages):
         if message.role == "tool":
@@ -78,28 +72,19 @@ class ScriptedBackend:
     fixed no-action line, which the loop eventually counts as a refusal.
     """
 
-    def __init__(self, factory: ScriptFactory) -> None:
-        self._factory = factory
-        self._generator: Script | None = None
-        self._started = False
-        self._exhausted = False
+    def __init__(self, factory: Callable[[], Script]) -> None:
+        self._generator = factory()
         self._counter = 0
 
     def next_action(
         self, context: AgentContext, declarations: list[dict[str, Any]]
     ) -> BackendReply:
-        if self._exhausted:
-            return BackendReply(text="I have nothing further to do.")
-        if self._generator is None:
-            self._generator = self._factory()
+        # The first call sends None (no tool has answered yet), which
+        # starts a fresh generator; a finished one raises StopIteration
+        # on every later send.
         try:
-            if not self._started:
-                self._started = True
-                item = next(self._generator)
-            else:
-                item = self._generator.send(_last_tool_message(context))
+            item = self._generator.send(_last_tool_message(context))
         except StopIteration:
-            self._exhausted = True
             return BackendReply(text="I have nothing further to do.")
         if isinstance(item, str):
             return BackendReply(text=item)

@@ -9,7 +9,6 @@ budget, refuses to act often enough, or the backend gives out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from ..tools.dispatch import MemoryHandles, ToolCall, ToolResult, dispatch, failure
 from ..world.state import WorldState
@@ -42,20 +41,6 @@ class TaskRun:
     error: str | None = None
 
 
-def detect_refusal(no_action_attempts: Sequence[bool]) -> bool:
-    """True iff the trailing run of no-action invocations reaches
-    REFUSAL_THRESHOLD.
-
-    Each entry is one backend invocation for the same task; True marks an
-    invocation that produced neither a tool call nor end_task. Any action
-    resets the count.
-    """
-    streak = 0
-    for no_action in no_action_attempts:
-        streak = streak + 1 if no_action else 0
-    return streak >= REFUSAL_THRESHOLD
-
-
 def run_task(
     world: WorldState,
     memory: MemoryHandles,
@@ -73,7 +58,9 @@ def run_task(
     context = AgentContext(build_system_prompt(memory_enabled), task_prompt)
     declarations = tool_declarations(memory_enabled)
 
-    attempts: list[bool] = []
+    # Consecutive replies without a tool call; any reply with calls,
+    # parallel ones included, resets it.
+    streak = 0
     tool_calls = 0
     latencies: list[float] = []
     # Hard bound on backend invocations so a backend that only ever
@@ -104,11 +91,11 @@ def run_task(
 
         if not reply.calls:
             context.append_assistant_text(reply.text or "")
-            attempts.append(True)
-            if detect_refusal(attempts):
+            streak += 1
+            if streak >= REFUSAL_THRESHOLD:
                 return finish(TERMINATION_REFUSAL, None)
             continue
-        attempts.append(False)
+        streak = 0
 
         if len(reply.calls) > 1:
             # Parallel calls are rejected wholesale: every call gets a

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator
 
-Script = Generator[Any, str, None]
+Script = Generator[Any, str | None, None]
 
 T1_DESCRIPTION = "put the mug, the box, and the cube away on the shelf"
 T2_DESCRIPTION = "swap the mug and the cube on the shelf"

@@ -1,55 +1,4 @@
 """Evaluation harness: tasks, trial batches, and metrics."""
 
-from .metrics import (
-    REFERENCE_SUCCESS_RATES,
-    GroupMetrics,
-    MetricsReport,
-    compute_metrics,
-    emit_report,
-    render_csv,
-    render_json,
-    render_markdown,
-)
-from .runner import (
-    BackendSetup,
-    ExperimentPlan,
-    ReplayReport,
-    ScenarioTemplate,
-    TrialOutcome,
-    TrialRecord,
-    execute_task,
-    replay_transcript,
-    run_trial,
-    run_trials,
-    seed_store,
-    task_header,
-)
-from .tasks import TASKS, EvaluationError, TaskDef, check_t1, check_t2
-
-__all__ = [
-    "BackendSetup",
-    "EvaluationError",
-    "ExperimentPlan",
-    "GroupMetrics",
-    "MetricsReport",
-    "REFERENCE_SUCCESS_RATES",
-    "ReplayReport",
-    "ScenarioTemplate",
-    "TASKS",
-    "TaskDef",
-    "TrialOutcome",
-    "TrialRecord",
-    "check_t1",
-    "check_t2",
-    "compute_metrics",
-    "emit_report",
-    "execute_task",
-    "render_csv",
-    "render_json",
-    "render_markdown",
-    "replay_transcript",
-    "run_trial",
-    "run_trials",
-    "seed_store",
-    "task_header",
-]
+from .runner import execute_task, replay_transcript
+from .tasks import check_t1

@@ -20,6 +20,8 @@ class EvaluationError(RuntimeError):
 
 
 def _object_containment(snapshot: dict[str, Any], object_id: str) -> dict[str, Any]:
+    if not isinstance(snapshot, dict):
+        raise EvaluationError("malformed snapshot: not an object")
     objects = snapshot.get("objects")
     if not isinstance(objects, dict) or object_id not in objects:
         raise EvaluationError(
@@ -44,7 +46,10 @@ def _slot_of(snapshot: dict[str, Any], object_id: str) -> tuple[str, int] | None
 
 
 def _hand_empty(snapshot: dict[str, Any]) -> bool:
-    return snapshot.get("agent", {}).get("held") is None
+    agent = snapshot.get("agent", {})
+    if not isinstance(agent, dict):
+        raise EvaluationError("malformed snapshot: 'agent' is not an object")
+    return agent.get("held") is None
 
 
 def check_t1(snapshot: dict[str, Any]) -> bool:

@@ -20,9 +20,5 @@ class Scratchpad:
     def clear(self) -> None:
         self._paragraphs.clear()
 
-    @property
-    def paragraphs(self) -> list[str]:
-        return list(self._paragraphs)
-
     def __len__(self) -> int:
         return len(self._paragraphs)

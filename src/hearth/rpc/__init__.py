@@ -1,6 +1,3 @@
 """JSON-RPC server and client for the tool interface."""
 
 from .client import RpcClient, RpcError
-from .server import RpcConnection, ToolRpcServer, serve_stdio
-
-__all__ = ["RpcClient", "RpcConnection", "RpcError", "ToolRpcServer", "serve_stdio"]

@@ -1,28 +1,3 @@
 """The eight agent-facing tools: schemas and the dispatcher."""
 
-from .dispatch import (
-    STATUS_FAILURE,
-    STATUS_SUCCESS,
-    MemoryHandles,
-    ToolCall,
-    ToolResult,
-    dispatch,
-    failure,
-    success,
-)
-from .schemas import TOOL_SCHEMAS, ParamSpec, ToolSchema, function_declarations
-
-__all__ = [
-    "MemoryHandles",
-    "ParamSpec",
-    "STATUS_FAILURE",
-    "STATUS_SUCCESS",
-    "TOOL_SCHEMAS",
-    "ToolCall",
-    "ToolResult",
-    "ToolSchema",
-    "dispatch",
-    "failure",
-    "success",
-    "function_declarations",
-]
+from .dispatch import MemoryHandles

@@ -1,89 +1,4 @@
 """Simulated household world: map, state, kinematics, and scenarios."""
 
-from .actions import (
-    CAUSE_ALREADY_HOLDING,
-    CAUSE_DOES_NOT_EXIST,
-    CAUSE_NO_PATH,
-    CAUSE_NO_SUCH_SLOT,
-    CAUSE_NOT_GRASPABLE,
-    CAUSE_NOT_HOLDING,
-    CAUSE_OCCUPIED,
-    CAUSE_OUT_OF_REACH,
-    AttachOutcome,
-    DetachOutcome,
-    MoveOutcome,
-    attach,
-    detach_at,
-    execute_move,
-    objects_in_proximity,
-)
-from .scenario import (
-    SCENARIO_SCHEMA,
-    ScenarioError,
-    default_scenario,
-    default_scenario_data,
-    load_scenario,
-    read_scenario,
-    scenario_hash,
-)
-from .semantic_map import SemanticMap, UnknownLocationError, shortest_path
-from .state import (
-    DEFAULT_REACH_RADIUS,
-    AgentBody,
-    AtLocation,
-    Containment,
-    Furniture,
-    Held,
-    InSlot,
-    InvariantViolation,
-    SimObject,
-    WorldState,
-    canonical_json,
-    containment_from_dict,
-    containment_to_dict,
-    snapshot,
-    validate_state,
-)
-
-__all__ = [
-    "AgentBody",
-    "AtLocation",
-    "AttachOutcome",
-    "CAUSE_ALREADY_HOLDING",
-    "CAUSE_DOES_NOT_EXIST",
-    "CAUSE_NOT_GRASPABLE",
-    "CAUSE_NOT_HOLDING",
-    "CAUSE_NO_PATH",
-    "CAUSE_NO_SUCH_SLOT",
-    "CAUSE_OCCUPIED",
-    "CAUSE_OUT_OF_REACH",
-    "Containment",
-    "DEFAULT_REACH_RADIUS",
-    "DetachOutcome",
-    "Furniture",
-    "Held",
-    "InSlot",
-    "InvariantViolation",
-    "MoveOutcome",
-    "SCENARIO_SCHEMA",
-    "ScenarioError",
-    "SemanticMap",
-    "SimObject",
-    "UnknownLocationError",
-    "WorldState",
-    "attach",
-    "canonical_json",
-    "containment_from_dict",
-    "containment_to_dict",
-    "default_scenario",
-    "default_scenario_data",
-    "detach_at",
-    "execute_move",
-    "load_scenario",
-    "objects_in_proximity",
-    "read_scenario",
-    "scenario_hash",
-    "shortest_path",
-    "snapshot",
-    "validate_state",
-]
+from .scenario import default_scenario
+from .state import snapshot

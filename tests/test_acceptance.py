@@ -12,34 +12,35 @@ import time
 
 import pytest
 
-from hearth.agent import ScriptedBackend, detect_refusal, run_task
-from hearth.agent.loop import TERMINATION_END_TASK, TERMINATION_REFUSAL
+from hearth.agent.backends import ScriptedBackend
+from hearth.agent.loop import (
+    DEFAULT_MAX_TOOL_CALLS,
+    TERMINATION_END_TASK,
+    TERMINATION_REFUSAL,
+    run_task,
+)
 from hearth.agent.scripts import SCRIPTS, T1_DESCRIPTION, call
+from hearth.agent.transcript import Transcript
 from hearth.cli import main
-from hearth.harness import (
+from hearth.harness.metrics import compute_metrics
+from hearth.harness.runner import (
     BackendSetup,
     ExperimentPlan,
     ScenarioTemplate,
     TrialRecord,
-    check_t1,
-    compute_metrics,
     run_trial,
     run_trials,
 )
-from hearth.agent import DEFAULT_MAX_TOOL_CALLS, Transcript
-from hearth.memory import EpisodicStore, HashedEmbedder, Scratchpad
-from hearth.rpc import RpcClient, ToolRpcServer
-from hearth.tools import MemoryHandles, ToolCall, dispatch
-from hearth.world import (
-    SemanticMap,
-    WorldState,
-    canonical_json,
-    default_scenario,
-    default_scenario_data,
-    load_scenario,
-    shortest_path,
-    snapshot,
-)
+from hearth.harness.tasks import check_t1
+from hearth.memory.embedding import HashedEmbedder
+from hearth.memory.episodic import EpisodicStore
+from hearth.memory.scratchpad import Scratchpad
+from hearth.rpc.client import RpcClient
+from hearth.rpc.server import ToolRpcServer
+from hearth.tools.dispatch import MemoryHandles, ToolCall, dispatch
+from hearth.world.scenario import default_scenario, default_scenario_data, load_scenario
+from hearth.world.semantic_map import SemanticMap, shortest_path
+from hearth.world.state import WorldState, canonical_json
 
 from .oracles import brute_force_search, dijkstra_cost, path_cost, random_connected_map
 from .test_rpc import T1_WIRE_SEQUENCE, random_arguments
@@ -108,10 +109,6 @@ def test_criterion_02_hallucination_accounting(announce):
 
 
 def test_criterion_03_refusal_after_exactly_ten(announce):
-    # The counter itself: 9 is not enough, 10 is.
-    assert not detect_refusal([True] * 9)
-    assert detect_refusal([True] * 10)
-
     # A backend that never acts is cut off at exactly the 10th invocation.
     world = default_scenario()
     handles = MemoryHandles(Scratchpad(), EpisodicStore(), "test")

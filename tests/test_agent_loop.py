@@ -4,21 +4,17 @@ import json
 
 import pytest
 
-from hearth.agent import (
-    MESSAGE_BUDGET,
-    PROMPT_VERSION,
-    AgentContext,
+from hearth.agent.backends import (
     BackendError,
     BackendReply,
     ProposedCall,
     ScriptedBackend,
-    Transcript,
-    TranscriptError,
-    TranscriptFinal,
-    TranscriptHeader,
+)
+from hearth.agent.context import (
+    MESSAGE_BUDGET,
+    PROMPT_VERSION,
+    AgentContext,
     build_system_prompt,
-    detect_refusal,
-    run_task,
     tool_declarations,
 )
 from hearth.agent.loop import (
@@ -27,6 +23,7 @@ from hearth.agent.loop import (
     TERMINATION_END_TASK,
     TERMINATION_REFUSAL,
     TERMINATION_STEP_LIMIT,
+    run_task,
 )
 from hearth.agent.scripts import (
     SCRIPTS,
@@ -37,9 +34,16 @@ from hearth.agent.scripts import (
     optimal_t1,
     optimal_t2,
 )
-from hearth.harness import check_t1, check_t2
-from hearth.tools import TOOL_SCHEMAS
-from hearth.world import canonical_json, default_scenario_data, scenario_hash, snapshot
+from hearth.agent.transcript import (
+    Transcript,
+    TranscriptError,
+    TranscriptFinal,
+    TranscriptHeader,
+)
+from hearth.harness.tasks import check_t1, check_t2
+from hearth.tools.schemas import TOOL_SCHEMAS
+from hearth.world.scenario import default_scenario_data, scenario_hash
+from hearth.world.state import canonical_json, snapshot
 
 TOOL_NAMES = set(TOOL_SCHEMAS)
 
@@ -130,19 +134,81 @@ class TestAgentContext:
         assert len(context.to_chat_messages()) == 3
 
 
+LOOK = call("look_around")
+END = call(
+    "end_task",
+    task_description="stress the refusal rule",
+    status="failed",
+    action_summary="acted after the texts",
+)
+
+
+def run_turns(world, handles, turns):
+    """Run a script that yields `turns` (texts and calls) in order."""
+
+    def script():
+        for turn in turns:
+            yield turn
+
+    return run_task(world, handles, ScriptedBackend(script), "inspect the house")
+
+
+def assistant_turns(run):
+    return [m for m in run.messages if m.role == "assistant"]
+
+
 class TestDetectRefusal:
-    def test_below_threshold(self):
-        assert not detect_refusal([True] * 9)
+    """The refusal rule: REFUSAL_THRESHOLD replies in a row without a
+    tool call end the run; any reply with a call resets the count."""
 
-    def test_at_threshold(self):
-        assert detect_refusal([True] * 10)
+    def test_below_threshold(self, world, handles):
+        run = run_turns(world, handles, ["hmm"] * 9 + [END])
+        assert run.termination == TERMINATION_END_TASK
+        assert run.tool_calls == 1
 
-    def test_action_resets_the_streak(self):
-        assert not detect_refusal([True] * 9 + [False] + [True] * 9)
-        assert detect_refusal([True] * 9 + [False] + [True] * 10)
+    def test_at_threshold(self, world, handles):
+        run = run_turns(world, handles, ["hmm"] * 10 + [END])
+        assert run.termination == TERMINATION_REFUSAL
+        assert run.tool_calls == 0
+        assert len(assistant_turns(run)) == 10
 
-    def test_only_the_trailing_run_counts(self):
-        assert not detect_refusal([True] * 20 + [False])
+    def test_action_resets_the_streak(self, world, handles):
+        run = run_turns(world, handles, ["hmm"] * 9 + [LOOK] + ["hmm"] * 9 + [END])
+        assert run.termination == TERMINATION_END_TASK
+        assert run.tool_calls == 2
+
+        run = run_turns(world, handles, ["hmm"] * 9 + [LOOK] + ["hmm"] * 10 + [END])
+        assert run.termination == TERMINATION_REFUSAL
+        assert run.tool_calls == 1
+        assert len(assistant_turns(run)) == 20
+
+    def test_parallel_calls_reset_the_streak(self, world, handles):
+        class ParallelMidway:
+            turn = 0
+
+            def next_action(self, context, declarations):
+                self.turn += 1
+                if self.turn == 10:
+                    return BackendReply(
+                        calls=[
+                            ProposedCall("call-a", "look_around", {}),
+                            ProposedCall("call-b", "look_around", {}),
+                        ]
+                    )
+                return BackendReply(text="hmm")
+
+        run = run_task(world, handles, ParallelMidway(), "inspect the house")
+        assert run.termination == TERMINATION_REFUSAL
+        assert run.tool_calls == 0
+        assert len(assistant_turns(run)) == 20
+
+    def test_only_the_trailing_run_counts(self, world, handles):
+        # The rule fires on the tenth text in a row; the action after
+        # the twentieth is never reached.
+        run = run_turns(world, handles, ["hmm"] * 20 + [LOOK])
+        assert run.termination == TERMINATION_REFUSAL
+        assert run.tool_calls == 0
+        assert len(assistant_turns(run)) == 10
 
 
 def run_script(world, handles, script, **kwargs):

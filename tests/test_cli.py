@@ -9,8 +9,8 @@ import pytest
 
 from hearth.agent.scripts import T1_DESCRIPTION
 from hearth.cli import main
-from hearth.memory import EpisodicStore
-from hearth.world import default_scenario_data
+from hearth.memory.episodic import EpisodicStore
+from hearth.world.scenario import default_scenario_data
 
 from .oracles import dense_embed
 
@@ -178,6 +178,28 @@ class TestBaselineFlow:
             )
             assert code == 2
             assert capsys.readouterr().err == f"error: malformed snapshot: {error}\n"
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda b: b["snapshot"].update(agent=5), "'agent' is not an object"),
+            (lambda b: b.update(snapshot=[]), "not an object"),
+        ],
+        ids=["agent-not-an-object", "snapshot-not-an-object"],
+    )
+    def test_non_object_baseline_snapshot_is_a_config_error(
+        self, t1_output, capsys, edit, error
+    ):
+        path = t1_output / "baseline.json"
+        baseline = json.loads(path.read_text())
+        edit(baseline)
+        path.write_text(json.dumps(baseline))
+        code = main(
+            ["run", "--task", "t2", "--backend", "scripted:optimal",
+             "--baseline", str(path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: malformed snapshot: {error}\n"
 
     def test_unswapped_baseline_state_rejected(self, tmp_path, capsys):
         # A baseline whose snapshot does not satisfy t1 must be refused.

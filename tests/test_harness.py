@@ -7,25 +7,19 @@ import threading
 
 import pytest
 
-from hearth.harness import (
+from hearth.agent.transcript import Transcript
+from hearth.cli import main
+from hearth.harness import runner
+from hearth.harness.metrics import (
     REFERENCE_SUCCESS_RATES,
-    TASKS,
-    BackendSetup,
-    EvaluationError,
-    ExperimentPlan,
-    TrialRecord,
-    check_t1,
-    check_t2,
     compute_metrics,
     emit_report,
     render_csv,
     render_json,
     render_markdown,
-    run_trials,
 )
-from hearth.agent.transcript import Transcript
-from hearth.cli import main
-from hearth.harness import runner
+from hearth.harness.runner import BackendSetup, ExperimentPlan, TrialRecord, run_trials
+from hearth.harness.tasks import TASKS, EvaluationError, check_t1, check_t2
 
 from .oracles import per_trial_load_trials
 

@@ -7,15 +7,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
-from hearth.agent import (
-    AgentContext,
-    BackendError,
-    HttpBackendConfig,
-    HttpChatBackend,
-    run_task,
-    tool_declarations,
-)
-from hearth.agent.loop import TERMINATION_END_TASK
+from hearth.agent.backends import BackendError
+from hearth.agent.context import AgentContext, tool_declarations
+from hearth.agent.http_backend import HttpBackendConfig, HttpChatBackend
+from hearth.agent.loop import TERMINATION_END_TASK, run_task
 
 
 def completion(content=None, tool_calls=None):

@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hearth.memory import (
-    EMBEDDING_DIM,
-    EpisodicStore,
-    HashedEmbedder,
-    PersistenceError,
-    Scratchpad,
-    tokenize,
-)
+from hearth.memory.embedding import EMBEDDING_DIM, HashedEmbedder, tokenize
+from hearth.memory.episodic import EpisodicStore, PersistenceError
+from hearth.memory.scratchpad import Scratchpad
 
 from .oracles import (
     brute_force_search,
@@ -414,7 +409,6 @@ class TestScratchpad:
         pad.append("b")
         assert pad.view() == "a\n\nb"
         assert len(pad) == 2
-        assert pad.paragraphs == ["a", "b"]
 
     def test_empty_note_rejected(self):
         pad = Scratchpad()

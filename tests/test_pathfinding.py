@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hearth.world import (
-    SemanticMap,
-    UnknownLocationError,
-    default_scenario,
-    shortest_path,
-)
+from hearth.world.scenario import default_scenario
+from hearth.world.semantic_map import SemanticMap, UnknownLocationError, shortest_path
 
 from .oracles import dijkstra_cost, path_cost, random_connected_map, two_component_map
 

@@ -5,16 +5,12 @@ import os
 
 import pytest
 
-from hearth.agent import (
-    DEFAULT_MAX_TOOL_CALLS,
-    BackendError,
-    ScriptedBackend,
-    call,
-)
+from hearth.agent.backends import BackendError, ScriptedBackend
+from hearth.agent.loop import DEFAULT_MAX_TOOL_CALLS
+from hearth.agent.scripts import call
 from hearth.agent.transcript import Transcript, TranscriptError
 from hearth.cli import main
-from hearth.harness import (
-    TASKS,
+from hearth.harness.runner import (
     BackendSetup,
     ExperimentPlan,
     ReplayReport,
@@ -24,9 +20,12 @@ from hearth.harness import (
     run_trials,
     task_header,
 )
-from hearth.memory import EpisodicStore, Scratchpad
-from hearth.tools import MemoryHandles
-from hearth.world import WorldState, scenario_hash
+from hearth.harness.tasks import TASKS
+from hearth.memory.episodic import EpisodicStore
+from hearth.memory.scratchpad import Scratchpad
+from hearth.tools.dispatch import MemoryHandles
+from hearth.world.scenario import scenario_hash
+from hearth.world.state import WorldState
 
 
 def record(tmp_path, backend):

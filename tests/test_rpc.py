@@ -8,12 +8,15 @@ import threading
 
 import pytest
 
-from hearth.memory import EpisodicStore, Scratchpad
-from hearth.rpc import RpcClient, RpcError, ToolRpcServer, serve_stdio
-from hearth.rpc.server import RpcConnection
-from hearth.tools import TOOL_SCHEMAS, MemoryHandles, ToolCall, dispatch
-from hearth.harness import check_t1
-from hearth.world import canonical_json, default_scenario_data, load_scenario, snapshot
+from hearth.harness.tasks import check_t1
+from hearth.memory.episodic import EpisodicStore
+from hearth.memory.scratchpad import Scratchpad
+from hearth.rpc.client import RpcClient, RpcError
+from hearth.rpc.server import RpcConnection, ToolRpcServer, serve_stdio
+from hearth.tools.dispatch import MemoryHandles, ToolCall, dispatch
+from hearth.tools.schemas import TOOL_SCHEMAS
+from hearth.world.scenario import default_scenario_data, load_scenario
+from hearth.world.state import canonical_json, snapshot
 
 T1_WIRE_SEQUENCE = [
     ("move_to", {"location": "kitchen_table"}),

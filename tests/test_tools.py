@@ -2,10 +2,12 @@
 
 import pytest
 
-from hearth.memory import EpisodicStore, Scratchpad
-from hearth.tools import TOOL_SCHEMAS, MemoryHandles, ToolCall, dispatch
-from hearth.tools.schemas import function_declarations
-from hearth.world import canonical_json, execute_move
+from hearth.memory.episodic import EpisodicStore
+from hearth.memory.scratchpad import Scratchpad
+from hearth.tools.dispatch import MemoryHandles, ToolCall, dispatch
+from hearth.tools.schemas import TOOL_SCHEMAS, function_declarations
+from hearth.world.actions import execute_move
+from hearth.world.state import canonical_json
 
 EXPECTED_TOOLS = {
     "look_around",

@@ -8,28 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from hearth.world import (
-    SCENARIO_SCHEMA,
-    AtLocation,
-    Held,
-    InSlot,
-    InvariantViolation,
-    ScenarioError,
-    SemanticMap,
-    WorldState,
-    attach,
-    canonical_json,
-    default_scenario,
-    default_scenario_data,
-    detach_at,
-    execute_move,
-    load_scenario,
-    objects_in_proximity,
-    scenario_hash,
-    shortest_path,
-    snapshot,
-    validate_state,
-)
 from hearth.world.actions import (
     CAUSE_ALREADY_HOLDING,
     CAUSE_DOES_NOT_EXIST,
@@ -39,6 +17,29 @@ from hearth.world.actions import (
     CAUSE_NOT_HOLDING,
     CAUSE_OCCUPIED,
     CAUSE_OUT_OF_REACH,
+    attach,
+    detach_at,
+    execute_move,
+    objects_in_proximity,
+)
+from hearth.world.scenario import (
+    SCENARIO_SCHEMA,
+    ScenarioError,
+    default_scenario,
+    default_scenario_data,
+    load_scenario,
+    scenario_hash,
+)
+from hearth.world.semantic_map import SemanticMap, shortest_path
+from hearth.world.state import (
+    AtLocation,
+    Held,
+    InSlot,
+    InvariantViolation,
+    WorldState,
+    canonical_json,
+    snapshot,
+    validate_state,
 )
 
 from .oracles import validate_error
