@@ -1,9 +1,9 @@
 """Reasoning backends: the pluggable "what next?" oracle of the loop.
 
 Three implementations ship: a scripted backend driven by a generator (the
-hermetic stand-in for an LLM), a recorded-replay backend that re-emits a
-saved transcript while asserting the world answers exactly as recorded,
-and the HTTP chat backend in http_backend.py.
+hermetic stand-in for an LLM), a recorded-replay backend that re-emits
+the assistant turns of a saved transcript, and the HTTP chat backend in
+http_backend.py.
 """
 
 from __future__ import annotations
@@ -14,21 +14,12 @@ from typing import Any, Callable, Protocol
 
 from .context import AgentContext
 from .scripts import Script
-from .transcript import Transcript, TranscriptMessage
+from .transcript import Transcript
 
 
 class BackendError(RuntimeError):
     """Transport or protocol failure; the loop terminates with cause
     backend_error when one escapes."""
-
-
-class ReplayDivergence(RuntimeError):
-    """A replayed run stopped matching its recording."""
-
-    def __init__(self, index: int, detail: str) -> None:
-        super().__init__(f"replay divergence at message index {index}: {detail}")
-        self.index = index
-        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -101,69 +92,40 @@ class ScriptedBackend:
         )
 
 
-def _expect_match(got: TranscriptMessage, want: TranscriptMessage) -> None:
-    if got.semantic_key() != want.semantic_key():
-        raise ReplayDivergence(
-            got.index,
-            f"live message {got.to_dict()!r} != recorded {want.to_dict()!r}",
-        )
-
-
 class RecordedReplayBackend:
-    """Re-emits the assistant turns of a saved transcript.
+    """Re-emits the assistant turns of a saved transcript, in order.
 
-    Before each turn it asserts that the live context is an exact prefix
-    of the recording, so any drift in tool results (a tampered file, a
-    changed world, a changed message template) surfaces as
-    ReplayDivergence at the first differing message.
+    It reads nothing from the live context; the caller compares the
+    finished run with the recording. Past its last turn it raises
+    BackendError("recording exhausted").
     """
 
     def __init__(self, transcript: Transcript) -> None:
-        self._recorded = transcript.messages
+        turns = [m for m in transcript.messages if m.role == "assistant"]
+        self._turns = iter(turns)
         # A run that ended in a backend error recorded the error as its
-        # last assistant turn; replay raises it again at that turn.
-        self._error_index = (
-            len(self._recorded) - 1
-            if transcript.final.termination == "backend_error"
+        # last message; replay raises it again at that turn.
+        self._error_turn = (
+            transcript.messages[-1]
+            if transcript.final.termination == "backend_error" and turns
             else None
         )
 
     def next_action(
         self, context: AgentContext, declarations: list[dict[str, Any]]
     ) -> BackendReply:
-        live = context.messages
-        if len(live) > len(self._recorded):
-            raise ReplayDivergence(
-                len(self._recorded),
-                "live run is longer than the recording",
-            )
-        for got, want in zip(live, self._recorded):
-            _expect_match(got, want)
-        if len(live) == len(self._recorded):
-            raise ReplayDivergence(
-                len(live), "recording exhausted before the loop terminated"
-            )
-        upcoming = self._recorded[len(live)]
-        if upcoming.role != "assistant":
-            raise ReplayDivergence(
-                upcoming.index,
-                f"expected a recorded assistant turn, found role "
-                f"'{upcoming.role}'",
-            )
-        if len(live) == self._error_index:
+        turn = next(self._turns, None)
+        if turn is None:
+            raise BackendError("recording exhausted")
+        if turn is self._error_turn:
             raise BackendError(
-                upcoming.content.removeprefix("[backend error: ").removesuffix("]")
+                turn.content.removeprefix("[backend error: ").removesuffix("]")
             )
         calls = [
-            ProposedCall(
-                call_id=call["id"],
-                name=call["name"],
-                arguments=call["arguments"],
-            )
-            for call in (upcoming.tool_calls or [])
+            ProposedCall(call_id=c["id"], name=c["name"], arguments=c["arguments"])
+            for c in turn.tool_calls or []
         ]
-        text = upcoming.content or None
-        return BackendReply(text=text, calls=calls)
+        return BackendReply(text=turn.content or None, calls=calls)
 
 
 def parse_arguments_json(raw: str, tool_name: str) -> dict[str, Any]:

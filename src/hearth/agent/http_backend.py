@@ -36,6 +36,8 @@ class HttpBackendConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "HttpBackendConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"backend config must be a JSON object, got {data!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -57,10 +59,6 @@ class HttpChatBackend:
         self.config = config
         self._session = session or requests.Session()
         self._sleep = sleeper
-
-    @property
-    def model_id(self) -> str:
-        return self.config.model
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}

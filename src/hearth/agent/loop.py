@@ -111,9 +111,7 @@ def run_task(
         proposed = reply.calls[0]
         context.append_assistant_calls([proposed.to_dict()], reply.text)
         result: ToolResult = dispatch(
-            ToolCall(proposed.name, proposed.arguments, call_index=tool_calls),
-            world,
-            memory,
+            ToolCall(proposed.name, proposed.arguments), world, memory
         )
         tool_calls += 1
         context.append_tool_result(proposed.call_id, proposed.name, result)

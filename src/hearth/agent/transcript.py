@@ -24,6 +24,15 @@ class TranscriptError(ValueError):
     """Raised for malformed or incomplete transcript files."""
 
 
+def _is_call(call: Any) -> bool:
+    return (
+        isinstance(call, dict)
+        and isinstance(call.get("id"), str)
+        and isinstance(call.get("name"), str)
+        and isinstance(call.get("arguments"), dict)
+    )
+
+
 @dataclass
 class TranscriptMessage:
     """One context message. Assistant messages may propose tool calls;
@@ -50,13 +59,28 @@ class TranscriptMessage:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TranscriptMessage":
-        return cls(
+        """Parse a message line; raises ValueError (or KeyError, TypeError)
+        when replay could not re-emit or compare it."""
+        message = cls(
             index=int(data["index"]),
             role=data["role"],
             content=data["content"],
             tool_calls=data.get("tool_calls"),
             tool_result=data.get("tool_result"),
         )
+        if not isinstance(message.role, str) or not isinstance(message.content, str):
+            raise ValueError("role and content must be strings")
+        if message.tool_calls is not None and not (
+            isinstance(message.tool_calls, list)
+            and all(_is_call(call) for call in message.tool_calls)
+        ):
+            raise ValueError(
+                "tool_calls must be a list of objects with a string id, a "
+                f"string name and object arguments: {message.tool_calls!r}"
+            )
+        if message.tool_result is not None and not isinstance(message.tool_result, dict):
+            raise ValueError(f"tool_result is not an object: {message.tool_result!r}")
+        return message
 
     def semantic_key(self) -> tuple:
         """The fields that must match for two messages to count as equal
@@ -85,16 +109,16 @@ class TranscriptHeader:
     model_id: str
     task_id: str
     task_prompt: str
-    seed: int | None = None
-    memory_enabled: bool = True
-    initial_memories: list[dict[str, Any]] = field(default_factory=list)
     # World state at task start. A task run from a baseline (t2 after t1)
     # does not begin at the scenario's seed placements, so replay needs
     # the actual starting world, not a fresh scenario load.
-    initial_world: dict[str, Any] | None = None
+    initial_world: dict[str, Any]
+    seed: int | None = None
+    memory_enabled: bool = True
+    initial_memories: list[dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {
+        return {
             "type": "header",
             "scenario": self.scenario,
             "scenario_hash": self.scenario_hash,
@@ -105,10 +129,8 @@ class TranscriptHeader:
             "seed": self.seed,
             "memory_enabled": self.memory_enabled,
             "initial_memories": self.initial_memories,
+            "initial_world": self.initial_world,
         }
-        if self.initial_world is not None:
-            data["initial_world"] = self.initial_world
-        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TranscriptHeader":
@@ -121,9 +143,7 @@ class TranscriptHeader:
             for key in MEMORY_FIELDS:
                 if not isinstance(memory.get(key), str):
                     raise ValueError(f"initial memory lacks '{key}': {memory!r}")
-        initial_world = data.get("initial_world")
-        if initial_world is not None:
-            WorldState.from_dict(initial_world)
+        WorldState.from_dict(data["initial_world"])
         return cls(
             scenario=data["scenario"],
             scenario_hash=data["scenario_hash"],
@@ -134,7 +154,7 @@ class TranscriptHeader:
             seed=data.get("seed"),
             memory_enabled=data.get("memory_enabled", True),
             initial_memories=initial_memories,
-            initial_world=initial_world,
+            initial_world=data["initial_world"],
         )
 
 

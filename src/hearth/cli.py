@@ -30,13 +30,12 @@ from .memory.episodic import EpisodicStore, PersistenceError
 from .memory.scratchpad import Scratchpad
 from .rpc.server import ToolRpcServer, serve_stdio
 from .tools.dispatch import MemoryHandles
-from .world.scenario import ScenarioError, read_scenario, scenario_hash
+from .world.scenario import ScenarioError, load_scenario, read_scenario, scenario_hash
 from .world.state import WorldState, canonical_json
 
 # perfbench/tracing.py wraps these names here (its WRAP_TARGETS) and
 # fails when one is missing; tasks run them from harness.runner.
 from .agent.loop import run_task  # noqa: F401
-from .world.scenario import load_scenario  # noqa: F401
 from .world.state import snapshot  # noqa: F401
 
 EXIT_OK = 0
@@ -51,16 +50,24 @@ def _load_baseline(path: str) -> tuple[ScenarioTemplate, dict[str, Any]]:
         path = os.path.join(path, "baseline.json")
     with open(path, encoding="utf-8") as handle:
         baseline = json.load(handle)
+    if not isinstance(baseline, dict):
+        raise ValueError(f"baseline file '{path}' must be a JSON object")
     for key in ("scenario", "scenario_hash", "world", "snapshot"):
         if key not in baseline:
             raise ValueError(f"baseline file is missing '{key}'")
+    data = baseline["scenario"]
     try:
+        load_scenario(data)
         world = WorldState.from_dict(baseline["world"])
     except ValueError as exc:
         raise ValueError(f"baseline file '{path}': {exc}") from exc
-    data = baseline["scenario"]
-    template = ScenarioTemplate(data, scenario_hash(data), world.to_dict())
-    return template, baseline["snapshot"]
+    digest = scenario_hash(data)
+    if digest != baseline["scenario_hash"]:
+        raise ValueError(
+            f"baseline file '{path}': scenario hash mismatch: baseline says "
+            f"{baseline['scenario_hash']}, scenario hashes to {digest}"
+        )
+    return ScenarioTemplate(data, digest, world.to_dict()), baseline["snapshot"]
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -18,12 +18,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterable
 
-from ..agent.backends import (
-    Backend,
-    RecordedReplayBackend,
-    ReplayDivergence,
-    ScriptedBackend,
-)
+from ..agent.backends import Backend, RecordedReplayBackend, ScriptedBackend
 from ..agent.context import PROMPT_VERSION
 from ..agent.http_backend import HttpBackendConfig, HttpChatBackend
 from ..agent.loop import (
@@ -47,6 +42,18 @@ from ..world.state import WorldState, canonical_json, snapshot
 from .tasks import TASKS, EvaluationError, TaskDef
 
 VALID_MEMORY_SIZES = (0, 1, 2, 3)
+
+
+def _plan_field(
+    data: dict[str, Any], name: str, convert: Callable[[Any], Any], default: Any = None
+) -> Any:
+    """A plan field (or its default) through `convert`; a value of the
+    wrong JSON type is a ValueError that names the field."""
+    value = data.get(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"plan field '{name}' has the wrong type: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -75,11 +82,11 @@ class ExperimentPlan:
         for required in ("name", "tasks", "backend"):
             if required not in data:
                 raise ValueError(f"plan is missing required field '{required}'")
-        tasks = tuple(data["tasks"])
+        tasks = _plan_field(data, "tasks", tuple)
         if not tasks:
             raise ValueError("plan must name at least one task")
         for position, task_id in enumerate(tasks):
-            task = TASKS.get(task_id)
+            task = TASKS.get(task_id) if isinstance(task_id, str) else None
             if task is None:
                 raise ValueError(f"unknown task '{task_id}'")
             if task.prerequisite is not None and task.prerequisite not in tasks[:position]:
@@ -87,12 +94,13 @@ class ExperimentPlan:
                     f"task '{task_id}' requires '{task.prerequisite}' earlier "
                     f"in the task list"
                 )
-        trials = int(data.get("trials", 1))
+        trials = _plan_field(data, "trials", int, 1)
         if trials < 1:
             raise ValueError("trials must be >= 1")
-        memory_sizes = data.get("memory_sizes")
+        memory_sizes = _plan_field(
+            data, "memory_sizes", lambda v: v if v is None else tuple(map(int, v))
+        )
         if memory_sizes is not None:
-            memory_sizes = tuple(int(m) for m in memory_sizes)
             bad = [m for m in memory_sizes if m not in VALID_MEMORY_SIZES]
             if bad:
                 raise ValueError(
@@ -101,10 +109,12 @@ class ExperimentPlan:
             repeated = sorted({m for m in memory_sizes if memory_sizes.count(m) > 1})
             if repeated:
                 raise ValueError(f"memory_sizes lists {repeated} more than once")
-        parallelism = int(data.get("parallelism", 1))
+        parallelism = _plan_field(data, "parallelism", int, 1)
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        max_tool_calls = int(data.get("max_tool_calls", DEFAULT_MAX_TOOL_CALLS))
+        max_tool_calls = _plan_field(
+            data, "max_tool_calls", int, DEFAULT_MAX_TOOL_CALLS
+        )
         if max_tool_calls < 1:
             raise ValueError("max_tool_calls must be >= 1")
         return cls(
@@ -299,8 +309,8 @@ def seed_store(reports: Iterable[dict[str, Any]]) -> EpisodicStore:
 
 @dataclass(frozen=True)
 class ReplayReport:
-    """The live run's counts (the recording's if a divergence stopped it)
-    and how it diverged from the recording, or None if it did not."""
+    """The live run's counts and how it diverged from the recording, or
+    None if it did not."""
 
     messages: int
     tool_calls: int
@@ -310,7 +320,8 @@ class ReplayReport:
 
 def replay_transcript(transcript: Transcript) -> ReplayReport:
     """Re-execute a recorded task against the world and store its header
-    describes, re-emitting the recorded assistant turns.
+    describes, re-emitting the recorded assistant turns, then compare the
+    finished run with the recording.
 
     Raises TranscriptError when the recording cannot be replayed at all:
     another prompt version, or a scenario that does not match its hash.
@@ -327,10 +338,7 @@ def replay_transcript(transcript: Transcript) -> ReplayReport:
             f"scenario hash mismatch: header says "
             f"{header.scenario_hash}, scenario hashes to {recomputed}"
         )
-    if header.initial_world is not None:
-        world = WorldState.from_dict(header.initial_world)
-    else:
-        world = load_scenario(header.scenario)
+    world = WorldState.from_dict(header.initial_world)
     handles = MemoryHandles(
         scratchpad=Scratchpad(),
         store=seed_store(header.initial_memories),
@@ -340,14 +348,9 @@ def replay_transcript(transcript: Transcript) -> ReplayReport:
     # error reach the turn it ended on; a step limit is the cap itself.
     headroom = 0 if recorded.termination == TERMINATION_STEP_LIMIT else 1
     max_tool_calls = max(recorded.tool_calls + headroom, 1)
-    try:
-        _, live = execute_task(
-            world, handles, RecordedReplayBackend(transcript), header, max_tool_calls
-        )
-    except ReplayDivergence as exc:
-        return ReplayReport(
-            len(transcript.messages), recorded.tool_calls, recorded.termination, str(exc)
-        )
+    _, live = execute_task(
+        world, handles, RecordedReplayBackend(transcript), header, max_tool_calls
+    )
     return ReplayReport(
         len(live.messages),
         live.final.tool_calls,
@@ -357,15 +360,21 @@ def replay_transcript(transcript: Transcript) -> ReplayReport:
 
 
 def _divergence(live: Transcript, recording: Transcript) -> str | None:
-    """How a live run that terminated differs from its recording, or None."""
+    """How a live run that terminated differs from its recording, or None.
+
+    The first differing message is named before any difference in length.
+    """
+    for got, want in zip(live.messages, recording.messages):
+        if got.semantic_key() != want.semantic_key():
+            return (
+                f"replay divergence at message index {got.index}: live message "
+                f"{got.to_dict()!r} != recorded {want.to_dict()!r}"
+            )
     if len(live.messages) != len(recording.messages):
         return (
             f"live run has {len(live.messages)} messages, "
             f"recording has {len(recording.messages)}"
         )
-    for got, want in zip(live.messages, recording.messages):
-        if got.semantic_key() != want.semantic_key():
-            return f"message index {got.index} differs from the recording"
     if live.final.termination != recording.final.termination:
         return (
             f"termination '{live.final.termination}' != recorded "

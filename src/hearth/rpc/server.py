@@ -161,9 +161,7 @@ class RpcConnection:
         if name not in TOOL_SCHEMAS:
             raise _RpcFault(METHOD_NOT_FOUND, f"unknown method 'tool.{name}'")
         world, handles = self._require_session()
-        result = dispatch(
-            ToolCall(name, params, call_index=self.tool_calls), world, handles
-        )
+        result = dispatch(ToolCall(name, params), world, handles)
         self.tool_calls += 1
         return result.to_dict()
 

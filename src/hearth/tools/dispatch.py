@@ -33,7 +33,6 @@ STATUS_FAILURE = "failure"
 class ToolCall:
     name: str
     arguments: dict[str, Any] = field(default_factory=dict)
-    call_index: int = 0
 
 
 @dataclass(frozen=True)

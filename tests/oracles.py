@@ -9,7 +9,10 @@ hand, as the package once did. The dense memory path is the store as it
 was before it kept vectors sparse: a dense embedding, and a cosine that
 sums all 256 buckets and recomputes both norms for every record. Its
 records' embeddings come from `dense_embed` of their descriptions, never
-from the store under test.
+from the store under test. The prefix-checking replay is replay as it was
+before it compared once: before every turn its backend checks that the
+live context is a prefix of the recording, and only a run that got to
+its end is compared with the recording as a whole.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import random
 
 import jsonschema
 
+from hearth.agent.backends import BackendError, BackendReply, ProposedCall
 from hearth.agent.context import PROMPT_VERSION
-from hearth.agent.loop import run_task
+from hearth.agent.loop import TERMINATION_STEP_LIMIT, run_task
 from hearth.agent.transcript import Transcript, TranscriptFinal, TranscriptHeader
-from hearth.harness.runner import BackendSetup, ExperimentPlan
+from hearth.harness.runner import BackendSetup, ExperimentPlan, execute_task, seed_store
 from hearth.harness.tasks import TASKS
 from hearth.memory.embedding import EMBEDDING_DIM, _stable_hash_64, tokenize
 from hearth.memory.episodic import EpisodicRecord, EpisodicStore
@@ -37,7 +41,7 @@ from hearth.world.scenario import (
     scenario_hash,
 )
 from hearth.world.semantic_map import SemanticMap
-from hearth.world.state import snapshot
+from hearth.world.state import WorldState, canonical_json, snapshot
 
 
 def dijkstra_cost(smap: SemanticMap, start: str, goal: str) -> float | None:
@@ -270,3 +274,105 @@ def per_trial_load_trials(plan: ExperimentPlan) -> None:
                 baseline = final
     with open(os.path.join(plan.output_dir, "trials.jsonl"), "w", encoding="utf-8") as handle:
         handle.writelines(lines)
+
+
+class ReplayDivergence(RuntimeError):
+    def __init__(self, index: int, detail: str) -> None:
+        super().__init__(f"replay divergence at message index {index}: {detail}")
+
+
+def _expect_match(got, want) -> None:
+    if got.semantic_key() != want.semantic_key():
+        raise ReplayDivergence(
+            got.index,
+            f"live message {got.to_dict()!r} != recorded {want.to_dict()!r}",
+        )
+
+
+class PrefixCheckingReplayBackend:
+    """Re-emits the recording's next assistant turn once the live context
+    is an exact prefix of the recording."""
+
+    def __init__(self, transcript: Transcript) -> None:
+        self._recorded = transcript.messages
+        self._error_index = (
+            len(self._recorded) - 1
+            if transcript.final.termination == "backend_error"
+            else None
+        )
+
+    def next_action(self, context, declarations) -> BackendReply:
+        live = context.messages
+        if len(live) > len(self._recorded):
+            raise ReplayDivergence(
+                len(self._recorded), "live run is longer than the recording"
+            )
+        for got, want in zip(live, self._recorded):
+            _expect_match(got, want)
+        if len(live) == len(self._recorded):
+            raise ReplayDivergence(
+                len(live), "recording exhausted before the loop terminated"
+            )
+        upcoming = self._recorded[len(live)]
+        if upcoming.role != "assistant":
+            raise ReplayDivergence(
+                upcoming.index,
+                f"expected a recorded assistant turn, found role '{upcoming.role}'",
+            )
+        if len(live) == self._error_index:
+            raise BackendError(
+                upcoming.content.removeprefix("[backend error: ").removesuffix("]")
+            )
+        calls = [
+            ProposedCall(call["id"], call["name"], call["arguments"])
+            for call in upcoming.tool_calls or []
+        ]
+        return BackendReply(text=upcoming.content or None, calls=calls)
+
+
+def _whole_run_divergence(live: Transcript, recording: Transcript) -> str | None:
+    if len(live.messages) != len(recording.messages):
+        return (
+            f"live run has {len(live.messages)} messages, "
+            f"recording has {len(recording.messages)}"
+        )
+    for got, want in zip(live.messages, recording.messages):
+        if got.semantic_key() != want.semantic_key():
+            return f"message index {got.index} differs from the recording"
+    if live.final.termination != recording.final.termination:
+        return (
+            f"termination '{live.final.termination}' != recorded "
+            f"'{recording.final.termination}'"
+        )
+    if live.final.tool_calls != recording.final.tool_calls:
+        return (
+            f"final tool_calls {live.final.tool_calls} != recorded "
+            f"{recording.final.tool_calls}"
+        )
+    if live.final.believed_status != recording.final.believed_status:
+        return (
+            f"final believed_status {live.final.believed_status!r} != recorded "
+            f"{recording.final.believed_status!r}"
+        )
+    if canonical_json(live.final.snapshot) != canonical_json(recording.final.snapshot):
+        return "final snapshot differs from the recording"
+    return None
+
+
+def prefix_checking_replay(transcript: Transcript) -> str | None:
+    """How a replay of `transcript` diverges, or None; the recording's
+    prompt version and scenario hash are taken as valid."""
+    header, recorded = transcript.header, transcript.final
+    handles = MemoryHandles(Scratchpad(), seed_store(header.initial_memories), header.model_id)
+    headroom = 0 if recorded.termination == TERMINATION_STEP_LIMIT else 1
+    try:
+        _, live = execute_task(
+            WorldState.from_dict(header.initial_world),
+            handles,
+            PrefixCheckingReplayBackend(transcript),
+            header,
+            max(recorded.tool_calls + headroom, 1),
+        )
+    except ReplayDivergence as exc:
+        return str(exc)
+    return _whole_run_divergence(live, transcript)

@@ -331,7 +331,7 @@ def test_criterion_09_wire_conformance(announce):
                 arguments = random_arguments(rng, name)
                 wire = client.tool(name, **arguments)
                 local = dispatch(
-                    ToolCall(name, dict(arguments), call_index=index),
+                    ToolCall(name, dict(arguments)),
                     mirror_world,
                     mirror_handles,
                 )

@@ -388,6 +388,7 @@ class TestScratchpadLifecycle:
 
 class TestTranscriptRoundtrip:
     def build(self, world, handles):
+        initial_world = world.to_dict()
         run = run_script(world, handles, optimal_t1)
         data = default_scenario_data()
         header = TranscriptHeader(
@@ -397,6 +398,7 @@ class TestTranscriptRoundtrip:
             model_id="scripted:optimal",
             task_id="t1",
             task_prompt=T1_DESCRIPTION,
+            initial_world=initial_world,
             seed=7,
         )
         final = TranscriptFinal(

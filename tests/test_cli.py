@@ -118,6 +118,16 @@ class TestBaselineFlow:
         assert "actual: succeeded" in out
         assert "tool calls: 13" in out
 
+    def test_t2_validates_its_scenario_once(self, t1_output, scenario_validations):
+        code = main(
+            [
+                "run", "--task", "t2", "--backend", "scripted:optimal",
+                "--baseline", str(t1_output),
+            ]
+        )
+        assert code == 0
+        assert scenario_validations.calls == 1
+
     def test_t2_accepts_baseline_directory(self, t1_output):
         code = main(
             [
@@ -493,3 +503,128 @@ class TestServeStdio:
         responses = [json.loads(line) for line in result.stdout.splitlines()]
         assert responses[0]["result"]["tools"][0] == "add_to_scratchpad"
         assert responses[1]["result"]["status"] == "success"
+
+
+def edited_json(path, edit):
+    """Rewrite the JSON file at `path` with `edit` applied to its value."""
+    data = json.loads(path.read_text())
+    data = edit(data) or data
+    path.write_text(json.dumps(data))
+
+
+def bad_baseline(edit):
+    def argv(t1_output, tmp_path):
+        edited_json(t1_output / "baseline.json", edit)
+        return ["run", "--task", "t2", "--backend", "scripted:optimal",
+                "--baseline", str(t1_output)]
+    return argv
+
+
+def bad_transcript_line(number, edit):
+    """Replay t1's transcript with its line `number` (1-based) edited."""
+    def argv(t1_output, tmp_path):
+        path = t1_output / "run_t1.jsonl"
+        lines = read_lines(path)
+        data = json.loads(lines[number - 1])
+        lines[number - 1] = json.dumps(edit(data) or data)
+        path.write_text("\n".join(lines) + "\n")
+        return ["replay", str(path)]
+    return argv
+
+
+def set_first_call(**fields):
+    """Edit the first proposed tool call of an assistant line."""
+    return lambda data: data["tool_calls"][0].update(fields)
+
+
+def bad_plan(**fields):
+    def argv(t1_output, tmp_path):
+        plan = {"name": "p", "tasks": ["t1"], "backend": "scripted:optimal",
+                "output_dir": str(tmp_path / "out"), **fields}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        return ["experiment", str(path)]
+    return argv
+
+
+def http_config_5(command):
+    def argv(t1_output, tmp_path):
+        config = tmp_path / "http.json"
+        config.write_text("5")
+        if command == "run":
+            return RUN_T1[:3] + ["--backend", f"http:{config}",
+                                 "--output-dir", str(tmp_path / "out")]
+        return bad_plan(backend=f"http:{config}")(t1_output, tmp_path)
+    return argv
+
+
+# Line 4 of t1's transcript is its first assistant turn with a tool call.
+MALFORMED_INPUTS = {
+    "baseline-not-an-object": (
+        bad_baseline(lambda b: 5), "must be a JSON object"),
+    "baseline-scenario-not-a-scenario": (
+        bad_baseline(lambda b: b.update(scenario=5)), "schema violation"),
+    "baseline-scenario-hash-mismatch": (
+        bad_baseline(lambda b: b.update(scenario_hash="0" * 64)),
+        "scenario hash mismatch"),
+    "header-without-initial-world": (
+        bad_transcript_line(
+            1, lambda d: {k: v for k, v in d.items() if k != "initial_world"}
+        ),
+        ":1: malformed header line: 'initial_world'"),
+    "message-role-not-a-string": (
+        bad_transcript_line(4, lambda d: d.update(role=5)),
+        ":4: malformed message line: role and content"),
+    "message-content-not-a-string": (
+        bad_transcript_line(4, lambda d: d.update(content=None)),
+        ":4: malformed message line: role and content"),
+    "tool-calls-not-a-list": (
+        bad_transcript_line(4, lambda d: d.update(tool_calls=5)),
+        ":4: malformed message line: tool_calls"),
+    "tool-call-not-an-object": (
+        bad_transcript_line(4, lambda d: d.update(tool_calls=[5])),
+        ":4: malformed message line: tool_calls"),
+    "tool-call-without-id": (
+        bad_transcript_line(
+            4, lambda d: d.update(tool_calls=[{"name": "look_around", "arguments": {}}])
+        ),
+        ":4: malformed message line: tool_calls"),
+    "tool-call-name-not-a-string": (
+        bad_transcript_line(4, set_first_call(name=["move_to"])),
+        ":4: malformed message line: tool_calls"),
+    "tool-call-arguments-not-an-object": (
+        bad_transcript_line(4, set_first_call(arguments="{}")),
+        ":4: malformed message line: tool_calls"),
+    "tool-result-not-an-object": (
+        bad_transcript_line(5, lambda d: d.update(tool_result=5)),
+        ":5: malformed message line: tool_result"),
+    "plan-tasks-5": (bad_plan(tasks=5), "plan field 'tasks'"),
+    "plan-task-not-a-string": (bad_plan(tasks=[["t1"]]), "unknown task"),
+    "plan-trials-null": (bad_plan(trials=None), "plan field 'trials'"),
+    "plan-memory-sizes-5": (bad_plan(memory_sizes=5), "plan field 'memory_sizes'"),
+    "plan-memory-size-null": (
+        bad_plan(memory_sizes=[None]), "plan field 'memory_sizes'"),
+    "plan-parallelism-list": (bad_plan(parallelism=[2]), "plan field 'parallelism'"),
+    "plan-max-tool-calls-object": (
+        bad_plan(max_tool_calls={}), "plan field 'max_tool_calls'"),
+    "run-http-config-5": (
+        http_config_5("run"), "backend config must be a JSON object"),
+    "plan-http-config-5": (
+        http_config_5("experiment"), "backend config must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, error", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys()
+)
+def test_malformed_input_exits_2(t1_output, tmp_path, capsys, argv, error):
+    """A malformed baseline, transcript line, plan or backend config is a
+    configuration error: exit 2, one `error: ` line, nothing written."""
+    args = argv(t1_output, tmp_path)
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert error in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -2,13 +2,14 @@
 
 import copy
 import os
+import re
 
 import pytest
 
 from hearth.agent.backends import BackendError, ScriptedBackend
 from hearth.agent.loop import DEFAULT_MAX_TOOL_CALLS
 from hearth.agent.scripts import call
-from hearth.agent.transcript import Transcript, TranscriptError
+from hearth.agent.transcript import Transcript, TranscriptError, TranscriptMessage
 from hearth.cli import main
 from hearth.harness.runner import (
     BackendSetup,
@@ -26,6 +27,8 @@ from hearth.memory.scratchpad import Scratchpad
 from hearth.tools.dispatch import MemoryHandles
 from hearth.world.scenario import scenario_hash
 from hearth.world.state import WorldState
+
+from .oracles import prefix_checking_replay
 
 
 def record(tmp_path, backend):
@@ -102,6 +105,86 @@ def test_verdict(recording, edit, divergence):
     else:
         assert report.divergence is not None
         assert report.divergence.startswith(divergence)
+
+
+def change_call_arguments(transcript):
+    """The first move_to goes elsewhere, so its live tool result differs."""
+    turn = next(
+        m for m in transcript.messages
+        if m.tool_calls and m.tool_calls[0]["name"] == "move_to"
+    )
+    turn.tool_calls[0]["arguments"] = {"location": "living_room_table"}
+
+
+def drop_last_turn(transcript):
+    del transcript.messages[-2:]
+
+
+def retemplate_tool_messages(transcript):
+    for message in transcript.messages:
+        if message.role == "tool":
+            message.content = f"Result: {message.content}"
+
+
+def tamper_and_drop_last_turn(transcript):
+    """A differing message in a recording that is also too short: the
+    message, not the length, is named."""
+    tamper_tool_message(transcript)
+    drop_last_turn(transcript)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda transcript: None,
+        tamper_tool_message,
+        add_message,
+        drop_message,
+        change_termination,
+        move_agent,
+        claim_more_tool_calls,
+        claim_failure,
+        change_call_arguments,
+        drop_last_turn,
+        retemplate_tool_messages,
+        tamper_and_drop_last_turn,
+    ],
+    ids=["clean", "message", "extra-message", "missing-message", "termination",
+         "snapshot", "final-tool-calls", "final-believed-status",
+         "call-arguments", "last-turn-dropped", "tool-messages-retemplated",
+         "message-and-last-turn"],
+)
+def test_verdict_equals_prefix_checking_oracle(tmp_path, capsys, recording, edit):
+    """Comparing once, after the run, gives the verdict and exit code of
+    checking the live prefix before every turn, and names the same first
+    differing message."""
+    edit(recording)
+    path = str(tmp_path / "edited.jsonl")
+    recording.write_jsonl(path)
+    expected = prefix_checking_replay(Transcript.read_jsonl(path))
+    divergence = replay_transcript(Transcript.read_jsonl(path)).divergence
+    assert (divergence is None) == (expected is None)
+    assert main(["replay", path]) == (0 if expected is None else 1)
+    capsys.readouterr()
+    named = re.match(r"replay divergence at message index (\d+): live message ", expected or "")
+    if named:
+        assert divergence.startswith(named.group(0))
+        assert " != recorded " in divergence
+
+
+def test_clean_replay_compares_each_message_once(recording, monkeypatch):
+    """A clean optimal t1 replay builds two semantic keys per message, one
+    live and one recorded, and no more."""
+    calls = []
+    key = TranscriptMessage.semantic_key
+
+    def counting(message):
+        calls.append(message.index)
+        return key(message)
+
+    monkeypatch.setattr(TranscriptMessage, "semantic_key", counting)
+    assert replay_transcript(recording) == ReplayReport(30, 14, "end_task")
+    assert len(calls) == 60
 
 
 def test_edited_final_line_fails_replay(tmp_path, capsys):

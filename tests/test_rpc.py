@@ -370,7 +370,7 @@ class TestWireParity:
                 arguments = random_arguments(rng, name)
                 wire = client.tool(name, **arguments)
                 local = dispatch(
-                    ToolCall(name, dict(arguments), call_index=index),
+                    ToolCall(name, dict(arguments)),
                     mirror_world,
                     mirror_handles,
                 )
