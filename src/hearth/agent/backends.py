@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
+from ..tools.dispatch import ToolCall
 from .context import AgentContext
 from .scripts import Script
 from .transcript import Transcript
@@ -22,22 +23,12 @@ class BackendError(RuntimeError):
     backend_error when one escapes."""
 
 
-@dataclass(frozen=True)
-class ProposedCall:
-    call_id: str
-    name: str
-    arguments: dict[str, Any]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"id": self.call_id, "name": self.name, "arguments": self.arguments}
-
-
 @dataclass
 class BackendReply:
     """One backend turn: plain text, tool calls, or both."""
 
     text: str | None = None
-    calls: list[ProposedCall] = field(default_factory=list)
+    calls: list[ToolCall] = field(default_factory=list)
     latency_s: float | None = None
 
 
@@ -82,13 +73,7 @@ class ScriptedBackend:
         name, arguments = item
         self._counter += 1
         return BackendReply(
-            calls=[
-                ProposedCall(
-                    call_id=f"call-{self._counter:04d}",
-                    name=name,
-                    arguments=dict(arguments),
-                )
-            ]
+            calls=[ToolCall(name, dict(arguments), f"call-{self._counter:04d}")]
         )
 
 
@@ -122,8 +107,7 @@ class RecordedReplayBackend:
                 turn.content.removeprefix("[backend error: ").removesuffix("]")
             )
         calls = [
-            ProposedCall(call_id=c["id"], name=c["name"], arguments=c["arguments"])
-            for c in turn.tool_calls or []
+            ToolCall(c["name"], c["arguments"], c["id"]) for c in turn.tool_calls or []
         ]
         return BackendReply(text=turn.content or None, calls=calls)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from ..tools.dispatch import ToolResult
+from ..tools.dispatch import ToolCall, ToolResult
 from ..tools.schemas import TOOL_SCHEMAS
 from .transcript import TranscriptMessage
 
@@ -79,29 +79,24 @@ class AgentContext:
         return self._append(role="assistant", content=text)
 
     def append_assistant_calls(
-        self, calls: list[dict[str, Any]], text: str | None = None
+        self, calls: list[ToolCall], text: str | None = None
     ) -> TranscriptMessage:
-        """Record an assistant turn proposing tool calls.
-
-        Each call dict carries id, name, and arguments.
-        """
+        """Record an assistant turn proposing tool calls."""
         return self._append(
-            role="assistant", content=text or "", tool_calls=[dict(c) for c in calls]
+            role="assistant",
+            content=text or "",
+            tool_calls=[
+                {"id": c.id, "name": c.name, "arguments": c.arguments} for c in calls
+            ],
         )
 
     def append_tool_result(
-        self, call_id: str, name: str, result: ToolResult
+        self, call: ToolCall, result: ToolResult
     ) -> TranscriptMessage:
         return self._append(
             role="tool",
             content=result.message,
-            tool_result={
-                "call_id": call_id,
-                "name": name,
-                "status": result.status,
-                "message": result.message,
-                "machine_payload": result.machine_payload,
-            },
+            tool_result={"call_id": call.id, "name": call.name, **result.to_dict()},
         )
 
     def _window(self) -> list[TranscriptMessage]:

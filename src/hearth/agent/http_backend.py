@@ -17,7 +17,8 @@ from typing import Any, Callable
 
 import requests
 
-from .backends import BackendError, BackendReply, ProposedCall, parse_arguments_json
+from ..tools.dispatch import ToolCall
+from .backends import BackendError, BackendReply, parse_arguments_json
 from .context import AgentContext
 
 TRANSIENT_STATUS = (429, 500, 502, 503, 504)
@@ -115,7 +116,7 @@ class HttpChatBackend:
             message = payload["choices"][0]["message"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed chat completion payload: {exc}") from exc
-        calls: list[ProposedCall] = []
+        calls: list[ToolCall] = []
         for index, call in enumerate(message.get("tool_calls") or []):
             function = call.get("function") or {}
             name = function.get("name")
@@ -123,13 +124,8 @@ class HttpChatBackend:
                 raise BackendError(f"tool call #{index} carries no function name")
             raw_args = function.get("arguments", "{}")
             arguments = parse_arguments_json(raw_args, name)
-            calls.append(
-                ProposedCall(
-                    call_id=call.get("id") or f"call-wire-{index}",
-                    name=name,
-                    arguments=arguments,
-                )
-            )
+            call_id = call.get("id") or f"call-wire-{index}"
+            calls.append(ToolCall(name, arguments, call_id))
         return BackendReply(
             text=message.get("content"), calls=calls, latency_s=latency
         )

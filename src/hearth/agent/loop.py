@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..tools.dispatch import MemoryHandles, ToolCall, ToolResult, dispatch, failure
+from ..tools.dispatch import MemoryHandles, dispatch, failure
 from ..world.state import WorldState
 from .backends import Backend, BackendError
 from .context import AgentContext, build_system_prompt, tool_declarations
@@ -32,7 +32,6 @@ PARALLEL_CALLS_MESSAGE = (
 
 @dataclass
 class TaskRun:
-    task_prompt: str
     termination: str
     believed_status: str | None
     tool_calls: int
@@ -71,7 +70,6 @@ def run_task(
         termination: str, believed: str | None, error: str | None = None
     ) -> TaskRun:
         return TaskRun(
-            task_prompt=task_prompt,
             termination=termination,
             believed_status=believed,
             tool_calls=tool_calls,
@@ -100,21 +98,17 @@ def run_task(
         if len(reply.calls) > 1:
             # Parallel calls are rejected wholesale: every call gets a
             # corrective tool message and none is dispatched.
-            context.append_assistant_calls(
-                [c.to_dict() for c in reply.calls], reply.text
-            )
+            context.append_assistant_calls(reply.calls, reply.text)
             rejection = failure(PARALLEL_CALLS_MESSAGE, cause="parallel-calls")
-            for proposed in reply.calls:
-                context.append_tool_result(proposed.call_id, proposed.name, rejection)
+            for call in reply.calls:
+                context.append_tool_result(call, rejection)
             continue
 
-        proposed = reply.calls[0]
-        context.append_assistant_calls([proposed.to_dict()], reply.text)
-        result: ToolResult = dispatch(
-            ToolCall(proposed.name, proposed.arguments), world, memory
-        )
+        call = reply.calls[0]
+        context.append_assistant_calls([call], reply.text)
+        result = dispatch(call, world, memory)
         tool_calls += 1
-        context.append_tool_result(proposed.call_id, proposed.name, result)
+        context.append_tool_result(call, result)
 
         if result.ok and result.machine_payload.get("terminates"):
             return finish(

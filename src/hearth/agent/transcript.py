@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Any
 
 from ..world.state import WorldState
@@ -22,6 +22,23 @@ MEMORY_FIELDS = ("task_description", "believed_status", "action_summary")
 
 class TranscriptError(ValueError):
     """Raised for malformed or incomplete transcript files."""
+
+
+def _from_fields(cls: type, data: dict[str, Any]) -> Any:
+    """An instance of the dataclass `cls` built from the keys of `data`
+    that name its fields; a field left out takes its default, and one
+    without a default is a KeyError that names it."""
+    return cls(
+        **{
+            name: data[name]
+            for name, f in cls.__dataclass_fields__.items()
+            if name in data or (f.default is MISSING and f.default_factory is MISSING)
+        }
+    )
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_call(call: Any) -> bool:
@@ -45,29 +62,18 @@ class TranscriptMessage:
     tool_result: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {
+        return {
             "type": "message",
-            "index": self.index,
-            "role": self.role,
-            "content": self.content,
+            **{key: value for key, value in vars(self).items() if value is not None},
         }
-        if self.tool_calls is not None:
-            data["tool_calls"] = self.tool_calls
-        if self.tool_result is not None:
-            data["tool_result"] = self.tool_result
-        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TranscriptMessage":
-        """Parse a message line; raises ValueError (or KeyError, TypeError)
-        when replay could not re-emit or compare it."""
-        message = cls(
-            index=int(data["index"]),
-            role=data["role"],
-            content=data["content"],
-            tool_calls=data.get("tool_calls"),
-            tool_result=data.get("tool_result"),
-        )
+        """Parse a message line; raises ValueError (or KeyError) when
+        replay could not re-emit or compare it."""
+        message = _from_fields(cls, data)
+        if not _is_int(message.index):
+            raise ValueError(f"index must be an integer: {message.index!r}")
         if not isinstance(message.role, str) or not isinstance(message.content, str):
             raise ValueError("role and content must be strings")
         if message.tool_calls is not None and not (
@@ -118,19 +124,7 @@ class TranscriptHeader:
     initial_memories: list[dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "header",
-            "scenario": self.scenario,
-            "scenario_hash": self.scenario_hash,
-            "prompt_version": self.prompt_version,
-            "model_id": self.model_id,
-            "task_id": self.task_id,
-            "task_prompt": self.task_prompt,
-            "seed": self.seed,
-            "memory_enabled": self.memory_enabled,
-            "initial_memories": self.initial_memories,
-            "initial_world": self.initial_world,
-        }
+        return {"type": "header", **vars(self)}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TranscriptHeader":
@@ -144,44 +138,37 @@ class TranscriptHeader:
                 if not isinstance(memory.get(key), str):
                     raise ValueError(f"initial memory lacks '{key}': {memory!r}")
         WorldState.from_dict(data["initial_world"])
-        return cls(
-            scenario=data["scenario"],
-            scenario_hash=data["scenario_hash"],
-            prompt_version=data["prompt_version"],
-            model_id=data["model_id"],
-            task_id=data["task_id"],
-            task_prompt=data["task_prompt"],
-            seed=data.get("seed"),
-            memory_enabled=data.get("memory_enabled", True),
-            initial_memories=initial_memories,
-            initial_world=data["initial_world"],
-        )
+        return _from_fields(cls, data)
 
 
 @dataclass
 class TranscriptFinal:
     termination: str
-    believed_status: str | None
     tool_calls: int
     snapshot: dict[str, Any]
+    believed_status: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "final",
-            "termination": self.termination,
-            "believed_status": self.believed_status,
-            "tool_calls": self.tool_calls,
-            "snapshot": self.snapshot,
-        }
+        return {"type": "final", **vars(self)}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TranscriptFinal":
-        return cls(
-            termination=data["termination"],
-            believed_status=data.get("believed_status"),
-            tool_calls=int(data["tool_calls"]),
-            snapshot=data["snapshot"],
-        )
+        """Parse a final line; raises ValueError (or KeyError) when a field
+        replay compares has the wrong type."""
+        final = _from_fields(cls, data)
+        if not isinstance(final.termination, str):
+            raise ValueError(f"termination must be a string: {final.termination!r}")
+        if not _is_int(final.tool_calls):
+            raise ValueError(f"tool_calls must be an integer: {final.tool_calls!r}")
+        if not isinstance(final.snapshot, dict):
+            raise ValueError(f"snapshot must be an object: {final.snapshot!r}")
+        if final.believed_status is not None and not isinstance(
+            final.believed_status, str
+        ):
+            raise ValueError(
+                f"believed_status must be a string or null: {final.believed_status!r}"
+            )
+        return final
 
 
 @dataclass

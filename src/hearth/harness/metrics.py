@@ -12,8 +12,8 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from dataclasses import asdict, dataclass, field
+from typing import Iterable
 
 from .runner import TrialRecord
 from .tasks import EvaluationError
@@ -47,26 +47,10 @@ class GroupMetrics:
     confusion: list[list[int]]
     by_memory_size: dict[int, dict[str, float]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "task_id": self.task_id,
-            "model_id": self.model_id,
-            "trials": self.trials,
-            "success_rate": self.success_rate,
-            "mean_tool_calls": self.mean_tool_calls,
-            "confusion": self.confusion,
-            "by_memory_size": {
-                str(size): dict(stats) for size, stats in self.by_memory_size.items()
-            },
-        }
-
 
 @dataclass
 class MetricsReport:
     groups: list[GroupMetrics]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"groups": [group.to_dict() for group in self.groups]}
 
     def group(self, task_id: str, model_id: str) -> GroupMetrics:
         for group in self.groups:
@@ -132,7 +116,8 @@ def compute_metrics(
 
 
 def render_json(report: MetricsReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    # json writes by_memory_size's int keys as strings, sorted as ints.
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
 
 
 def render_csv(report: MetricsReport) -> str:

@@ -56,6 +56,20 @@ def _plan_field(
         raise ValueError(f"plan field '{name}' has the wrong type: {value!r}") from None
 
 
+def _typed(*types: type) -> Callable[[Any], Any]:
+    """A `_plan_field` conversion that passes a value of one of `types`
+    as it is (a bool only where bool is listed) and rejects any other."""
+
+    def check(value: Any) -> Any:
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types
+        ):
+            raise TypeError(value)
+        return value
+
+    return check
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Config for one batch: which tasks, which backend, how many trials."""
@@ -117,19 +131,22 @@ class ExperimentPlan:
         )
         if max_tool_calls < 1:
             raise ValueError("max_tool_calls must be >= 1")
+        optional_str = _typed(str, type(None))
         return cls(
-            name=data["name"],
+            name=_plan_field(data, "name", _typed(str)),
             tasks=tasks,
             backend=data["backend"],
             trials=trials,
             memory_sizes=memory_sizes,
-            scenario_path=data.get("scenario_path"),
-            seed=data.get("seed"),
-            output_dir=data.get("output_dir"),
+            scenario_path=_plan_field(data, "scenario_path", optional_str),
+            seed=_plan_field(data, "seed", _typed(int, type(None))),
+            output_dir=_plan_field(data, "output_dir", optional_str),
             parallelism=parallelism,
-            exclude_backend_errors=bool(data.get("exclude_backend_errors", False)),
+            exclude_backend_errors=_plan_field(
+                data, "exclude_backend_errors", _typed(bool), False
+            ),
             max_tool_calls=max_tool_calls,
-            memory_enabled=bool(data.get("memory_enabled", True)),
+            memory_enabled=_plan_field(data, "memory_enabled", _typed(bool), True),
         )
 
     @classmethod

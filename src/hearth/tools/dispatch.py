@@ -31,8 +31,12 @@ STATUS_FAILURE = "failure"
 
 @dataclass(frozen=True)
 class ToolCall:
+    """One proposed call, from the backend that proposes it to dispatch;
+    `id` links the call to the tool message that answers it."""
+
     name: str
     arguments: dict[str, Any] = field(default_factory=dict)
+    id: str = ""
 
 
 @dataclass(frozen=True)
@@ -46,11 +50,7 @@ class ToolResult:
         return self.status == STATUS_SUCCESS
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "status": self.status,
-            "message": self.message,
-            "machine_payload": self.machine_payload,
-        }
+        return dict(vars(self))
 
 
 @dataclass

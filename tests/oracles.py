@@ -12,7 +12,10 @@ records' embeddings come from `dense_embed` of their descriptions, never
 from the store under test. The prefix-checking replay is replay as it was
 before it compared once: before every turn its backend checks that the
 live context is a prefix of the recording, and only a run that got to
-its end is compared with the recording as a whole.
+its end is compared with the recording as a whole. The line-format
+oracle is the hand-written serializers each record once had: one dict
+per transcript line, tool call, tool result and metrics group, with
+every field named.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import random
 
 import jsonschema
 
-from hearth.agent.backends import BackendError, BackendReply, ProposedCall
+from hearth.agent.backends import BackendError, BackendReply
 from hearth.agent.context import PROMPT_VERSION
 from hearth.agent.loop import TERMINATION_STEP_LIMIT, run_task
 from hearth.agent.transcript import Transcript, TranscriptFinal, TranscriptHeader
@@ -33,7 +36,7 @@ from hearth.harness.tasks import TASKS
 from hearth.memory.embedding import EMBEDDING_DIM, _stable_hash_64, tokenize
 from hearth.memory.episodic import EpisodicRecord, EpisodicStore
 from hearth.memory.scratchpad import Scratchpad
-from hearth.tools.dispatch import MemoryHandles
+from hearth.tools.dispatch import MemoryHandles, ToolCall
 from hearth.world.scenario import (
     SCENARIO_SCHEMA,
     default_scenario_data,
@@ -324,7 +327,7 @@ class PrefixCheckingReplayBackend:
                 upcoming.content.removeprefix("[backend error: ").removesuffix("]")
             )
         calls = [
-            ProposedCall(call["id"], call["name"], call["arguments"])
+            ToolCall(call["name"], call["arguments"], call["id"])
             for call in upcoming.tool_calls or []
         ]
         return BackendReply(text=upcoming.content or None, calls=calls)
@@ -376,3 +379,81 @@ def prefix_checking_replay(transcript: Transcript) -> str | None:
     except ReplayDivergence as exc:
         return str(exc)
     return _whole_run_divergence(live, transcript)
+
+
+def header_dict(header) -> dict:
+    return {
+        "type": "header",
+        "scenario": header.scenario,
+        "scenario_hash": header.scenario_hash,
+        "prompt_version": header.prompt_version,
+        "model_id": header.model_id,
+        "task_id": header.task_id,
+        "task_prompt": header.task_prompt,
+        "seed": header.seed,
+        "memory_enabled": header.memory_enabled,
+        "initial_memories": header.initial_memories,
+        "initial_world": header.initial_world,
+    }
+
+
+def message_dict(message) -> dict:
+    data = {
+        "type": "message",
+        "index": message.index,
+        "role": message.role,
+        "content": message.content,
+    }
+    if message.tool_calls is not None:
+        data["tool_calls"] = message.tool_calls
+    if message.tool_result is not None:
+        data["tool_result"] = message.tool_result
+    return data
+
+
+def final_dict(final) -> dict:
+    return {
+        "type": "final",
+        "termination": final.termination,
+        "believed_status": final.believed_status,
+        "tool_calls": final.tool_calls,
+        "snapshot": final.snapshot,
+    }
+
+
+def call_dict(call) -> dict:
+    """A proposed call as an assistant message lists it."""
+    return {"id": call.id, "name": call.name, "arguments": call.arguments}
+
+
+def result_dict(result) -> dict:
+    return {
+        "status": result.status,
+        "message": result.message,
+        "machine_payload": result.machine_payload,
+    }
+
+
+def tool_result_entry(call, result) -> dict:
+    """The `tool_result` of the tool message that answers `call`."""
+    return {"call_id": call.id, "name": call.name, **result_dict(result)}
+
+
+def group_dict(group) -> dict:
+    return {
+        "task_id": group.task_id,
+        "model_id": group.model_id,
+        "trials": group.trials,
+        "success_rate": group.success_rate,
+        "mean_tool_calls": group.mean_tool_calls,
+        "confusion": group.confusion,
+        "by_memory_size": {
+            str(size): dict(stats) for size, stats in group.by_memory_size.items()
+        },
+    }
+
+
+def metrics_json(report) -> str:
+    """metrics.json as the hand-written report dict rendered it."""
+    data = {"groups": [group_dict(group) for group in report.groups]}
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"

@@ -7,7 +7,6 @@ import pytest
 from hearth.agent.backends import (
     BackendError,
     BackendReply,
-    ProposedCall,
     ScriptedBackend,
 )
 from hearth.agent.context import (
@@ -41,6 +40,7 @@ from hearth.agent.transcript import (
     TranscriptHeader,
 )
 from hearth.harness.tasks import check_t1, check_t2
+from hearth.tools.dispatch import ToolCall
 from hearth.tools.schemas import TOOL_SCHEMAS
 from hearth.world.scenario import default_scenario_data, scenario_hash
 from hearth.world.state import canonical_json, snapshot
@@ -97,8 +97,7 @@ class TestAgentContext:
     def test_wire_format_for_tool_calls(self):
         context = self.make()
         context.append_assistant_calls(
-            [{"id": "call-1", "name": "grab", "arguments": {"object": "mug"}}],
-            "grabbing now",
+            [ToolCall("grab", {"object": "mug"}, "call-1")], "grabbing now"
         )
         wire = context.to_chat_messages()
         last = wire[-1]
@@ -114,10 +113,9 @@ class TestAgentContext:
         from hearth.tools.dispatch import success
 
         for i in range(110):
-            context.append_assistant_calls(
-                [{"id": f"call-{i}", "name": "look_around", "arguments": {}}]
-            )
-            context.append_tool_result(f"call-{i}", "look_around", success(f"obs {i}"))
+            look = ToolCall("look_around", {}, f"call-{i}")
+            context.append_assistant_calls([look])
+            context.append_tool_result(look, success(f"obs {i}"))
         assert len(context.messages) == 222 > MESSAGE_BUDGET == 200
 
         window = context.to_chat_messages()
@@ -191,8 +189,8 @@ class TestDetectRefusal:
                 if self.turn == 10:
                     return BackendReply(
                         calls=[
-                            ProposedCall("call-a", "look_around", {}),
-                            ProposedCall("call-b", "look_around", {}),
+                            ToolCall("look_around", {}, "call-a"),
+                            ToolCall("look_around", {}, "call-b"),
                         ]
                     )
                 return BackendReply(text="hmm")
@@ -298,16 +296,19 @@ class TestTerminations:
         assert run.tool_calls == 2
 
     def test_backend_error_terminates_the_run(self, world, handles):
-        class Exploding:
-            def next_action(self, context, declarations):
-                raise BackendError("socket burned down")
-
         run = run_task(world, handles, Exploding(), "do anything")
         assert run.termination == TERMINATION_BACKEND_ERROR
         assert run.error == "socket burned down"
         assert run.believed_status is None
         assert run.messages[-1].content == "[backend error: socket burned down]"
         assert run.tool_calls == 0
+
+
+class Exploding:
+    """Backend whose transport fails on the first turn."""
+
+    def next_action(self, context, declarations):
+        raise BackendError("socket burned down")
 
 
 class ParallelThenEnd:
@@ -322,21 +323,21 @@ class ParallelThenEnd:
             return BackendReply(
                 text="doing two things at once",
                 calls=[
-                    ProposedCall("call-a", "grab", {"object": "mug"}),
-                    ProposedCall("call-b", "look_around", {}),
+                    ToolCall("grab", {"object": "mug"}, "call-a"),
+                    ToolCall("look_around", {}, "call-b"),
                 ],
             )
         return BackendReply(
             text=None,
             calls=[
-                ProposedCall(
-                    "call-c",
+                ToolCall(
                     "end_task",
                     {
                         "task_description": "exercise parallel rejection",
                         "status": "failed",
                         "action_summary": "calls were rejected",
                     },
+                    "call-c",
                 )
             ],
         )

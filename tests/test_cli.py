@@ -558,7 +558,8 @@ def http_config_5(command):
     return argv
 
 
-# Line 4 of t1's transcript is its first assistant turn with a tool call.
+# Line 4 of t1's transcript is its first assistant turn with a tool call;
+# line 32 is its final line.
 MALFORMED_INPUTS = {
     "baseline-not-an-object": (
         bad_baseline(lambda b: 5), "must be a JSON object"),
@@ -598,6 +599,27 @@ MALFORMED_INPUTS = {
     "tool-result-not-an-object": (
         bad_transcript_line(5, lambda d: d.update(tool_result=5)),
         ":5: malformed message line: tool_result"),
+    "message-index-float": (
+        bad_transcript_line(3, lambda d: d.update(index=2.9)),
+        ":3: malformed message line: index must be an integer: 2.9"),
+    "message-index-bool": (
+        bad_transcript_line(3, lambda d: d.update(index=True)),
+        ":3: malformed message line: index must be an integer: True"),
+    "final-tool-calls-float": (
+        bad_transcript_line(32, lambda d: d.update(tool_calls=14.9)),
+        ":32: malformed final line: tool_calls must be an integer: 14.9"),
+    "final-tool-calls-bool": (
+        bad_transcript_line(32, lambda d: d.update(tool_calls=True)),
+        ":32: malformed final line: tool_calls must be an integer: True"),
+    "final-termination-5": (
+        bad_transcript_line(32, lambda d: d.update(termination=5)),
+        ":32: malformed final line: termination must be a string: 5"),
+    "final-believed-status-5": (
+        bad_transcript_line(32, lambda d: d.update(believed_status=5)),
+        ":32: malformed final line: believed_status must be a string or null: 5"),
+    "final-snapshot-5": (
+        bad_transcript_line(32, lambda d: d.update(snapshot=5)),
+        ":32: malformed final line: snapshot must be an object: 5"),
     "plan-tasks-5": (bad_plan(tasks=5), "plan field 'tasks'"),
     "plan-task-not-a-string": (bad_plan(tasks=[["t1"]]), "unknown task"),
     "plan-trials-null": (bad_plan(trials=None), "plan field 'trials'"),
@@ -607,6 +629,17 @@ MALFORMED_INPUTS = {
     "plan-parallelism-list": (bad_plan(parallelism=[2]), "plan field 'parallelism'"),
     "plan-max-tool-calls-object": (
         bad_plan(max_tool_calls={}), "plan field 'max_tool_calls'"),
+    "plan-output-dir-5": (bad_plan(output_dir=5), "plan field 'output_dir'"),
+    "plan-scenario-path-list": (
+        bad_plan(scenario_path=["x"]), "plan field 'scenario_path'"),
+    "plan-name-5": (bad_plan(name=5), "plan field 'name'"),
+    "plan-seed-string": (bad_plan(seed="7"), "plan field 'seed'"),
+    "plan-seed-bool": (bad_plan(seed=True), "plan field 'seed'"),
+    "plan-exclude-backend-errors-string": (
+        bad_plan(exclude_backend_errors="false"),
+        "plan field 'exclude_backend_errors'"),
+    "plan-memory-enabled-string": (
+        bad_plan(memory_enabled="false"), "plan field 'memory_enabled'"),
     "run-http-config-5": (
         http_config_5("run"), "backend config must be a JSON object"),
     "plan-http-config-5": (

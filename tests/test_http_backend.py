@@ -93,7 +93,7 @@ class TestWireParsing:
         assert reply.text == "on it"
         assert len(reply.calls) == 1
         proposed = reply.calls[0]
-        assert (proposed.call_id, proposed.name) == ("call-7", "grab")
+        assert (proposed.id, proposed.name) == ("call-7", "grab")
         assert proposed.arguments == {"object": "mug"}
         assert session.requests[0]["url"] == "http://api.test/v1/chat/completions"
 
@@ -111,7 +111,7 @@ class TestWireParsing:
             [PlannedResponse(200, completion(tool_calls=calls))]
         )
         reply = backend.next_action(fresh_context(), tool_declarations())
-        assert reply.calls[0].call_id == "call-wire-0"
+        assert reply.calls[0].id == "call-wire-0"
 
     def test_request_body_shape(self):
         backend, session, _ = make_backend([PlannedResponse(200, completion("ok"))])
