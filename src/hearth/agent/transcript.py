@@ -19,6 +19,11 @@ from ..world.state import WorldState
 # The fields replay needs to re-add a header memory to a fresh store.
 MEMORY_FIELDS = ("task_description", "believed_status", "action_summary")
 
+# Header fields that must be strings.
+_HEADER_TEXT_FIELDS = (
+    "scenario_hash", "prompt_version", "model_id", "task_id", "task_prompt"
+)
+
 
 class TranscriptError(ValueError):
     """Raised for malformed or incomplete transcript files."""
@@ -129,7 +134,8 @@ class TranscriptHeader:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TranscriptHeader":
         """Parse a header line; raises ValueError (or KeyError, TypeError)
-        when replay could not rebuild its world or its memories."""
+        when replay could not rebuild its world or its memories, or when a
+        field has the wrong type."""
         initial_memories = data.get("initial_memories", [])
         for memory in initial_memories:
             if not isinstance(memory, dict):
@@ -138,7 +144,20 @@ class TranscriptHeader:
                 if not isinstance(memory.get(key), str):
                     raise ValueError(f"initial memory lacks '{key}': {memory!r}")
         WorldState.from_dict(data["initial_world"])
-        return _from_fields(cls, data)
+        header = _from_fields(cls, data)
+        for name in _HEADER_TEXT_FIELDS:
+            value = getattr(header, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string: {value!r}")
+        if not isinstance(header.scenario, dict):
+            raise ValueError(f"scenario must be an object: {header.scenario!r}")
+        if header.seed is not None and not _is_int(header.seed):
+            raise ValueError(f"seed must be an integer or null: {header.seed!r}")
+        if not isinstance(header.memory_enabled, bool):
+            raise ValueError(
+                f"memory_enabled must be a boolean: {header.memory_enabled!r}"
+            )
+        return header
 
 
 @dataclass

@@ -96,7 +96,8 @@ class ExperimentPlan:
         for required in ("name", "tasks", "backend"):
             if required not in data:
                 raise ValueError(f"plan is missing required field '{required}'")
-        tasks = _plan_field(data, "tasks", tuple)
+        integer, a_list = _typed(int), _typed(list)
+        tasks = tuple(_plan_field(data, "tasks", a_list))
         if not tasks:
             raise ValueError("plan must name at least one task")
         for position, task_id in enumerate(tasks):
@@ -108,11 +109,13 @@ class ExperimentPlan:
                     f"task '{task_id}' requires '{task.prerequisite}' earlier "
                     f"in the task list"
                 )
-        trials = _plan_field(data, "trials", int, 1)
+        trials = _plan_field(data, "trials", integer, 1)
         if trials < 1:
             raise ValueError("trials must be >= 1")
         memory_sizes = _plan_field(
-            data, "memory_sizes", lambda v: v if v is None else tuple(map(int, v))
+            data,
+            "memory_sizes",
+            lambda v: v if v is None else tuple(map(integer, a_list(v))),
         )
         if memory_sizes is not None:
             bad = [m for m in memory_sizes if m not in VALID_MEMORY_SIZES]
@@ -123,11 +126,11 @@ class ExperimentPlan:
             repeated = sorted({m for m in memory_sizes if memory_sizes.count(m) > 1})
             if repeated:
                 raise ValueError(f"memory_sizes lists {repeated} more than once")
-        parallelism = _plan_field(data, "parallelism", int, 1)
+        parallelism = _plan_field(data, "parallelism", integer, 1)
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         max_tool_calls = _plan_field(
-            data, "max_tool_calls", int, DEFAULT_MAX_TOOL_CALLS
+            data, "max_tool_calls", integer, DEFAULT_MAX_TOOL_CALLS
         )
         if max_tool_calls < 1:
             raise ValueError("max_tool_calls must be >= 1")

@@ -30,6 +30,28 @@ def _stable_hash_64(token: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+# The bucket of each token seen before, so a load, whose descriptions
+# reuse a small vocabulary, digests each distinct token once. The RPC
+# server embeds text clients send, so the memo is bounded in bytes as
+# well as entries: a long token is never kept, and a full memo is cleared.
+# Threads share it without a lock: an entry is a pure function of its
+# token, so a race can only let the memo pass its cap by a few entries
+# until the next miss clears it.
+_MEMO: dict[str, int] = {}
+_MEMO_CAP = 4096
+_MEMO_TOKEN_MAX = 32
+
+
+def _digest_bucket(token: str) -> int:
+    """The bucket of a token the memo lacks, kept there if it is short."""
+    bucket = _stable_hash_64(token) % EMBEDDING_DIM
+    if len(token) <= _MEMO_TOKEN_MAX:
+        if len(_MEMO) >= _MEMO_CAP:
+            _MEMO.clear()
+        _MEMO[token] = bucket
+    return bucket
+
+
 @dataclass(frozen=True, slots=True)
 class SparseVector:
     """A vector as its non-zero buckets in ascending order, and its norm.
@@ -65,14 +87,19 @@ class HashedEmbedder:
     def embed_sparse(self, text: str) -> SparseVector:
         counts: dict[int, float] = {}
         for token in tokenize(text):
-            bucket = _stable_hash_64(token) % EMBEDDING_DIM
+            bucket = _MEMO.get(token)
+            if bucket is None:
+                bucket = _digest_bucket(token)
             counts[bucket] = counts.get(bucket, 0.0) + 1.0
         if not counts:
             return SparseVector((0,), (1.0,), 1.0)
-        buckets = tuple(sorted(counts))
-        norm = math.sqrt(sum(counts[b] * counts[b] for b in buckets))
-        values = tuple(counts[b] / norm for b in buckets)
-        return SparseVector(buckets, values, math.sqrt(sum(map(mul, values, values))))
+        buckets = sorted(counts)
+        tallies = list(map(counts.__getitem__, buckets))
+        norm = math.sqrt(sum(map(mul, tallies, tallies)))
+        values = tuple(map(norm.__rtruediv__, tallies))
+        return SparseVector(
+            tuple(buckets), values, math.sqrt(sum(map(mul, values, values)))
+        )
 
     def embed(self, text: str) -> list[float]:
         return self.embed_sparse(text).dense()

@@ -10,13 +10,16 @@ the store is durable: every record is flushed and fsynced before `add`
 returns. The file holds one JSON line of text fields per record; the
 embedding is a pure function of `task_description`, so it is not stored
 but rebuilt on load. An `embedding` in a line written by an older
-version is ignored.
+version is ignored. A crash inside `add` can leave a torn last line, with
+no line end and no whole JSON value; the load drops it with a warning
+and truncates the file to the line before.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -33,6 +36,28 @@ _TEXT_FIELDS = ("id", "task_description", "action_summary", "model_id")
 
 class PersistenceError(RuntimeError):
     """Raised when the backing file cannot be read or written."""
+
+
+def _is_torn(line: str) -> bool:
+    """Whether a last line is what a crash inside `add` leaves behind: no
+    line end, and not a whole JSON value."""
+    if line.endswith(("\n", "\r")) or not line.strip():
+        return False
+    try:
+        json.loads(line)
+    except json.JSONDecodeError:
+        return True
+    return False
+
+
+def _cut_torn_tail(path: str, tail: str, number: int) -> None:
+    """Drop a torn last line, line `number`, with a warning; truncate the
+    file to the line before, so the next `add` starts a line of its own."""
+    print(f"warning: dropped torn last line at {path}:{number}", file=sys.stderr)
+    try:
+        os.truncate(path, os.path.getsize(path) - len(tail.encode("utf-8")))
+    except OSError as exc:
+        raise PersistenceError(f"cannot truncate store '{path}': {exc}") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,10 +97,14 @@ class EpisodicStore:
 
     def _load(self, path: str) -> None:
         try:
-            with open(path, encoding="utf-8") as handle:
+            # newline="" keeps each line's bytes, so a torn tail's size is
+            # the number of bytes to cut.
+            with open(path, encoding="utf-8", newline="") as handle:
                 lines = handle.readlines()
         except OSError as exc:
             raise PersistenceError(f"cannot read store '{path}': {exc}") from exc
+        if lines and _is_torn(lines[-1]):
+            _cut_torn_tail(path, lines.pop(), len(lines) + 1)
         for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:

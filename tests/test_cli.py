@@ -640,6 +640,53 @@ MALFORMED_INPUTS = {
         "plan field 'exclude_backend_errors'"),
     "plan-memory-enabled-string": (
         bad_plan(memory_enabled="false"), "plan field 'memory_enabled'"),
+    "plan-trials-float": (
+        bad_plan(trials=2.9), "plan field 'trials' has the wrong type: 2.9"),
+    "plan-trials-bool": (
+        bad_plan(trials=True), "plan field 'trials' has the wrong type: True"),
+    "plan-tasks-string": (
+        bad_plan(tasks="t1"), "plan field 'tasks' has the wrong type: 't1'"),
+    "plan-memory-sizes-string": (
+        bad_plan(memory_sizes="01"),
+        "plan field 'memory_sizes' has the wrong type: '01'"),
+    "plan-memory-size-float": (
+        bad_plan(memory_sizes=[1.0]),
+        "plan field 'memory_sizes' has the wrong type: [1.0]"),
+    "plan-memory-size-bool": (
+        bad_plan(memory_sizes=[False]),
+        "plan field 'memory_sizes' has the wrong type: [False]"),
+    "plan-parallelism-float": (
+        bad_plan(parallelism=2.5), "plan field 'parallelism' has the wrong type: 2.5"),
+    "plan-max-tool-calls-bool": (
+        bad_plan(max_tool_calls=True),
+        "plan field 'max_tool_calls' has the wrong type: True"),
+    "header-task-prompt-5": (
+        bad_transcript_line(1, lambda d: d.update(task_prompt=5)),
+        ":1: malformed header line: task_prompt must be a string: 5"),
+    "header-model-id-5": (
+        bad_transcript_line(1, lambda d: d.update(model_id=5)),
+        ":1: malformed header line: model_id must be a string: 5"),
+    "header-task-id-list": (
+        bad_transcript_line(1, lambda d: d.update(task_id=["t1"])),
+        ":1: malformed header line: task_id must be a string: ['t1']"),
+    "header-scenario-hash-null": (
+        bad_transcript_line(1, lambda d: d.update(scenario_hash=None)),
+        ":1: malformed header line: scenario_hash must be a string: None"),
+    "header-prompt-version-5": (
+        bad_transcript_line(1, lambda d: d.update(prompt_version=5)),
+        ":1: malformed header line: prompt_version must be a string: 5"),
+    "header-scenario-5": (
+        bad_transcript_line(1, lambda d: d.update(scenario=5)),
+        ":1: malformed header line: scenario must be an object: 5"),
+    "header-seed-string": (
+        bad_transcript_line(1, lambda d: d.update(seed="x")),
+        ":1: malformed header line: seed must be an integer or null: 'x'"),
+    "header-seed-bool": (
+        bad_transcript_line(1, lambda d: d.update(seed=True)),
+        ":1: malformed header line: seed must be an integer or null: True"),
+    "header-memory-enabled-string": (
+        bad_transcript_line(1, lambda d: d.update(memory_enabled="false")),
+        ":1: malformed header line: memory_enabled must be a boolean: 'false'"),
     "run-http-config-5": (
         http_config_5("run"), "backend config must be a JSON object"),
     "plan-http-config-5": (

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hearth.memory.embedding import EMBEDDING_DIM, HashedEmbedder, tokenize
+from hearth.memory import embedding
+from hearth.memory.embedding import (
+    EMBEDDING_DIM,
+    HashedEmbedder,
+    SparseVector,
+    _stable_hash_64,
+    tokenize,
+)
 from hearth.memory.episodic import EpisodicStore, PersistenceError
 from hearth.memory.scratchpad import Scratchpad
 
@@ -42,6 +49,16 @@ STORE_FIELDS = {
 
 def norm(vector):
     return math.sqrt(sum(v * v for v in vector))
+
+
+def oracle_vector(text):
+    """The dense oracle's embedding as a SparseVector: its non-zero
+    buckets in ascending order, and its norm summed in bucket order."""
+    dense = dense_embed(text)
+    buckets = tuple(i for i, value in enumerate(dense) if value)
+    return SparseVector(
+        buckets, tuple(dense[i] for i in buckets), math.sqrt(sum(v * v for v in dense))
+    )
 
 
 def text_line(record):
@@ -244,6 +261,56 @@ class TestPersistence:
                 EpisodicStore(path=str(path))
             assert str(info.value) == f"corrupt record at {path}:2: {error}"
 
+    def test_torn_last_line_is_dropped_and_cut(self, tmp_path, capsys):
+        """A crash inside `add` leaves a last line with no line end that is
+        not whole JSON: the load drops it with a one-line warning and cuts
+        the file back, so the next add starts a clean line."""
+        path = tmp_path / "store.jsonl"
+        store = EpisodicStore(path=str(path))
+        for i in range(3):
+            store.add(f"put the mug away round {i}", "succeeded", "x")
+        good = path.read_text()
+        store.add("swap the mug and cube", "failed", "y")
+        line = path.read_text()[len(good):]
+        for cut in range(1, len(line) - 1):
+            path.write_text(good + line[:cut])
+            capsys.readouterr()
+            torn = EpisodicStore(path=str(path))
+            assert capsys.readouterr().err == (
+                f"warning: dropped torn last line at {path}:4\n"
+            )
+            assert path.read_text() == good
+            assert torn.records == store.records[:3]
+            assert torn.add("stack the boxes", "succeeded", "z") == "mem-000004"
+            reloaded = EpisodicStore(path=str(path))
+            assert capsys.readouterr().err == ""
+            assert reloaded.records == torn.records
+            assert reloaded.records[-1].task_description == "stack the boxes"
+
+    def test_only_a_torn_last_line_is_dropped(self, tmp_path, capsys):
+        """Corruption anywhere else stops the load, as does a last line
+        that ends its line, or one that is whole JSON but no record."""
+        path = tmp_path / "store.jsonl"
+        store = EpisodicStore(path=str(path))
+        store.add("put the mug away", "succeeded", "x")
+        good = path.read_text()
+        for text, number in [
+            (good + '{"id": "mem-0\n' + good, 2),
+            (good + '{"id": "mem-0\n', 2),
+            (good + "5", 2),
+            ('{"id": "mem-0\n' + good.rstrip("\n"), 1),
+        ]:
+            path.write_text(text)
+            with pytest.raises(PersistenceError) as info:
+                EpisodicStore(path=str(path))
+            assert str(info.value).startswith(f"corrupt record at {path}:{number}: ")
+            assert path.read_text() == text
+        # A whole last record without its line end is kept as it is.
+        path.write_text(good.rstrip("\n"))
+        assert EpisodicStore(path=str(path)).records == store.records
+        assert path.read_text() == good.rstrip("\n")
+        assert capsys.readouterr().err == ""
+
     def test_duplicate_id_rejected_on_load(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = EpisodicStore(path=str(path))
@@ -400,6 +467,68 @@ class TestDensePath:
         assert path.read_text().splitlines(keepends=True) == want
         assert all(set(json.loads(line)) == STORE_FIELDS for line in want)
         assert EpisodicStore(path=str(path)).records == store.records
+
+
+class TestBucketMemo:
+    """The token-to-bucket memo against the dense oracle, with `==`: cold,
+    warm, through evictions, and for tokens too long to keep."""
+
+    LONG = ["x" * (embedding._MEMO_TOKEN_MAX + 1), "mug" * 40, "a1" * 17]
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_MEMO", {})
+
+    def texts(self, seed, count=150):
+        rng = random.Random(seed)
+        words = VOCAB + self.LONG + [f"w{i}" for i in range(60)] + ["!", "MUG"]
+        return [" ".join(rng.choices(words, k=rng.randint(0, 14))) for _ in range(count)]
+
+    def check(self, texts, tmp_path=None):
+        """Every embedding equals the oracle's, and so does every search of
+        a store of the texts, in memory and, with a path, reloaded."""
+        embedder = HashedEmbedder()
+        path = None if tmp_path is None else str(tmp_path / "store.jsonl")
+        store = EpisodicStore(path=path)
+        for text in texts:
+            assert embedder.embed_sparse(text) == oracle_vector(text), text
+            assert len(embedding._MEMO) <= embedding._MEMO_CAP
+            if text.strip():
+                store.add(text, "succeeded", "s")
+        stores = [store]
+        if tmp_path is not None:
+            embedding._MEMO.clear()
+            stores.append(EpisodicStore(path=path))
+            assert stores[1].records == store.records
+        rng = random.Random(len(texts))
+        for query in rng.sample(texts, 25):
+            floor = rng.choice([-1.0, 0.0, 0.2])
+            want = dense_search(store.records, query, 5, floor)
+            for searched in stores:
+                got = searched.search(query, k=5, floor=floor)
+                assert [(r.id, sim) for r, sim in got] == want
+        for token, bucket in embedding._MEMO.items():
+            assert bucket == _stable_hash_64(token) % EMBEDDING_DIM
+
+    def test_cold_and_warm(self, tmp_path):
+        texts = self.texts(1)
+        self.check(texts, tmp_path)
+        assert set(embedding._MEMO) == {
+            t for text in texts for t in tokenize(text) if t not in self.LONG
+        }
+        self.check(texts)
+
+    def test_evictions_keep_results_and_the_cap(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(embedding, "_MEMO_CAP", 7)
+        self.check(self.texts(2), tmp_path)
+        self.check(self.texts(3))
+
+    def test_long_tokens_are_embedded_but_not_kept(self):
+        texts = [" ".join(self.LONG), *self.texts(4)]
+        self.check(texts)
+        self.check(texts)
+        assert not set(self.LONG) & set(embedding._MEMO)
+        assert max(map(len, embedding._MEMO)) <= embedding._MEMO_TOKEN_MAX
 
 
 class TestScratchpad:
