@@ -17,6 +17,7 @@ from typing import Any, Callable
 
 import requests
 
+from ..jsonio import FieldError, from_json
 from ..tools.dispatch import ToolCall
 from .backends import BackendError, BackendReply, parse_arguments_json
 from .context import AgentContext
@@ -37,15 +38,15 @@ class HttpBackendConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "HttpBackendConfig":
-        if not isinstance(data, dict):
-            raise ValueError(f"backend config must be a JSON object, got {data!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown backend config fields: {sorted(unknown)}")
         if "base_url" not in data or "model" not in data:
             raise ValueError("backend config requires base_url and model")
-        return cls(**data)
+        try:
+            return from_json(cls, data)
+        except FieldError as exc:
+            raise ValueError(f"backend config: {exc}") from None
 
 
 class HttpChatBackend:

@@ -11,39 +11,18 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
+from ..jsonio import from_json
 from ..world.state import WorldState
 
 # The fields replay needs to re-add a header memory to a fresh store.
 MEMORY_FIELDS = ("task_description", "believed_status", "action_summary")
 
-# Header fields that must be strings.
-_HEADER_TEXT_FIELDS = (
-    "scenario_hash", "prompt_version", "model_id", "task_id", "task_prompt"
-)
-
 
 class TranscriptError(ValueError):
     """Raised for malformed or incomplete transcript files."""
-
-
-def _from_fields(cls: type, data: dict[str, Any]) -> Any:
-    """An instance of the dataclass `cls` built from the keys of `data`
-    that name its fields; a field left out takes its default, and one
-    without a default is a KeyError that names it."""
-    return cls(
-        **{
-            name: data[name]
-            for name, f in cls.__dataclass_fields__.items()
-            if name in data or (f.default is MISSING and f.default_factory is MISSING)
-        }
-    )
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_call(call: Any) -> bool:
@@ -76,22 +55,15 @@ class TranscriptMessage:
     def from_dict(cls, data: dict[str, Any]) -> "TranscriptMessage":
         """Parse a message line; raises ValueError (or KeyError) when
         replay could not re-emit or compare it."""
-        message = _from_fields(cls, data)
-        if not _is_int(message.index):
-            raise ValueError(f"index must be an integer: {message.index!r}")
-        if not isinstance(message.role, str) or not isinstance(message.content, str):
-            raise ValueError("role and content must be strings")
-        if message.tool_calls is not None and not (
-            isinstance(message.tool_calls, list)
-            and all(_is_call(call) for call in message.tool_calls)
+        calls = data.get("tool_calls")
+        if calls is not None and not (
+            isinstance(calls, list) and all(_is_call(call) for call in calls)
         ):
             raise ValueError(
                 "tool_calls must be a list of objects with a string id, a "
-                f"string name and object arguments: {message.tool_calls!r}"
+                f"string name and object arguments: {calls!r}"
             )
-        if message.tool_result is not None and not isinstance(message.tool_result, dict):
-            raise ValueError(f"tool_result is not an object: {message.tool_result!r}")
-        return message
+        return from_json(cls, data)
 
     def semantic_key(self) -> tuple:
         """The fields that must match for two messages to count as equal
@@ -144,20 +116,7 @@ class TranscriptHeader:
                 if not isinstance(memory.get(key), str):
                     raise ValueError(f"initial memory lacks '{key}': {memory!r}")
         WorldState.from_dict(data["initial_world"])
-        header = _from_fields(cls, data)
-        for name in _HEADER_TEXT_FIELDS:
-            value = getattr(header, name)
-            if not isinstance(value, str):
-                raise ValueError(f"{name} must be a string: {value!r}")
-        if not isinstance(header.scenario, dict):
-            raise ValueError(f"scenario must be an object: {header.scenario!r}")
-        if header.seed is not None and not _is_int(header.seed):
-            raise ValueError(f"seed must be an integer or null: {header.seed!r}")
-        if not isinstance(header.memory_enabled, bool):
-            raise ValueError(
-                f"memory_enabled must be a boolean: {header.memory_enabled!r}"
-            )
-        return header
+        return from_json(cls, data)
 
 
 @dataclass
@@ -174,20 +133,7 @@ class TranscriptFinal:
     def from_dict(cls, data: dict[str, Any]) -> "TranscriptFinal":
         """Parse a final line; raises ValueError (or KeyError) when a field
         replay compares has the wrong type."""
-        final = _from_fields(cls, data)
-        if not isinstance(final.termination, str):
-            raise ValueError(f"termination must be a string: {final.termination!r}")
-        if not _is_int(final.tool_calls):
-            raise ValueError(f"tool_calls must be an integer: {final.tool_calls!r}")
-        if not isinstance(final.snapshot, dict):
-            raise ValueError(f"snapshot must be an object: {final.snapshot!r}")
-        if final.believed_status is not None and not isinstance(
-            final.believed_status, str
-        ):
-            raise ValueError(
-                f"believed_status must be a string or null: {final.believed_status!r}"
-            )
-        return final
+        return from_json(cls, data)
 
 
 @dataclass
@@ -220,6 +166,8 @@ class Transcript:
                     data = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise TranscriptError(f"{path}:{number}: invalid JSON: {exc}") from exc
+                if not isinstance(data, dict):
+                    raise TranscriptError(f"{path}:{number}: not a JSON object")
                 kind = data.get("type")
                 try:
                     if kind == "header":

@@ -20,23 +20,20 @@ from .harness.runner import (
     BackendSetup,
     ExperimentPlan,
     ScenarioTemplate,
-    execute_task,
     replay_transcript,
+    run_trial,
     run_trials,
-    task_header,
 )
 from .harness.tasks import TASKS, EvaluationError, check_t1
+from .jsonio import read_json_object
 from .memory.episodic import EpisodicStore, PersistenceError
-from .memory.scratchpad import Scratchpad
 from .rpc.server import ToolRpcServer, serve_stdio
-from .tools.dispatch import MemoryHandles
 from .world.scenario import ScenarioError, load_scenario, read_scenario, scenario_hash
-from .world.state import WorldState, canonical_json
+from .world.state import WorldState, canonical_json, snapshot
 
-# perfbench/tracing.py wraps these names here (its WRAP_TARGETS) and
-# fails when one is missing; tasks run them from harness.runner.
+# perfbench/tracing.py wraps this name here (its WRAP_TARGETS) and fails
+# when it is missing; tasks run it from harness.runner.
 from .agent.loop import run_task  # noqa: F401
-from .world.state import snapshot  # noqa: F401
 
 EXIT_OK = 0
 EXIT_TASK_FAILED = 1
@@ -48,10 +45,7 @@ def _load_baseline(path: str) -> tuple[ScenarioTemplate, dict[str, Any]]:
     """The scenario, starting world and t1 snapshot of a baseline file."""
     if os.path.isdir(path):
         path = os.path.join(path, "baseline.json")
-    with open(path, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    if not isinstance(baseline, dict):
-        raise ValueError(f"baseline file '{path}' must be a JSON object")
+    baseline = read_json_object(path, "baseline file")
     for key in ("scenario", "scenario_hash", "world", "snapshot"):
         if key not in baseline:
             raise ValueError(f"baseline file is missing '{key}'")
@@ -103,25 +97,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         scenario = ScenarioTemplate.load(args.scenario)
 
     setup = BackendSetup.from_spec(args.backend)
-    backend = setup.make(task.id)
     store = EpisodicStore(path=args.memory) if args.memory else EpisodicStore()
-    handles = MemoryHandles(
-        scratchpad=Scratchpad(), store=store, model_id=setup.model_id
+    outcome = run_trial(
+        scenario, (task.id,), setup, store, args.max_tool_calls, "run",
+        args.output_dir or None, args.seed, not args.no_memory, baseline_snapshot,
     )
-    world = WorldState.from_dict(scenario.initial_world)
-    header = task_header(
-        scenario, task, setup.model_id, args.seed, not args.no_memory, store, world
-    )
-    run, transcript = execute_task(
-        world, handles, backend, header, args.max_tool_calls
-    )
-    final_snapshot = transcript.final.snapshot
-    actual_ok = task.check(final_snapshot, baseline_snapshot)
-    believed = run.believed_status or "failed"
+    (record,), (run,) = outcome.records, outcome.runs
+    actual_ok = record.actual == "succeeded"
 
     print(f"task: {task.id}")
-    print(f"believed: {believed}")
-    print(f"actual: {'succeeded' if actual_ok else 'failed'}")
+    print(f"believed: {record.believed}")
+    print(f"actual: {record.actual}")
     print(f"tool calls: {run.tool_calls}")
     print(f"termination: {run.termination}")
     if run.latencies_s:
@@ -129,22 +115,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"mean backend latency: {mean_latency:.2f}s")
 
     if args.output_dir:
-        path = os.path.join(args.output_dir, f"run_{task.id}.jsonl")
-        transcript.write_jsonl(path)
-        print(f"transcript: {path}")
+        print(f"transcript: {record.transcript_path}")
         if task.id == "t1" and actual_ok:
+            baseline = {
+                "scenario": scenario.data,
+                "scenario_hash": scenario.digest,
+                "world": outcome.world.to_dict(),
+                "snapshot": snapshot(outcome.world),
+            }
             baseline_path = os.path.join(args.output_dir, "baseline.json")
             with open(baseline_path, "w", encoding="utf-8") as handle:
-                handle.write(
-                    canonical_json(
-                        {
-                            "scenario": scenario.data,
-                            "scenario_hash": scenario.digest,
-                            "world": world.to_dict(),
-                            "snapshot": final_snapshot,
-                        }
-                    )
-                )
+                handle.write(canonical_json(baseline))
             print(f"baseline: {baseline_path}")
 
     if run.termination == "backend_error":

@@ -34,6 +34,7 @@ from ..agent.transcript import (
     TranscriptFinal,
     TranscriptHeader,
 )
+from ..jsonio import FieldError, from_json, read_json_object
 from ..memory.episodic import EpisodicStore
 from ..memory.scratchpad import Scratchpad
 from ..tools.dispatch import MemoryHandles
@@ -42,32 +43,6 @@ from ..world.state import WorldState, canonical_json, snapshot
 from .tasks import TASKS, EvaluationError, TaskDef
 
 VALID_MEMORY_SIZES = (0, 1, 2, 3)
-
-
-def _plan_field(
-    data: dict[str, Any], name: str, convert: Callable[[Any], Any], default: Any = None
-) -> Any:
-    """A plan field (or its default) through `convert`; a value of the
-    wrong JSON type is a ValueError that names the field."""
-    value = data.get(name, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"plan field '{name}' has the wrong type: {value!r}") from None
-
-
-def _typed(*types: type) -> Callable[[Any], Any]:
-    """A `_plan_field` conversion that passes a value of one of `types`
-    as it is (a bool only where bool is listed) and rejects any other."""
-
-    def check(value: Any) -> Any:
-        if not isinstance(value, types) or (
-            isinstance(value, bool) and bool not in types
-        ):
-            raise TypeError(value)
-        return value
-
-    return check
 
 
 @dataclass(frozen=True)
@@ -96,12 +71,17 @@ class ExperimentPlan:
         for required in ("name", "tasks", "backend"):
             if required not in data:
                 raise ValueError(f"plan is missing required field '{required}'")
-        integer, a_list = _typed(int), _typed(list)
-        tasks = tuple(_plan_field(data, "tasks", a_list))
+        try:
+            plan = from_json(cls, data)
+        except FieldError as exc:
+            raise ValueError(
+                f"plan field '{exc.name}' has the wrong type: {exc.value!r}"
+            ) from None
+        tasks, sizes = plan.tasks, plan.memory_sizes
         if not tasks:
             raise ValueError("plan must name at least one task")
         for position, task_id in enumerate(tasks):
-            task = TASKS.get(task_id) if isinstance(task_id, str) else None
+            task = TASKS.get(task_id)
             if task is None:
                 raise ValueError(f"unknown task '{task_id}'")
             if task.prerequisite is not None and task.prerequisite not in tasks[:position]:
@@ -109,59 +89,26 @@ class ExperimentPlan:
                     f"task '{task_id}' requires '{task.prerequisite}' earlier "
                     f"in the task list"
                 )
-        trials = _plan_field(data, "trials", integer, 1)
-        if trials < 1:
+        if plan.trials < 1:
             raise ValueError("trials must be >= 1")
-        memory_sizes = _plan_field(
-            data,
-            "memory_sizes",
-            lambda v: v if v is None else tuple(map(integer, a_list(v))),
-        )
-        if memory_sizes is not None:
-            bad = [m for m in memory_sizes if m not in VALID_MEMORY_SIZES]
+        if sizes is not None:
+            bad = [m for m in sizes if m not in VALID_MEMORY_SIZES]
             if bad:
                 raise ValueError(
                     f"memory_sizes must lie in {list(VALID_MEMORY_SIZES)}, got {bad}"
                 )
-            repeated = sorted({m for m in memory_sizes if memory_sizes.count(m) > 1})
+            repeated = sorted({m for m in sizes if sizes.count(m) > 1})
             if repeated:
                 raise ValueError(f"memory_sizes lists {repeated} more than once")
-        parallelism = _plan_field(data, "parallelism", integer, 1)
-        if parallelism < 1:
+        if plan.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        max_tool_calls = _plan_field(
-            data, "max_tool_calls", integer, DEFAULT_MAX_TOOL_CALLS
-        )
-        if max_tool_calls < 1:
+        if plan.max_tool_calls < 1:
             raise ValueError("max_tool_calls must be >= 1")
-        optional_str = _typed(str, type(None))
-        return cls(
-            name=_plan_field(data, "name", _typed(str)),
-            tasks=tasks,
-            backend=data["backend"],
-            trials=trials,
-            memory_sizes=memory_sizes,
-            scenario_path=_plan_field(data, "scenario_path", optional_str),
-            seed=_plan_field(data, "seed", _typed(int, type(None))),
-            output_dir=_plan_field(data, "output_dir", optional_str),
-            parallelism=parallelism,
-            exclude_backend_errors=_plan_field(
-                data, "exclude_backend_errors", _typed(bool), False
-            ),
-            max_tool_calls=max_tool_calls,
-            memory_enabled=_plan_field(data, "memory_enabled", _typed(bool), True),
-        )
+        return plan
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentPlan":
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid JSON in plan '{path}': {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValueError(f"plan '{path}' must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_json_object(path, "plan"))
 
 
 @dataclass(frozen=True)
@@ -200,9 +147,9 @@ class BackendSetup:
                     kind="scripted", model_id=f"scripted:{rest}", script_name=rest
                 )
             if kind == "http":
-                with open(rest, encoding="utf-8") as handle:
-                    data = json.load(handle)
-                config = HttpBackendConfig.from_dict(data)
+                config = HttpBackendConfig.from_dict(
+                    read_json_object(rest, "backend config")
+                )
                 return cls(kind="http", model_id=config.model, http_config=config)
             raise ValueError(f"unknown backend spec '{spec}'")
         if isinstance(spec, dict):
@@ -252,9 +199,12 @@ class ScenarioTemplate:
 
 @dataclass
 class TrialOutcome:
-    """One trial's records plus the reports it minted (for memory pools)."""
+    """One trial's records and runs, the reports it minted (for memory
+    pools), and its world as the last task left it."""
 
-    records: list[TrialRecord]
+    world: WorldState
+    records: list[TrialRecord] = field(default_factory=list)
+    runs: list[TaskRun] = field(default_factory=list)
     new_reports: list[dict[str, Any]] = field(default_factory=list)
 
 
@@ -425,15 +375,16 @@ def run_trial(
     transcript_dir: str | None = None,
     seed: int | None = None,
     memory_enabled: bool = True,
+    baseline: dict[str, Any] | None = None,
 ) -> TrialOutcome:
-    """Run one trial: the task sequence on a fresh world, shared store."""
+    """Run one trial: the task sequence on a fresh world, shared store.
+    A `baseline` t1 snapshot stands in for a t1 the trial does not run."""
     world = WorldState.from_dict(scenario.initial_world)
     handles = MemoryHandles(
         scratchpad=Scratchpad(), store=store, model_id=setup.model_id
     )
-    outcome = TrialOutcome(records=[])
-    baseline: dict[str, Any] | None = None
-    achieved: dict[str, bool] = {}
+    outcome = TrialOutcome(world)
+    achieved = {"t1": baseline is not None}
     for task_id in task_ids:
         task = TASKS[task_id]
         if task.prerequisite is not None and not achieved.get(task.prerequisite):
@@ -453,6 +404,7 @@ def run_trial(
                 transcript_dir, f"{trial_id}_{task_id}.jsonl"
             )
             transcript.write_jsonl(transcript_path)
+        outcome.runs.append(run)
         outcome.records.append(
             TrialRecord(
                 trial_id=trial_id,

@@ -92,6 +92,7 @@ class EpisodicStore:
         self._records: list[EpisodicRecord] = []
         self._ids: set[str] = set()
         self._next_seq = 1
+        self._unended = False
         if path is not None and os.path.exists(path):
             self._load(path)
 
@@ -105,6 +106,9 @@ class EpisodicStore:
             raise PersistenceError(f"cannot read store '{path}': {exc}") from exc
         if lines and _is_torn(lines[-1]):
             _cut_torn_tail(path, lines.pop(), len(lines) + 1)
+        # A whole last line without a line end (a hand edit, or a crash
+        # right before it) is kept; the next add ends it first.
+        self._unended = bool(lines) and not lines[-1].endswith(("\n", "\r"))
         for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
@@ -126,7 +130,9 @@ class EpisodicStore:
             if not isinstance(data[name], str):
                 kind = type(data[name]).__name__
                 raise ValueError(f"{name} must be a string, not {kind}")
-        created_at = int(data["created_at"])
+        created_at = data["created_at"]
+        if type(created_at) is not int:
+            raise ValueError(f"created_at must be an integer: {created_at!r}")
         if data["believed_status"] not in BELIEVED_STATUSES:
             raise ValueError(f"bad believed_status '{data['believed_status']}'")
         if data["id"] in self._ids:
@@ -183,11 +189,13 @@ class EpisodicStore:
         assert self.path is not None
         try:
             with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+                line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
+                handle.write("\n" + line if self._unended else line)
                 handle.flush()
                 os.fsync(handle.fileno())
         except OSError as exc:
             raise PersistenceError(f"cannot write store '{self.path}': {exc}") from exc
+        self._unended = False
 
     def search(
         self,
@@ -220,6 +228,7 @@ class EpisodicStore:
         self._records.clear()
         self._ids.clear()
         self._next_seq = 1
+        self._unended = False
         if self.path is not None:
             try:
                 with open(self.path, "w", encoding="utf-8"):

@@ -17,6 +17,7 @@ from typing import Any
 from jsonschema.exceptions import ValidationError, best_match
 from jsonschema.validators import validator_for
 
+from ..jsonio import read_json_object
 from .semantic_map import SemanticMap
 from .state import (
     DEFAULT_REACH_RADIUS,
@@ -232,14 +233,7 @@ def read_scenario(path: str | None) -> dict[str, Any]:
     """Read a scenario document from a file, or the bundled one for None."""
     if path is None:
         return default_scenario_data()
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid JSON in '{path}': {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"scenario '{path}' must be a JSON object")
-    return data
+    return read_json_object(path, "scenario")
 
 
 def default_scenario_data() -> dict[str, Any]:

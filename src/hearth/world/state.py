@@ -146,9 +146,13 @@ class WorldState:
         try:
             state = cls(map=SemanticMap.from_dict(data["map"]))
             for f in data["furniture"]:
+                if f["id"] in state.furniture:
+                    raise InvariantViolation(f"duplicate furniture id '{f['id']}'")
                 furniture = Furniture(f["id"], f["location"], list(f["slots"]))
                 state.furniture[f["id"]] = furniture
             for o in data["objects"]:
+                if o["id"] in state.objects:
+                    raise InvariantViolation(f"duplicate object id '{o['id']}'")
                 state.objects[o["id"]] = SimObject(
                     o["id"], o["kind"], o["graspable"],
                     containment_from_dict(o["containment"]),

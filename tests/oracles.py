@@ -15,7 +15,9 @@ live context is a prefix of the recording, and only a run that got to
 its end is compared with the recording as a whole. The line-format
 oracle is the hand-written serializers each record once had: one dict
 per transcript line, tool call, tool result and metrics group, with
-every field named.
+every field named. The hand-checked readers are how plans and
+transcript lines were read before the generic reader: one `isinstance`
+check per field, in the order the fields were checked.
 """
 
 from __future__ import annotations
@@ -24,14 +26,27 @@ import json
 import math
 import os
 import random
+from dataclasses import MISSING
 
 import jsonschema
 
 from hearth.agent.backends import BackendError, BackendReply
 from hearth.agent.context import PROMPT_VERSION
-from hearth.agent.loop import TERMINATION_STEP_LIMIT, run_task
-from hearth.agent.transcript import Transcript, TranscriptFinal, TranscriptHeader
-from hearth.harness.runner import BackendSetup, ExperimentPlan, execute_task, seed_store
+from hearth.agent.loop import DEFAULT_MAX_TOOL_CALLS, TERMINATION_STEP_LIMIT, run_task
+from hearth.agent.transcript import (
+    MEMORY_FIELDS,
+    Transcript,
+    TranscriptFinal,
+    TranscriptHeader,
+    TranscriptMessage,
+)
+from hearth.harness.runner import (
+    VALID_MEMORY_SIZES,
+    BackendSetup,
+    ExperimentPlan,
+    execute_task,
+    seed_store,
+)
 from hearth.harness.tasks import TASKS
 from hearth.memory.embedding import EMBEDDING_DIM, _stable_hash_64, tokenize
 from hearth.memory.episodic import EpisodicRecord, EpisodicStore
@@ -457,3 +472,168 @@ def metrics_json(report) -> str:
     """metrics.json as the hand-written report dict rendered it."""
     data = {"groups": [group_dict(group) for group in report.groups]}
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+# Plans and transcript lines as they were read before `from_json`: one
+# hand-written check per field, each restating the field's annotation.
+
+_HEADER_TEXT_FIELDS = (
+    "scenario_hash", "prompt_version", "model_id", "task_id", "task_prompt"
+)
+
+
+def _from_fields(cls, data):
+    return cls(
+        **{
+            name: data[name]
+            for name, f in cls.__dataclass_fields__.items()
+            if name in data or (f.default is MISSING and f.default_factory is MISSING)
+        }
+    )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_call(call) -> bool:
+    return (
+        isinstance(call, dict)
+        and isinstance(call.get("id"), str)
+        and isinstance(call.get("name"), str)
+        and isinstance(call.get("arguments"), dict)
+    )
+
+
+def hand_checked_message(data) -> TranscriptMessage:
+    message = _from_fields(TranscriptMessage, data)
+    if not _is_int(message.index):
+        raise ValueError(f"index must be an integer: {message.index!r}")
+    if not isinstance(message.role, str) or not isinstance(message.content, str):
+        raise ValueError("role and content must be strings")
+    if message.tool_calls is not None and not (
+        isinstance(message.tool_calls, list)
+        and all(_is_call(call) for call in message.tool_calls)
+    ):
+        raise ValueError(
+            "tool_calls must be a list of objects with a string id, a "
+            f"string name and object arguments: {message.tool_calls!r}"
+        )
+    if message.tool_result is not None and not isinstance(message.tool_result, dict):
+        raise ValueError(f"tool_result is not an object: {message.tool_result!r}")
+    return message
+
+
+def hand_checked_header(data) -> TranscriptHeader:
+    for memory in data.get("initial_memories", []):
+        if not isinstance(memory, dict):
+            raise ValueError(f"initial memory is not an object: {memory!r}")
+        for key in MEMORY_FIELDS:
+            if not isinstance(memory.get(key), str):
+                raise ValueError(f"initial memory lacks '{key}': {memory!r}")
+    WorldState.from_dict(data["initial_world"])
+    header = _from_fields(TranscriptHeader, data)
+    for name in _HEADER_TEXT_FIELDS:
+        value = getattr(header, name)
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string: {value!r}")
+    if not isinstance(header.scenario, dict):
+        raise ValueError(f"scenario must be an object: {header.scenario!r}")
+    if header.seed is not None and not _is_int(header.seed):
+        raise ValueError(f"seed must be an integer or null: {header.seed!r}")
+    if not isinstance(header.memory_enabled, bool):
+        raise ValueError(f"memory_enabled must be a boolean: {header.memory_enabled!r}")
+    return header
+
+
+def hand_checked_final(data) -> TranscriptFinal:
+    final = _from_fields(TranscriptFinal, data)
+    if not isinstance(final.termination, str):
+        raise ValueError(f"termination must be a string: {final.termination!r}")
+    if not _is_int(final.tool_calls):
+        raise ValueError(f"tool_calls must be an integer: {final.tool_calls!r}")
+    if not isinstance(final.snapshot, dict):
+        raise ValueError(f"snapshot must be an object: {final.snapshot!r}")
+    if final.believed_status is not None and not isinstance(final.believed_status, str):
+        raise ValueError(
+            f"believed_status must be a string or null: {final.believed_status!r}"
+        )
+    return final
+
+
+def _plan_field(data, name, convert, default=None):
+    value = data.get(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"plan field '{name}' has the wrong type: {value!r}") from None
+
+
+def _typed(*types):
+    def check(value):
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise TypeError(value)
+        return value
+
+    return check
+
+
+def hand_checked_plan(data) -> ExperimentPlan:
+    unknown = set(data) - set(ExperimentPlan.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown plan fields: {sorted(unknown)}")
+    for required in ("name", "tasks", "backend"):
+        if required not in data:
+            raise ValueError(f"plan is missing required field '{required}'")
+    integer, a_list = _typed(int), _typed(list)
+    tasks = tuple(_plan_field(data, "tasks", a_list))
+    if not tasks:
+        raise ValueError("plan must name at least one task")
+    for position, task_id in enumerate(tasks):
+        task = TASKS.get(task_id) if isinstance(task_id, str) else None
+        if task is None:
+            raise ValueError(f"unknown task '{task_id}'")
+        if task.prerequisite is not None and task.prerequisite not in tasks[:position]:
+            raise ValueError(
+                f"task '{task_id}' requires '{task.prerequisite}' earlier in the task list"
+            )
+    trials = _plan_field(data, "trials", integer, 1)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    memory_sizes = _plan_field(
+        data,
+        "memory_sizes",
+        lambda v: v if v is None else tuple(map(integer, a_list(v))),
+    )
+    if memory_sizes is not None:
+        bad = [m for m in memory_sizes if m not in VALID_MEMORY_SIZES]
+        if bad:
+            raise ValueError(
+                f"memory_sizes must lie in {list(VALID_MEMORY_SIZES)}, got {bad}"
+            )
+        repeated = sorted({m for m in memory_sizes if memory_sizes.count(m) > 1})
+        if repeated:
+            raise ValueError(f"memory_sizes lists {repeated} more than once")
+    parallelism = _plan_field(data, "parallelism", integer, 1)
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
+    max_tool_calls = _plan_field(data, "max_tool_calls", integer, DEFAULT_MAX_TOOL_CALLS)
+    if max_tool_calls < 1:
+        raise ValueError("max_tool_calls must be >= 1")
+    optional_str = _typed(str, type(None))
+    return ExperimentPlan(
+        name=_plan_field(data, "name", _typed(str)),
+        tasks=tasks,
+        backend=data["backend"],
+        trials=trials,
+        memory_sizes=memory_sizes,
+        scenario_path=_plan_field(data, "scenario_path", optional_str),
+        seed=_plan_field(data, "seed", _typed(int, type(None))),
+        output_dir=_plan_field(data, "output_dir", optional_str),
+        parallelism=parallelism,
+        exclude_backend_errors=_plan_field(
+            data, "exclude_backend_errors", _typed(bool), False
+        ),
+        max_tool_calls=max_tool_calls,
+        memory_enabled=_plan_field(data, "memory_enabled", _typed(bool), True),
+    )

@@ -376,6 +376,34 @@ class TestMemoryCommand:
         assert out.startswith("2 records")
         assert "mem-000001 [succeeded] (m) put the mug away on the shelf" in out
 
+    def test_run_after_a_last_line_without_line_end(self, tmp_path, capsys):
+        """`hearth run` appends its report after a whole last line that
+        lacks its line end, and the store still lists both records."""
+        path = self.seeded_store(tmp_path)
+        first = read_lines(path)[0]
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(first)
+        assert main(RUN_T1 + ["--memory", path]) == 0
+        capsys.readouterr()
+        assert main(["memory", "list", "--store", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("2 records")
+        assert "mem-000001 [succeeded] (m) put the mug away on the shelf" in out
+        assert read_lines(path)[0] == first
+
+    @pytest.mark.parametrize("created_at", ["7", 7.9, True])
+    def test_created_at_not_an_integer_exits_2(self, tmp_path, capsys, created_at):
+        path = self.seeded_store(tmp_path)
+        lines = read_lines(path)
+        lines[1] = json.dumps({**json.loads(lines[1]), "created_at": created_at})
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        assert main(["memory", "list", "--store", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: corrupt record at {path}:2: created_at must be an integer: "
+            f"{created_at!r}\n"
+        )
+
     def test_search(self, tmp_path, capsys):
         path = self.seeded_store(tmp_path)
         code = main(["memory", "search", "--store", path, "--query", "swap the cube"])
@@ -558,6 +586,39 @@ def http_config_5(command):
     return argv
 
 
+def bad_http_config(command, **fields):
+    """An `http:` config file for `hearth run`, or a plan's backend
+    object, with `fields` set."""
+    def argv(t1_output, tmp_path):
+        config = {"base_url": "http://127.0.0.1:9", "model": "m", **fields}
+        if command == "experiment":
+            return bad_plan(backend={"kind": "http", **config})(t1_output, tmp_path)
+        path = tmp_path / "http.json"
+        path.write_text(json.dumps(config))
+        return RUN_T1[:3] + ["--backend", f"http:{path}",
+                             "--output-dir", str(tmp_path / "out")]
+    return argv
+
+
+def repeat_first(key):
+    """Repeat the first entry of a world's `key` list."""
+    return lambda world: world[key].append(world[key][0])
+
+
+# Each value paired with the error an `http:` config or a plan's backend
+# object holding it gives.
+BAD_HTTP_FIELDS = {
+    "max-retries-string": ({"max_retries": "3"}, "max_retries must be an integer: '3'"),
+    "base-url-5": ({"base_url": 5}, "base_url must be a string: 5"),
+    "extra-headers-5": (
+        {"extra_headers": 5}, "extra_headers must be an object of strings: 5"),
+    "extra-header-5": (
+        {"extra_headers": {"X": 5}},
+        "extra_headers must be an object of strings: {'X': 5}"),
+    "model-list": ({"model": ["m"]}, "model must be a string: ['m']"),
+    "timeout-bool": ({"timeout_s": True}, "timeout_s must be a number: True"),
+}
+
 # Line 4 of t1's transcript is its first assistant turn with a tool call;
 # line 32 is its final line.
 MALFORMED_INPUTS = {
@@ -575,10 +636,10 @@ MALFORMED_INPUTS = {
         ":1: malformed header line: 'initial_world'"),
     "message-role-not-a-string": (
         bad_transcript_line(4, lambda d: d.update(role=5)),
-        ":4: malformed message line: role and content"),
+        ":4: malformed message line: role must be a string: 5"),
     "message-content-not-a-string": (
         bad_transcript_line(4, lambda d: d.update(content=None)),
-        ":4: malformed message line: role and content"),
+        ":4: malformed message line: content must be a string: None"),
     "tool-calls-not-a-list": (
         bad_transcript_line(4, lambda d: d.update(tool_calls=5)),
         ":4: malformed message line: tool_calls"),
@@ -621,7 +682,8 @@ MALFORMED_INPUTS = {
         bad_transcript_line(32, lambda d: d.update(snapshot=5)),
         ":32: malformed final line: snapshot must be an object: 5"),
     "plan-tasks-5": (bad_plan(tasks=5), "plan field 'tasks'"),
-    "plan-task-not-a-string": (bad_plan(tasks=[["t1"]]), "unknown task"),
+    "plan-task-not-a-string": (
+        bad_plan(tasks=[["t1"]]), "plan field 'tasks' has the wrong type: [['t1']]"),
     "plan-trials-null": (bad_plan(trials=None), "plan field 'trials'"),
     "plan-memory-sizes-5": (bad_plan(memory_sizes=5), "plan field 'memory_sizes'"),
     "plan-memory-size-null": (
@@ -691,6 +753,24 @@ MALFORMED_INPUTS = {
         http_config_5("run"), "backend config must be a JSON object"),
     "plan-http-config-5": (
         http_config_5("experiment"), "backend config must be a JSON object"),
+    **{
+        f"{command}-http-{name}": (
+            bad_http_config(command, **fields), f"error: backend config: {error}")
+        for name, (fields, error) in BAD_HTTP_FIELDS.items()
+        for command in ("run", "experiment")
+    },
+    "header-world-repeats-object": (
+        bad_transcript_line(1, lambda d: repeat_first("objects")(d["initial_world"])),
+        ":1: malformed header line: malformed world: "),
+    "header-world-repeats-furniture": (
+        bad_transcript_line(
+            1, lambda d: repeat_first("furniture")(d["initial_world"])),
+        ":1: malformed header line: malformed world: "),
+    "baseline-world-repeats-object": (
+        bad_baseline(lambda b: repeat_first("objects")(b["world"])),
+        "malformed world: "),
+    "transcript-line-not-an-object": (
+        bad_transcript_line(3, lambda d: [1, 2]), ":3: not a JSON object"),
 }
 
 

@@ -20,6 +20,8 @@ from hearth.harness.metrics import (
 )
 from hearth.harness.runner import BackendSetup, ExperimentPlan, TrialRecord, run_trials
 from hearth.harness.tasks import TASKS, EvaluationError, check_t1, check_t2
+from hearth.memory.episodic import EpisodicStore
+from hearth.world.state import snapshot
 
 from .oracles import per_trial_load_trials
 
@@ -235,6 +237,28 @@ class TestBackendSetup:
 
 
 class TestRunTrials:
+    def test_a_baseline_stands_in_for_t1(self):
+        """t2 runs without t1 only from a baseline, which it is judged
+        against; the outcome holds its run and the world it left."""
+        setup = BackendSetup.from_spec("scripted:optimal")
+
+        def trial(scenario, task_id, baseline=None):
+            return runner.run_trial(
+                scenario, (task_id,), setup, EpisodicStore(), 50, "x", baseline=baseline
+            )
+
+        scenario = runner.ScenarioTemplate.load()
+        assert trial(scenario, "t2").records == []
+        t1_world = trial(scenario, "t1").world
+        baseline = snapshot(t1_world)
+        after_t1 = runner.ScenarioTemplate(
+            scenario.data, scenario.digest, t1_world.to_dict()
+        )
+        outcome = trial(after_t1, "t2", baseline)
+        (record,), (run,) = outcome.records, outcome.runs
+        assert (record.task_id, record.actual, run.tool_calls) == ("t2", "succeeded", 13)
+        assert check_t2(snapshot(outcome.world), baseline)
+
     def test_optimal_t1_t2_batch(self, tmp_path):
         plan = ExperimentPlan.from_dict(
             {

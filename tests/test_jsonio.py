@@ -1,0 +1,275 @@
+"""The JSON reader: `from_json` checks each field against its annotation,
+`read_json_object` reads one object from a file; and, differentially,
+plans and transcript lines are accepted and rejected as the hand-written
+checks in oracles.py accepted and rejected them."""
+
+import json
+from dataclasses import dataclass, field
+from functools import cache
+from typing import Any
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hearth.agent.loop import DEFAULT_MAX_TOOL_CALLS
+from hearth.agent.backends import ScriptedBackend
+from hearth.agent.scripts import SCRIPTS
+from hearth.agent.transcript import TranscriptFinal, TranscriptHeader, TranscriptMessage
+from hearth.harness.runner import (
+    ExperimentPlan,
+    ScenarioTemplate,
+    execute_task,
+    seed_store,
+    task_header,
+)
+from hearth.harness.tasks import TASKS
+from hearth.jsonio import FieldError, from_json, read_json_object
+from hearth.memory.scratchpad import Scratchpad
+from hearth.tools.dispatch import MemoryHandles
+from hearth.world.state import WorldState
+
+from .oracles import (
+    hand_checked_final,
+    hand_checked_header,
+    hand_checked_message,
+    hand_checked_plan,
+)
+
+
+@dataclass
+class Every:
+    text: str
+    count: int
+    ratio: float
+    flag: bool
+    blob: dict[str, Any]
+    headers: dict[str, str]
+    items: list[dict[str, Any]]
+    sizes: tuple[int, ...]
+    note: str | None
+    anything: Any
+    limit: int = 3
+    tags: list[str] = field(default_factory=list)
+
+
+EVERY = {
+    "text": "t", "count": 1, "ratio": 0.5, "flag": False, "blob": {"a": [1]},
+    "headers": {"X": "y"}, "items": [{}], "sizes": [0, 1], "note": None,
+    "anything": [None],
+}
+
+
+class TestFromJson:
+    def test_builds_every_annotation(self):
+        every = from_json(Every, {**EVERY, "ignored": 5})
+        assert every == Every(
+            "t", 1, 0.5, False, {"a": [1]}, {"X": "y"}, [{}], (0, 1), None, [None]
+        )
+        assert (every.limit, every.tags) == (3, [])
+
+    def test_an_int_is_a_float_and_keeps_its_value(self):
+        every = from_json(Every, {**EVERY, "ratio": 2})
+        assert every.ratio == 2 and type(every.ratio) is int
+
+    @pytest.mark.parametrize("name, value, kind", [
+        ("text", 5, "a string"),
+        ("count", True, "an integer"),
+        ("count", 1.0, "an integer"),
+        ("ratio", False, "a number"),
+        ("ratio", "0.5", "a number"),
+        ("flag", 0, "a boolean"),
+        ("blob", [], "an object"),
+        ("headers", {"X": 5}, "an object of strings"),
+        ("items", [5], "a list of objects"),
+        ("items", {}, "a list of objects"),
+        ("sizes", [True], "a list of integers"),
+        ("sizes", "01", "a list of integers"),
+        ("note", 5, "a string or null"),
+        ("limit", None, "an integer"),
+        ("tags", [None], "a list of strings"),
+    ])
+    def test_a_value_of_the_wrong_type_names_its_field(self, name, value, kind):
+        with pytest.raises(FieldError) as info:
+            from_json(Every, {**EVERY, name: value})
+        assert str(info.value) == f"{name} must be {kind}: {value!r}"
+        assert (info.value.name, info.value.value) == (name, value)
+
+    def test_a_missing_required_field_is_a_key_error(self):
+        with pytest.raises(KeyError, match="count"):
+            from_json(Every, {k: v for k, v in EVERY.items() if k != "count"})
+
+    def test_an_annotation_without_a_reading_is_refused(self):
+        @dataclass
+        class Odd:
+            pair: tuple[int, str]
+
+        with pytest.raises(TypeError, match="no JSON reading"):
+            from_json(Odd, {"pair": [1, "a"]})
+
+
+class TestReadJsonObject:
+    def test_reads_an_object(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text('{"a": 1}')
+        assert read_json_object(str(path), "plan") == {"a": 1}
+
+    def test_invalid_json_names_the_file(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text("{broken")
+        with pytest.raises(ValueError, match=f"invalid JSON in plan '{path}': "):
+            read_json_object(str(path), "plan")
+
+    @pytest.mark.parametrize("text", ["5", "[1]", "null", '"x"'])
+    def test_any_other_value_is_refused(self, tmp_path, text):
+        path = tmp_path / "http.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_json_object(str(path), "backend config")
+        assert str(info.value) == f"backend config must be a JSON object: '{path}'"
+
+
+# ---- differential: the reader against the hand-written checks ----
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 60)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+MISSING = object()
+
+MEMORY = {"task_description": "put the mug away", "believed_status": "failed",
+          "action_summary": "dropped it"}
+
+# Besides any JSON value, each field draws its value in a valid line, no
+# value at all, and these values near the edges of its checks, so that
+# both readers also accept, and reject for reasons other than a type.
+NEAR = {
+    "name": ["", "t1"],
+    "tasks": [["t1", "t2"], ["t2"], ["t2", "t1"], ["t9"], [], [5, "t1"]],
+    "memory_sizes": [[0, 1, 2, 3], [0, 0], [4], [1.0], [False], None],
+    "trials": [0, 1, 2, 2.0, True],
+    "parallelism": [0, 1, 4],
+    "max_tool_calls": [0, 1, 50],
+    "seed": [None, 0, -1, True],
+    "initial_memories": [[], [MEMORY], [{**MEMORY, "action_summary": 5}], [5], "", {}],
+    "index": [0, 7, -1, 7.0, False],
+    "tool_calls": [[], [{"id": "c", "name": "n", "arguments": {}}],
+                   [{"id": "c", "name": "n"}], [5]],
+    "tool_result": [None, {}, {"call_id": "c"}],
+    "believed_status": [None, "succeeded"],
+    "memory_enabled": [True, False, 0],
+}
+
+
+@cache
+def transcript_lines() -> dict[str, list[dict]]:
+    """The lines of a t1 run from a store that holds one memory, by type."""
+    scenario = ScenarioTemplate.load()
+    world = WorldState.from_dict(scenario.initial_world)
+    handles = MemoryHandles(Scratchpad(), seed_store([MEMORY]), "m")
+    header = task_header(scenario, TASKS["t1"], "m", 9, True, handles.store, world)
+    backend = ScriptedBackend(SCRIPTS["optimal"]["t1"])
+    _, transcript = execute_task(world, handles, backend, header, DEFAULT_MAX_TOOL_CALLS)
+    messages = [message.to_dict() for message in transcript.messages]
+    return {
+        "header": [transcript.header.to_dict()],
+        "message": [
+            messages[0],
+            next(m for m in messages if m.get("tool_calls")),
+            next(m for m in messages if m.get("tool_result")),
+        ],
+        "final": [transcript.final.to_dict()],
+    }
+
+
+def outcome(read, data):
+    try:
+        return True, read(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        return False, str(exc)
+
+
+def edit(draw, cls, base):
+    """`base` with one of its class's fields set to a drawn JSON value, or
+    left out; returns the field's name, its value, and the edited dict."""
+    name = draw(st.sampled_from(list(cls.__dataclass_fields__)))
+    value = draw(
+        st.just(base.get(name, MISSING))
+        | st.sampled_from([MISSING, *NEAR.get(name, [])])
+        | JSON
+    )
+    data = {key: item for key, item in base.items() if key != name}
+    if value is not MISSING:
+        data[name] = value
+    return name, value, data
+
+
+def reworded(name, value):
+    """The text the reader now gives where the hand-written checks gave
+    another, or None where both give the same text."""
+    if value is MISSING:
+        return None
+    if name in ("role", "content") and not isinstance(value, str):
+        return f"{name} must be a string: {value!r}"
+    if name == "tool_result" and value is not None and not isinstance(value, dict):
+        return f"tool_result must be an object or null: {value!r}"
+    if name == "tasks" and isinstance(value, list) and not all(
+        isinstance(task, str) for task in value
+    ):
+        return f"plan field 'tasks' has the wrong type: {value!r}"
+    return None
+
+
+def check_same(new, old, name, value, data):
+    (new_ok, new_result), (old_ok, old_result) = outcome(new, data), outcome(old, data)
+    if name == "initial_memories" and value in ("", {}):
+        # The hand-written loop iterated an empty string or object as no
+        # memories; the annotation takes only a list.
+        assert (new_ok, old_ok) == (False, True)
+        assert new_result == f"initial_memories must be a list of objects: {value!r}"
+        return
+    assert new_ok == old_ok, (new_result, old_result)
+    if new_ok:
+        assert new_result == old_result
+    else:
+        assert new_result == (reworded(name, value) or old_result)
+
+
+TRANSCRIPT_READERS = {
+    "header": (TranscriptHeader, hand_checked_header),
+    "message": (TranscriptMessage, hand_checked_message),
+    "final": (TranscriptFinal, hand_checked_final),
+}
+
+
+@pytest.mark.parametrize("kind", TRANSCRIPT_READERS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_transcript_lines_read_as_the_hand_checks_read_them(kind, data):
+    cls, old = TRANSCRIPT_READERS[kind]
+    base = data.draw(st.sampled_from(transcript_lines()[kind]))
+    name, value, line = edit(data.draw, cls, base)
+    check_same(cls.from_dict, old, name, value, line)
+
+
+PLAN = {"name": "p", "tasks": ["t1"], "backend": "scripted:optimal"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_plans_read_as_the_hand_checks_read_them(data):
+    name, value, plan = edit(data.draw, ExperimentPlan, PLAN)
+    check_same(ExperimentPlan.from_dict, hand_checked_plan, name, value, plan)
+
+
+def test_every_transcript_line_shape_is_read_alike():
+    for kind, (cls, old) in TRANSCRIPT_READERS.items():
+        for line in transcript_lines()[kind]:
+            assert cls.from_dict(json.loads(json.dumps(line))) == old(line)

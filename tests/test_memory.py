@@ -311,6 +311,33 @@ class TestPersistence:
         assert path.read_text() == good.rstrip("\n")
         assert capsys.readouterr().err == ""
 
+    def test_whole_last_line_without_line_end_is_ended_by_the_next_add(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = EpisodicStore(path=str(path))
+        store.add("put the mug away", "succeeded", "x")
+        good = path.read_text()
+        path.write_text(good.rstrip("\n"))
+        kept = EpisodicStore(path=str(path))
+        kept.add("swap the mug and cube", "failed", "y")
+        assert path.read_text().startswith(good)
+        reloaded = EpisodicStore(path=str(path))
+        assert reloaded.records == kept.records
+        assert [r.id for r in reloaded.records] == ["mem-000001", "mem-000002"]
+        reloaded.add("stack the boxes", "succeeded", "z")
+        assert len(path.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("created_at", ["7", 7.9, True, None])
+    def test_created_at_must_be_an_integer(self, tmp_path, created_at):
+        path = tmp_path / "store.jsonl"
+        EpisodicStore(path=str(path)).add("put the mug away", "succeeded", "x")
+        data = {**json.loads(path.read_text()), "created_at": created_at}
+        path.write_text(json.dumps(data) + "\n")
+        with pytest.raises(PersistenceError) as info:
+            EpisodicStore(path=str(path))
+        assert str(info.value) == (
+            f"corrupt record at {path}:1: created_at must be an integer: {created_at!r}"
+        )
+
     def test_duplicate_id_rejected_on_load(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = EpisodicStore(path=str(path))
