@@ -44,9 +44,21 @@ class HttpBackendConfig:
         if "base_url" not in data or "model" not in data:
             raise ValueError("backend config requires base_url and model")
         try:
-            return from_json(cls, data)
+            config = from_json(cls, data)
         except FieldError as exc:
             raise ValueError(f"backend config: {exc}") from None
+        if config.max_retries < 0:
+            raise ValueError(
+                f"backend config: max_retries must be >= 0: {config.max_retries}"
+            )
+        # Written `not x > 0` so that a NaN is out of range too.
+        if not config.timeout_s > 0:
+            raise ValueError(f"backend config: timeout_s must be > 0: {config.timeout_s}")
+        if not config.retry_base_s >= 0:
+            raise ValueError(
+                f"backend config: retry_base_s must be >= 0: {config.retry_base_s}"
+            )
+        return config
 
 
 class HttpChatBackend:

@@ -24,10 +24,12 @@ TERMINATION_STEP_LIMIT = "step_limit"
 TERMINATION_REFUSAL = "refusal"
 TERMINATION_BACKEND_ERROR = "backend_error"
 
-PARALLEL_CALLS_MESSAGE = (
-    "Tool call failed (parallel-calls): issue exactly one tool call per "
-    "turn; none of these calls were executed."
+# What every call of a reply with parallel calls gets back.
+_PARALLEL_CALLS = failure(
+    "Tool call", "parallel-calls",
+    "issue exactly one tool call per turn; none of these calls were executed",
 )
+PARALLEL_CALLS_MESSAGE = _PARALLEL_CALLS.message
 
 
 @dataclass
@@ -99,9 +101,8 @@ def run_task(
             # Parallel calls are rejected wholesale: every call gets a
             # corrective tool message and none is dispatched.
             context.append_assistant_calls(reply.calls, reply.text)
-            rejection = failure(PARALLEL_CALLS_MESSAGE, cause="parallel-calls")
             for call in reply.calls:
-                context.append_tool_result(call, rejection)
+                context.append_tool_result(call, _PARALLEL_CALLS)
             continue
 
         call = reply.calls[0]

@@ -42,7 +42,8 @@ EXIT_BACKEND = 3
 
 
 def _load_baseline(path: str) -> tuple[ScenarioTemplate, dict[str, Any]]:
-    """The scenario, starting world and t1 snapshot of a baseline file."""
+    """The scenario, starting world and t1 snapshot of a baseline file,
+    whose snapshot must satisfy t1 and be its world's."""
     if os.path.isdir(path):
         path = os.path.join(path, "baseline.json")
     baseline = read_json_object(path, "baseline file")
@@ -60,6 +61,14 @@ def _load_baseline(path: str) -> tuple[ScenarioTemplate, dict[str, Any]]:
         raise ValueError(
             f"baseline file '{path}': scenario hash mismatch: baseline says "
             f"{baseline['scenario_hash']}, scenario hashes to {digest}"
+        )
+    if not check_t1(baseline["snapshot"]):
+        raise ValueError(
+            "baseline snapshot does not satisfy t1; refusing to run t2 from it"
+        )
+    if canonical_json(snapshot(world)) != canonical_json(baseline["snapshot"]):
+        raise ValueError(
+            f"baseline file '{path}': snapshot does not match the baseline's world"
         )
     return ScenarioTemplate(data, digest, world.to_dict()), baseline["snapshot"]
 
@@ -82,13 +91,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             return EXIT_CONFIG
         scenario, baseline_snapshot = _load_baseline(args.baseline)
-        if not check_t1(baseline_snapshot):
-            print(
-                "error: baseline snapshot does not satisfy t1; refusing to "
-                "run t2 from it",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
     else:
         if args.baseline is not None:
             print("error: --baseline only applies to tasks with a prerequisite",

@@ -1,6 +1,7 @@
 """JSON input: `read_json_object` reads plan, scenario, baseline and
 `http:` backend config files; `from_json` builds plans, backend configs
-and transcript lines, checking each value against its field's annotation.
+and transcript lines, checking each value against its field's annotation;
+`read_field` checks one value the same way.
 """
 
 from __future__ import annotations
@@ -59,6 +60,20 @@ def from_json(cls: type, data: dict[str, Any]) -> Any:
     return cls(**values)
 
 
+def read_field(data: dict[str, Any], name: str, hint: Any) -> Any:
+    """`data[name]`, read as `from_json` reads a field annotated `hint`:
+    a KeyError when it is missing, a FieldError when `hint` does not
+    take it."""
+    value = data[name]
+    if type(value) is hint:  # a scalar of exactly its type: the common case
+        return value
+    read, kind, _ = _reader(hint)
+    try:
+        return read(value)
+    except TypeError:
+        raise FieldError(name, kind, value) from None
+
+
 @cache
 def _fields(cls: type) -> list[tuple[str, Callable[[Any], Any], str, bool]]:
     hints = typing.get_type_hints(cls)
@@ -69,6 +84,7 @@ def _fields(cls: type) -> list[tuple[str, Callable[[Any], Any], str, bool]]:
     ]
 
 
+@cache
 def _reader(hint: Any) -> tuple[Callable[[Any], Any], str, str]:
     """(read, kind, kinds) for an annotation: `read` returns a value as
     its field holds it (a list made a tuple where the annotation says

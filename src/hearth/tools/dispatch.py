@@ -10,6 +10,7 @@ greppable.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -66,41 +67,39 @@ def success(message: str, **payload: Any) -> ToolResult:
     return ToolResult(STATUS_SUCCESS, message, payload)
 
 
-def failure(message: str, cause: str, **payload: Any) -> ToolResult:
+def failure(action: str, cause: str, detail: str, **payload: Any) -> ToolResult:
+    """A failed result whose message is `"{action} failed ({cause}): {detail}."`
+    and whose payload carries the same `cause`."""
     payload["cause"] = cause
-    return ToolResult(STATUS_FAILURE, message, payload)
+    return ToolResult(STATUS_FAILURE, f"{action} failed ({cause}): {detail}.", payload)
 
 
 def _validate_arguments(schema: ToolSchema, arguments: Any) -> ToolResult | None:
     if not isinstance(arguments, dict):
         return failure(
-            f"Tool call failed (invalid-arguments): arguments for "
-            f"'{schema.name}' must be an object.",
-            cause="invalid-arguments",
+            "Tool call", "invalid-arguments",
+            f"arguments for '{schema.name}' must be an object",
         )
     for name in arguments:
         if name not in schema.param_names():
             return failure(
-                f"Tool call failed (invalid-arguments): unexpected argument "
-                f"'{name}' for '{schema.name}'.",
-                cause="invalid-arguments",
+                "Tool call", "invalid-arguments",
+                f"unexpected argument '{name}' for '{schema.name}'",
                 argument=name,
             )
     for param in schema.params:
         if param.name not in arguments:
             return failure(
-                f"Tool call failed (invalid-arguments): missing required "
-                f"argument '{param.name}' for '{schema.name}'.",
-                cause="invalid-arguments",
+                "Tool call", "invalid-arguments",
+                f"missing required argument '{param.name}' for '{schema.name}'",
                 argument=param.name,
             )
         value = arguments[param.name]
         if not isinstance(value, str):
             return failure(
-                f"Tool call failed (invalid-arguments): argument "
-                f"'{param.name}' for '{schema.name}' must be a string, "
-                f"got {type(value).__name__}.",
-                cause="invalid-arguments",
+                "Tool call", "invalid-arguments",
+                f"argument '{param.name}' for '{schema.name}' must be a string, "
+                f"got {type(value).__name__}",
                 argument=param.name,
             )
     return None
@@ -110,18 +109,14 @@ def dispatch(call: ToolCall, world: WorldState, mem: MemoryHandles) -> ToolResul
     """Validate and execute one tool call against the given handles."""
     schema = TOOL_SCHEMAS.get(call.name)
     if schema is None:
-        return failure(
-            f"Tool call failed (unknown-tool): unknown tool '{call.name}'.",
-            cause="unknown-tool",
-        )
+        return failure("Tool call", "unknown-tool", f"unknown tool '{call.name}'")
     problem = _validate_arguments(schema, call.arguments)
     if problem is not None:
         return problem
-    handler = _HANDLERS[call.name]
-    return handler(call.arguments, world, mem)
+    return _HANDLERS[call.name](world, mem, **call.arguments)
 
 
-def tool_look_around(world: WorldState) -> ToolResult:
+def tool_look_around(world: WorldState, mem: MemoryHandles) -> ToolResult:
     loc = world.agent.location
     room = world.map.rooms[loc]
     neighbor_bits = [
@@ -152,21 +147,17 @@ def tool_look_around(world: WorldState) -> ToolResult:
     )
 
 
-def tool_move_to(world: WorldState, location: str) -> ToolResult:
+def tool_move_to(world: WorldState, mem: MemoryHandles, location: str) -> ToolResult:
     if location == world.agent.location:
         return success(f"Already at {location}.", location=location, hops=0)
     try:
         outcome = execute_move(world, location)
     except UnknownLocationError:
-        return failure(
-            f"Move failed (unknown-location): unknown location '{location}'.",
-            cause="unknown-location",
-        )
+        return failure("Move", "unknown-location", f"unknown location '{location}'")
     if not outcome.ok:
         return failure(
-            f"Move failed (no-path): no path available from "
-            f"'{world.agent.location}' to '{location}'.",
-            cause=outcome.cause or "no-path",
+            "Move", outcome.cause,
+            f"no path available from '{world.agent.location}' to '{location}'",
         )
     assert outcome.path is not None
     route = " -> ".join(outcome.path)
@@ -186,16 +177,13 @@ _GRAB_MESSAGES = {
 }
 
 
-def tool_grab(world: WorldState, obj: str) -> ToolResult:
+def tool_grab(world: WorldState, mem: MemoryHandles, object: str) -> ToolResult:
     held_before = world.agent.held
-    outcome = attach(world, obj)
+    outcome = attach(world, object)
     if outcome.ok:
-        return success(f"Grabbed {obj}.", object=obj)
-    assert outcome.cause is not None
-    detail = _GRAB_MESSAGES[outcome.cause].format(obj=obj, held=held_before)
-    return failure(
-        f"Grab failed ({outcome.cause}): {detail}.", cause=outcome.cause, object=obj
-    )
+        return success(f"Grabbed {object}.", object=object)
+    detail = _GRAB_MESSAGES[outcome.cause].format(obj=object, held=held_before)
+    return failure("Grab", outcome.cause, detail, object=object)
 
 
 _PLACE_MESSAGES = {
@@ -206,7 +194,7 @@ _PLACE_MESSAGES = {
 }
 
 
-def tool_place(world: WorldState, slot: str) -> ToolResult:
+def tool_place(world: WorldState, mem: MemoryHandles, slot: str) -> ToolResult:
     held_before = world.agent.held
     outcome = detach_at(world, slot)
     if outcome.ok:
@@ -217,54 +205,48 @@ def tool_place(world: WorldState, slot: str) -> ToolResult:
             object=held_before,
             slot=slot,
         )
-    assert outcome.cause is not None
     detail = _PLACE_MESSAGES[outcome.cause].format(slot=slot)
-    return failure(
-        f"Place failed ({outcome.cause}): {detail}.", cause=outcome.cause, slot=slot
-    )
+    return failure("Place", outcome.cause, detail, slot=slot)
 
 
-def tool_add_to_scratchpad(mem: MemoryHandles, text: str) -> ToolResult:
+def tool_add_to_scratchpad(
+    world: WorldState, mem: MemoryHandles, text: str
+) -> ToolResult:
     try:
         mem.scratchpad.append(text)
     except ValueError:
-        return failure(
-            "Scratchpad write failed (empty-note): cannot add an empty note.",
-            cause="empty-note",
-        )
+        return failure("Scratchpad write", "empty-note", "cannot add an empty note")
     return success(
         f"Noted. The scratchpad now has {len(mem.scratchpad)} entries.",
         entries=len(mem.scratchpad),
     )
 
 
-def tool_view_scratchpad(mem: MemoryHandles) -> ToolResult:
+def tool_view_scratchpad(world: WorldState, mem: MemoryHandles) -> ToolResult:
     if len(mem.scratchpad) == 0:
         return success("The scratchpad is empty.", entries=0)
     return success(mem.scratchpad.view(), entries=len(mem.scratchpad))
 
 
 def tool_end_task(
-    mem: MemoryHandles, task_description: str, status: str, action_summary: str
+    world: WorldState,
+    mem: MemoryHandles,
+    task_description: str,
+    status: str,
+    action_summary: str,
 ) -> ToolResult:
     if status not in BELIEVED_STATUSES:
         return failure(
-            f"End-task failed (invalid-status): invalid status '{status}'; "
-            f"expected 'succeeded' or 'failed'.",
-            cause="invalid-status",
+            "End-task", "invalid-status",
+            f"invalid status '{status}'; expected 'succeeded' or 'failed'",
         )
-    if not task_description.strip():
-        return failure(
-            "End-task failed (empty-field): task_description must be non-empty.",
-            cause="empty-field",
-            argument="task_description",
-        )
-    if not action_summary.strip():
-        return failure(
-            "End-task failed (empty-field): action_summary must be non-empty.",
-            cause="empty-field",
-            argument="action_summary",
-        )
+    for name, value in (
+        ("task_description", task_description), ("action_summary", action_summary)
+    ):
+        if not value.strip():
+            return failure(
+                "End-task", "empty-field", f"{name} must be non-empty", argument=name
+            )
     record_id = mem.store.add(
         task_description=task_description,
         believed_status=status,
@@ -279,7 +261,7 @@ def tool_end_task(
     )
 
 
-def tool_search_memory(mem: MemoryHandles, query: str) -> ToolResult:
+def tool_search_memory(world: WorldState, mem: MemoryHandles, query: str) -> ToolResult:
     results = mem.store.search(query)
     if not results:
         return success("Found no relevant memories.", results=[])
@@ -296,18 +278,17 @@ def tool_search_memory(mem: MemoryHandles, query: str) -> ToolResult:
 
 
 _HANDLERS = {
-    "look_around": lambda args, world, mem: tool_look_around(world),
-    "move_to": lambda args, world, mem: tool_move_to(world, args["location"]),
-    "grab": lambda args, world, mem: tool_grab(world, args["object"]),
-    "place": lambda args, world, mem: tool_place(world, args["slot"]),
-    "add_to_scratchpad": lambda args, world, mem: tool_add_to_scratchpad(
-        mem, args["text"]
-    ),
-    "view_scratchpad": lambda args, world, mem: tool_view_scratchpad(mem),
-    "end_task": lambda args, world, mem: tool_end_task(
-        mem, args["task_description"], args["status"], args["action_summary"]
-    ),
-    "search_memory": lambda args, world, mem: tool_search_memory(mem, args["query"]),
+    "look_around": tool_look_around,
+    "move_to": tool_move_to,
+    "grab": tool_grab,
+    "place": tool_place,
+    "add_to_scratchpad": tool_add_to_scratchpad,
+    "view_scratchpad": tool_view_scratchpad,
+    "end_task": tool_end_task,
+    "search_memory": tool_search_memory,
 }
 
-assert set(_HANDLERS) == set(TOOL_SCHEMAS)
+# Dispatch passes a call's arguments as keywords after world and mem.
+_TAKES = {name: list(inspect.signature(h).parameters)[2:] for name, h in _HANDLERS.items()}
+if _TAKES != {name: [p.name for p in s.params] for name, s in TOOL_SCHEMAS.items()}:
+    raise TypeError("each tool handler must take its schema's parameters, in order")

@@ -7,7 +7,6 @@ outcomes being pure).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .semantic_map import shortest_path
@@ -26,31 +25,26 @@ CAUSE_OCCUPIED = "occupied"
 
 
 @dataclass
-class MoveOutcome:
-    ok: bool
+class Outcome:
+    """What a world operation did: `cause` names the violated condition
+    of a failure and is None on success; a move fills `path`, a detach
+    the slot it filled."""
+
     cause: str | None = None
     path: list[str] | None = None
+    furniture_id: str | None = None
+    slot_index: int | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.cause is None
 
     @property
     def hops(self) -> int:
         return len(self.path) - 1 if self.path else 0
 
 
-@dataclass
-class AttachOutcome:
-    ok: bool
-    cause: str | None = None
-
-
-@dataclass
-class DetachOutcome:
-    ok: bool
-    cause: str | None = None
-    furniture_id: str | None = None
-    slot_index: int | None = None
-
-
-def execute_move(state: WorldState, goal: str) -> MoveOutcome:
+def execute_move(state: WorldState, goal: str) -> Outcome:
     """Navigate the agent to goal along the cheapest path.
 
     Advances step_counter by the number of hops. Raises
@@ -60,10 +54,10 @@ def execute_move(state: WorldState, goal: str) -> MoveOutcome:
     state.map.require(goal)
     path = shortest_path(state.map, state.agent.location, goal)
     if path is None:
-        return MoveOutcome(ok=False, cause=CAUSE_NO_PATH)
+        return Outcome(CAUSE_NO_PATH)
     state.agent.location = goal
     state.step_counter += len(path) - 1
-    return MoveOutcome(ok=True, path=path)
+    return Outcome(path=path)
 
 
 def objects_in_proximity(state: WorldState) -> list[tuple[str, str]]:
@@ -72,16 +66,15 @@ def objects_in_proximity(state: WorldState) -> list[tuple[str, str]]:
     A held object sits at the agent's own position, so it is always listed.
     Sorted by object id for deterministic messages.
     """
-    agent_pos = state.agent_position()
     nearby = []
     for oid in sorted(state.objects):
         obj = state.objects[oid]
-        if math.dist(agent_pos, state.object_position(obj)) <= state.agent.reach_radius:
+        if state.within_reach(state.object_position(obj)):
             nearby.append((oid, state.describe_placement(obj)))
     return nearby
 
 
-def attach(state: WorldState, object_id: str) -> AttachOutcome:
+def attach(state: WorldState, object_id: str) -> Outcome:
     """Attach an object to the agent (grasp by proximity).
 
     Checks run in a fixed order so the reported cause is deterministic:
@@ -89,41 +82,41 @@ def attach(state: WorldState, object_id: str) -> AttachOutcome:
     """
     obj = state.objects.get(object_id)
     if obj is None:
-        return AttachOutcome(ok=False, cause=CAUSE_DOES_NOT_EXIST)
+        return Outcome(CAUSE_DOES_NOT_EXIST)
     if not state.within_reach(state.object_position(obj)):
-        return AttachOutcome(ok=False, cause=CAUSE_OUT_OF_REACH)
+        return Outcome(CAUSE_OUT_OF_REACH)
     if state.agent.held is not None:
-        return AttachOutcome(ok=False, cause=CAUSE_ALREADY_HOLDING)
+        return Outcome(CAUSE_ALREADY_HOLDING)
     if not obj.graspable:
-        return AttachOutcome(ok=False, cause=CAUSE_NOT_GRASPABLE)
+        return Outcome(CAUSE_NOT_GRASPABLE)
 
     if isinstance(obj.containment, InSlot):
         src = state.furniture[obj.containment.furniture_id]
         src.slots[obj.containment.slot_index] = None
     obj.containment = Held()
     state.agent.held = object_id
-    return AttachOutcome(ok=True)
+    return Outcome()
 
 
-def detach_at(state: WorldState, slot_name: str) -> DetachOutcome:
+def detach_at(state: WorldState, slot_name: str) -> Outcome:
     """Release the held object into a named slot.
 
     Violations are reported in the fixed order: not-holding, no-such-slot,
     out-of-reach, occupied.
     """
     if state.agent.held is None:
-        return DetachOutcome(ok=False, cause=CAUSE_NOT_HOLDING)
+        return Outcome(CAUSE_NOT_HOLDING)
     found = state.find_slot(slot_name)
     if found is None:
-        return DetachOutcome(ok=False, cause=CAUSE_NO_SUCH_SLOT)
+        return Outcome(CAUSE_NO_SUCH_SLOT)
     furn, index = found
     if not state.within_reach(state.map.positions[furn.location]):
-        return DetachOutcome(ok=False, cause=CAUSE_OUT_OF_REACH)
+        return Outcome(CAUSE_OUT_OF_REACH)
     if furn.slots[index] is not None:
-        return DetachOutcome(ok=False, cause=CAUSE_OCCUPIED)
+        return Outcome(CAUSE_OCCUPIED)
 
     object_id = state.agent.held
     furn.slots[index] = object_id
     state.objects[object_id].containment = InSlot(furn.id, index)
     state.agent.held = None
-    return DetachOutcome(ok=True, furniture_id=furn.id, slot_index=index)
+    return Outcome(furniture_id=furn.id, slot_index=index)

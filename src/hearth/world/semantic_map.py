@@ -6,6 +6,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+from ..jsonio import read_field
+
 # Slack when checking that an edge cost covers the straight-line distance
 # between its endpoints (keeps the Euclidean heuristic admissible).
 _COST_EPS = 1e-9
@@ -104,11 +106,19 @@ class SemanticMap:
 
     @classmethod
     def from_dict(cls, data: dict) -> SemanticMap:
+        """Rebuild a map from `to_dict()` output; ids and rooms must be
+        strings, coordinates and costs numbers."""
         smap = cls()
         for node in data["nodes"]:
-            smap.add_node(node["id"], node["x"], node["y"], node["room"])
+            smap.add_node(
+                read_field(node, "id", str),
+                read_field(node, "x", float),
+                read_field(node, "y", float),
+                read_field(node, "room", str),
+            )
         for edge in data["edges"]:
-            smap.add_edge(edge["a"], edge["b"], edge.get("cost"))
+            cost = read_field(edge, "cost", float) if "cost" in edge else None
+            smap.add_edge(edge["a"], edge["b"], cost)
         return smap
 
 

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from ..jsonio import from_json, read_field
 from .semantic_map import SemanticMap
 
 DEFAULT_REACH_RADIUS = 1.5
@@ -46,7 +47,7 @@ def containment_to_dict(c: Containment) -> dict:
 def containment_from_dict(d: dict) -> Containment:
     kind = d["kind"]
     if kind == "slot":
-        return InSlot(d["furniture"], d["slot"])
+        return InSlot(d["furniture"], read_field(d, "slot", int))
     if kind == "held":
         return Held()
     if kind == "loose":
@@ -142,29 +143,36 @@ class WorldState:
     @classmethod
     def from_dict(cls, data: dict) -> WorldState:
         """Rebuild a world from `to_dict()` output; raises ValueError when
-        `data` is not a valid world, as in a hand-edited file."""
+        `data` is not a valid world, as in a hand-edited file, including a
+        value of the wrong JSON type."""
         try:
             state = cls(map=SemanticMap.from_dict(data["map"]))
             for f in data["furniture"]:
-                if f["id"] in state.furniture:
-                    raise InvariantViolation(f"duplicate furniture id '{f['id']}'")
-                furniture = Furniture(f["id"], f["location"], list(f["slots"]))
-                state.furniture[f["id"]] = furniture
+                furniture = from_json(Furniture, f)
+                if furniture.id in state.furniture:
+                    raise InvariantViolation(f"duplicate furniture id '{furniture.id}'")
+                state.furniture[furniture.id] = furniture
             for o in data["objects"]:
-                if o["id"] in state.objects:
-                    raise InvariantViolation(f"duplicate object id '{o['id']}'")
-                state.objects[o["id"]] = SimObject(
-                    o["id"], o["kind"], o["graspable"],
+                obj = SimObject(
+                    read_field(o, "id", str),
+                    read_field(o, "kind", str),
+                    read_field(o, "graspable", bool),
                     containment_from_dict(o["containment"]),
                 )
+                if obj.id in state.objects:
+                    raise InvariantViolation(f"duplicate object id '{obj.id}'")
+                state.objects[obj.id] = obj
+            agent = data["agent"]
             state.agent = AgentBody(
-                location=data["agent"]["location"],
-                held=data["agent"]["held"],
-                reach_radius=data["agent"]["reach_radius"],
+                read_field(agent, "location", str),
+                read_field(agent, "held", str | None),
+                read_field(agent, "reach_radius", float),
             )
-            state.step_counter = data["step_counter"]
+            state.step_counter = read_field(data, "step_counter", int)
             validate_state(state)
-        except (LookupError, TypeError, AttributeError, InvariantViolation) as exc:
+        except (
+            LookupError, TypeError, ValueError, AttributeError, InvariantViolation
+        ) as exc:
             raise ValueError(f"malformed world: {type(exc).__name__}: {exc}") from exc
         return state
 
@@ -208,6 +216,8 @@ def validate_state(state: WorldState) -> None:
             check(cost >= 0, f"negative cost on ({node}, {nbr})")
 
     check(state.step_counter >= 0, "negative step counter")
+    check(state.agent.reach_radius > 0,
+          f"reach_radius {state.agent.reach_radius!r} is not positive")
     check(state.agent.location in smap.positions,
           f"agent at unknown location '{state.agent.location}'")
 

@@ -17,7 +17,10 @@ oracle is the hand-written serializers each record once had: one dict
 per transcript line, tool call, tool result and metrics group, with
 every field named. The hand-checked readers are how plans and
 transcript lines were read before the generic reader: one `isinstance`
-check per field, in the order the fields were checked.
+check per field, in the order the fields were checked. The tool-contract
+model restates, over a world's plain `to_dict` data, which tool call
+succeeds and which cause a failure names, with a breadth-first walk in
+place of A*.
 """
 
 from __future__ import annotations
@@ -637,3 +640,150 @@ def hand_checked_plan(data) -> ExperimentPlan:
         max_tool_calls=max_tool_calls,
         memory_enabled=_plan_field(data, "memory_enabled", _typed(bool), True),
     )
+
+
+# Every cause keyword a failed tool result may carry.
+DOCUMENTED_CAUSES = frozenset({
+    "no-path", "does-not-exist", "out-of-reach", "already-holding",
+    "not-graspable", "not-holding", "no-such-slot", "occupied",
+    "unknown-location", "invalid-arguments", "unknown-tool", "empty-note",
+    "invalid-status", "empty-field", "parallel-calls",
+})
+
+# Each tool's parameters, all required strings.
+TOOL_PARAMS = {
+    "look_around": (),
+    "move_to": ("location",),
+    "grab": ("object",),
+    "place": ("slot",),
+    "add_to_scratchpad": ("text",),
+    "view_scratchpad": (),
+    "search_memory": ("query",),
+    "end_task": ("task_description", "status", "action_summary"),
+}
+
+
+class ToolContractModel:
+    """The tool contract restated over plain data from `WorldState.to_dict`.
+
+    `expect` names the cause a call must fail with, or None when it must
+    succeed, and applies a success to the model. Reach is the Euclidean
+    distance against `reach_radius`, inclusive; a slot holds one object;
+    the agent holds at most one; a move succeeds when the goal is in the
+    start's component, found by a breadth-first walk. The model keeps no
+    step counter, since hop counts depend on which shortest path A* picks.
+    """
+
+    def __init__(self, world: dict) -> None:
+        self.positions = {n["id"]: (n["x"], n["y"]) for n in world["map"]["nodes"]}
+        self.links = {node: set() for node in self.positions}
+        for edge in world["map"]["edges"]:
+            self.links[edge["a"]].add(edge["b"])
+            self.links[edge["b"]].add(edge["a"])
+        self.furniture_at = {f["id"]: f["location"] for f in world["furniture"]}
+        self.slots = {
+            f"{f['id']}_layer_{index + 1}": [f["id"], index, occupant]
+            for f in world["furniture"]
+            for index, occupant in enumerate(f["slots"])
+        }
+        self.graspable = {o["id"]: o["graspable"] for o in world["objects"]}
+        self.placement = {o["id"]: dict(o["containment"]) for o in world["objects"]}
+        self.location = world["agent"]["location"]
+        self.held = world["agent"]["held"]
+        self.reach = world["agent"]["reach_radius"]
+
+    def _reaches(self, location: str) -> bool:
+        (ax, ay), (bx, by) = self.positions[self.location], self.positions[location]
+        return math.hypot(ax - bx, ay - by) <= self.reach
+
+    def _where(self, object_id: str) -> str:
+        placement = self.placement[object_id]
+        if placement["kind"] == "slot":
+            return self.furniture_at[placement["furniture"]]
+        if placement["kind"] == "held":
+            return self.location
+        return placement["location"]
+
+    def _connected(self, goal: str) -> bool:
+        seen, frontier = {self.location}, [self.location]
+        while frontier:
+            for nbr in self.links[frontier.pop()]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    frontier.append(nbr)
+        return goal in seen
+
+    def expect(self, name: str, arguments) -> str | None:
+        if name not in TOOL_PARAMS:
+            return "unknown-tool"
+        if (
+            not isinstance(arguments, dict)
+            or set(arguments) != set(TOOL_PARAMS[name])
+            or not all(isinstance(value, str) for value in arguments.values())
+        ):
+            return "invalid-arguments"
+        if name == "move_to":
+            goal = arguments["location"]
+            if goal == self.location:
+                return None
+            if goal not in self.positions:
+                return "unknown-location"
+            if not self._connected(goal):
+                return "no-path"
+            self.location = goal
+        elif name == "grab":
+            target = arguments["object"]
+            if target not in self.placement:
+                return "does-not-exist"
+            if not self._reaches(self._where(target)):
+                return "out-of-reach"
+            if self.held is not None:
+                return "already-holding"
+            if not self.graspable[target]:
+                return "not-graspable"
+            placement = self.placement[target]
+            if placement["kind"] == "slot":
+                slot_name = f"{placement['furniture']}_layer_{placement['slot'] + 1}"
+                self.slots[slot_name][2] = None
+            self.placement[target] = {"kind": "held"}
+            self.held = target
+        elif name == "place":
+            if self.held is None:
+                return "not-holding"
+            slot = self.slots.get(arguments["slot"])
+            if slot is None:
+                return "no-such-slot"
+            furniture_id, index, occupant = slot
+            if not self._reaches(self.furniture_at[furniture_id]):
+                return "out-of-reach"
+            if occupant is not None:
+                return "occupied"
+            slot[2] = self.held
+            self.placement[self.held] = {
+                "kind": "slot", "furniture": furniture_id, "slot": index,
+            }
+            self.held = None
+        elif name == "add_to_scratchpad":
+            if not arguments["text"].strip():
+                return "empty-note"
+        elif name == "end_task":
+            if arguments["status"] not in ("succeeded", "failed"):
+                return "invalid-status"
+            if not (
+                arguments["task_description"].strip()
+                and arguments["action_summary"].strip()
+            ):
+                return "empty-field"
+        return None
+
+    def nearby(self) -> list[str]:
+        """The objects `look_around` lists: those within reach, by id."""
+        return [oid for oid in sorted(self.placement) if self._reaches(self._where(oid))]
+
+    def snapshot(self) -> dict:
+        """`snapshot` of the world the model tracks, without its step
+        counter."""
+        return {
+            "agent": {"location": self.location, "held": self.held},
+            "objects": dict(sorted(self.placement.items())),
+        }

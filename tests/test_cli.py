@@ -617,6 +617,67 @@ BAD_HTTP_FIELDS = {
         "extra_headers must be an object of strings: {'X': 5}"),
     "model-list": ({"model": ["m"]}, "model must be a string: ['m']"),
     "timeout-bool": ({"timeout_s": True}, "timeout_s must be a number: True"),
+    "max-retries-negative": ({"max_retries": -1}, "max_retries must be >= 0: -1"),
+    "timeout-negative": ({"timeout_s": -1}, "timeout_s must be > 0: -1"),
+    "timeout-zero": ({"timeout_s": 0.0}, "timeout_s must be > 0: 0.0"),
+    "retry-base-negative": ({"retry_base_s": -0.5}, "retry_base_s must be >= 0: -0.5"),
+}
+
+
+def baseline_world_from_before_t1(t1_output, tmp_path):
+    """A t1 baseline whose world is the one t1 started from, where nothing
+    is shelved, but whose snapshot is still t1's."""
+    header = json.loads(read_lines(t1_output / "run_t1.jsonl")[0])
+    return bad_baseline(lambda b: b.update(world=header["initial_world"]))(
+        t1_output, tmp_path)
+
+
+def in_slot(world):
+    """The first object of a world that sits in a slot."""
+    return next(o for o in world["objects"] if o["containment"]["kind"] == "slot")
+
+
+# Each edit of a world, paired with the error a transcript header or a
+# baseline holding the edited world gives.
+BAD_WORLD_FIELDS = {
+    "reach-radius-string": (
+        lambda w: w["agent"].update(reach_radius="x"),
+        "FieldError: reach_radius must be a number: 'x'"),
+    "reach-radius-zero": (
+        lambda w: w["agent"].update(reach_radius=0),
+        "InvariantViolation: reach_radius 0 is not positive"),
+    "graspable-string": (
+        lambda w: w["objects"][0].update(graspable="no"),
+        "FieldError: graspable must be a boolean: 'no'"),
+    "object-kind-5": (
+        lambda w: w["objects"][0].update(kind=5), "FieldError: kind must be a string: 5"),
+    "object-id-5": (
+        lambda w: w["objects"][0].update(id=5), "FieldError: id must be a string: 5"),
+    "furniture-id-5": (
+        lambda w: w["furniture"][0].update(id=5), "FieldError: id must be a string: 5"),
+    "node-id-5": (
+        lambda w: w["map"]["nodes"][0].update(id=5), "FieldError: id must be a string: 5"),
+    "node-room-5": (
+        lambda w: w["map"]["nodes"][0].update(room=5),
+        "FieldError: room must be a string: 5"),
+    "coordinate-string": (
+        lambda w: w["map"]["nodes"][0].update(x="1.5"),
+        "FieldError: x must be a number: '1.5'"),
+    "coordinate-bool": (
+        lambda w: w["map"]["nodes"][0].update(y=True),
+        "FieldError: y must be a number: True"),
+    "cost-string": (
+        lambda w: w["map"]["edges"][0].update(cost="9"),
+        "FieldError: cost must be a number: '9'"),
+    "cost-bool": (
+        lambda w: w["map"]["edges"][0].update(cost=True),
+        "FieldError: cost must be a number: True"),
+    "step-counter-float": (
+        lambda w: w.update(step_counter=0.0),
+        "FieldError: step_counter must be an integer: 0.0"),
+    "slot-index-bool": (
+        lambda w: in_slot(w)["containment"].update(slot=True),
+        "FieldError: slot must be an integer: True"),
 }
 
 # Line 4 of t1's transcript is its first assistant turn with a tool call;
@@ -771,6 +832,20 @@ MALFORMED_INPUTS = {
         "malformed world: "),
     "transcript-line-not-an-object": (
         bad_transcript_line(3, lambda d: [1, 2]), ":3: not a JSON object"),
+    **{
+        f"header-world-{name}": (
+            bad_transcript_line(1, lambda d, edit=edit: edit(d["initial_world"])),
+            f":1: malformed header line: malformed world: {error}")
+        for name, (edit, error) in BAD_WORLD_FIELDS.items()
+    },
+    **{
+        f"baseline-world-{name}": (
+            bad_baseline(lambda b, edit=edit: edit(b["world"])),
+            f"malformed world: {error}")
+        for name, (edit, error) in BAD_WORLD_FIELDS.items()
+    },
+    "baseline-world-from-before-t1": (
+        baseline_world_from_before_t1, "snapshot does not match the baseline's world"),
 }
 
 
