@@ -13,14 +13,15 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
-
-import requests
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..jsonio import FieldError, from_json
 from ..tools.dispatch import ToolCall
 from .backends import BackendError, BackendReply, parse_arguments_json
 from .context import AgentContext
+
+if TYPE_CHECKING:
+    import requests
 
 TRANSIENT_STATUS = (429, 500, 502, 503, 504)
 
@@ -70,6 +71,10 @@ class HttpChatBackend:
         session: requests.Session | None = None,
         sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
+        # Imported here, not at module level, so that commands that never
+        # send HTTP (replay, memory, scripted runs) do not pay its import.
+        import requests
+
         self.config = config
         self._session = session or requests.Session()
         self._sleep = sleeper
@@ -83,6 +88,8 @@ class HttpChatBackend:
         return headers
 
     def _post_with_retries(self, body: dict[str, Any]) -> dict[str, Any]:
+        import requests
+
         url = f"{self.config.base_url.rstrip('/')}/chat/completions"
         last_error = "no attempt made"
         for attempt in range(self.config.max_retries + 1):

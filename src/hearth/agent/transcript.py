@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from ..jsonio import from_json
@@ -101,7 +101,16 @@ class TranscriptHeader:
     initial_memories: list[dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        return {"type": "header", **vars(self)}
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"type": "header", **values}
+
+    def start_world(self) -> WorldState:
+        """A world in the state `initial_world` describes, for one run to
+        change. The first call returns the world built when the header was
+        read, so an edit to `initial_world` made after reading shows only
+        from the second call on; each later call builds a new world."""
+        world = vars(self).pop("_parsed_world", None)
+        return world if world is not None else WorldState.from_dict(self.initial_world)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TranscriptHeader":
@@ -115,8 +124,12 @@ class TranscriptHeader:
             for key in MEMORY_FIELDS:
                 if not isinstance(memory.get(key), str):
                     raise ValueError(f"initial memory lacks '{key}': {memory!r}")
-        WorldState.from_dict(data["initial_world"])
-        return from_json(cls, data)
+        world = WorldState.from_dict(data["initial_world"])
+        header = from_json(cls, data)
+        # Built to check `initial_world`; kept, outside the fields, for the
+        # first `start_world` call, so that a replay builds it only once.
+        header._parsed_world = world
+        return header
 
 
 @dataclass

@@ -308,7 +308,7 @@ def replay_transcript(transcript: Transcript) -> ReplayReport:
             f"scenario hash mismatch: header says "
             f"{header.scenario_hash}, scenario hashes to {recomputed}"
         )
-    world = WorldState.from_dict(header.initial_world)
+    world = header.start_world()
     handles = MemoryHandles(
         scratchpad=Scratchpad(),
         store=seed_store(header.initial_memories),

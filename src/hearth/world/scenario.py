@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import cache
 from importlib import resources
-from typing import Any
-
-from jsonschema.exceptions import ValidationError, best_match
-from jsonschema.validators import validator_for
+from typing import TYPE_CHECKING, Any
 
 from ..jsonio import read_json_object
 from .semantic_map import SemanticMap
@@ -30,6 +28,10 @@ from .state import (
     canonical_json,
     validate_state,
 )
+
+if TYPE_CHECKING:
+    from jsonschema.exceptions import ValidationError
+    from jsonschema.protocols import Validator
 
 SCENARIO_SCHEMA: dict[str, Any] = {
     "type": "object",
@@ -113,8 +115,15 @@ SCENARIO_SCHEMA: dict[str, Any] = {
 }
 
 
-# Compiled once; jsonschema.validate re-checks the schema itself per call.
-_VALIDATOR = validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+@cache
+def _validator() -> Validator:
+    """The scenario schema's validator, compiled on first use: importing
+    jsonschema costs about as much as the rest of hearth, and commands
+    such as replay never validate a scenario. Compiled once, because
+    jsonschema.validate re-checks the schema itself on every call."""
+    from jsonschema.validators import validator_for
+
+    return validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
 
 
 class ScenarioError(ValueError):
@@ -137,7 +146,9 @@ def load_scenario(data: dict[str, Any]) -> WorldState:
     Raises ScenarioError with the offending field named for any schema
     violation, duplicate id, dangling reference, or disconnected map.
     """
-    error = best_match(_VALIDATOR.iter_errors(data))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(data))
     if error is not None:
         raise ScenarioError(
             f"schema violation at {_schema_path(error)}: {error.message}"

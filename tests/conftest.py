@@ -47,7 +47,10 @@ class CountingValidator:
 
 @pytest.fixture
 def scenario_validations(monkeypatch) -> CountingValidator:
-    """Count how often scenario documents are validated during a test."""
-    counting = CountingValidator(scenario_module._VALIDATOR)
-    monkeypatch.setattr(scenario_module, "_VALIDATOR", counting)
+    """Count how often scenario documents are validated during a test.
+
+    Patches the `_validator()` seam, which compiles the validator on first
+    use, so the count holds whether or not an earlier test compiled it."""
+    counting = CountingValidator(scenario_module._validator())
+    monkeypatch.setattr(scenario_module, "_validator", lambda: counting)
     return counting

@@ -187,6 +187,26 @@ def test_clean_replay_compares_each_message_once(recording, monkeypatch):
     assert len(calls) == 60
 
 
+def test_read_and_replay_build_the_starting_world_once(tmp_path, monkeypatch):
+    """Reading a header builds its world to check it and the first replay
+    runs in that world; a second replay of the same transcript builds a
+    fresh one and reports the same."""
+    path = record(tmp_path, BackendSetup.from_spec("scripted:optimal").make("t1"))
+    build = WorldState.from_dict.__func__
+    builds = []
+
+    def counting(cls, data):
+        builds.append(data)
+        return build(cls, data)
+
+    monkeypatch.setattr(WorldState, "from_dict", classmethod(counting))
+    transcript = Transcript.read_jsonl(path)
+    first = replay_transcript(transcript)
+    assert len(builds) == 1
+    assert replay_transcript(transcript) == first == ReplayReport(30, 14, "end_task")
+    assert len(builds) == 2
+
+
 def test_edited_final_line_fails_replay(tmp_path, capsys):
     """A final line claiming another count and belief is a divergence
     (exit 1), not a clean replay."""
