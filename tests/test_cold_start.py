@@ -13,7 +13,7 @@ import pytest
 
 import hearth
 from hearth.cli import main
-from hearth.world.scenario import ScenarioError, default_scenario_data, load_scenario
+from hearth.world.scenario import default_scenario_data
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hearth.__file__)))
 HEAVY = ("requests", "jsonschema")
@@ -85,19 +85,11 @@ def test_scripted_run_loads_jsonschema_but_not_requests():
 def test_http_backend_loads_requests_when_built():
     body = (
         "from hearth.agent.http_backend import HttpBackendConfig, HttpChatBackend\n"
-        "before = 'requests' in sys.modules\n"
+        "print('requests' in sys.modules)\n"
         "HttpChatBackend(HttpBackendConfig('http://127.0.0.1:9/v1', 'm'))\n"
-        "code = 10 * before + ('requests' in sys.modules)"
+        "code = 0"
     )
-    assert fresh(body) == (1, "", "", ["requests"])
-
-
-def _schema_error(edit) -> str:
-    data = default_scenario_data()
-    edit(data)
-    with pytest.raises(ScenarioError) as info:
-        load_scenario(data)
-    return str(info.value)
+    assert fresh(body) == (0, "False\n", "", ["requests"])
 
 
 @pytest.mark.parametrize(
@@ -113,7 +105,6 @@ def _schema_error(edit) -> str:
     ids=["wrong-type", "missing", "below-minimum"],
 )
 def test_first_validation_in_a_fresh_process_keeps_its_text(tmp_path, edit, expected):
-    assert _schema_error(edit) == expected
     data = default_scenario_data()
     edit(data)
     path = tmp_path / "scenario.json"
