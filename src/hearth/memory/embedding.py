@@ -11,8 +11,8 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 EMBEDDING_DIM = 256
 
@@ -52,13 +52,13 @@ def _digest_bucket(token: str) -> int:
     return bucket
 
 
-@dataclass(frozen=True, slots=True)
-class SparseVector:
+class SparseVector(NamedTuple):
     """A vector as its non-zero buckets in ascending order, and its norm.
 
     Every sum runs in bucket order, so norms and dot products equal those
     of the dense list bit for bit: the buckets left out hold +0.0, and
-    adding a zero term leaves a sum unchanged.
+    adding a zero term leaves a sum unchanged. A named tuple, so it is
+    immutable and a store load builds one cheaply per record.
     """
 
     buckets: tuple[int, ...]
@@ -76,6 +76,14 @@ class SparseVector:
         return sum(map(mul, map(dense.__getitem__, self.buckets), self.values))
 
 
+# Builds a named tuple from a tuple of its fields, skipping the keyword
+# handling of the class call, at half its cost.
+_tuple_new = tuple.__new__
+
+# The embedding of a text without a token.
+_BASIS = SparseVector((0,), (1.0,), 1.0)
+
+
 class HashedEmbedder:
     """Deterministic bag-of-words embedder over hashed token buckets.
 
@@ -85,21 +93,32 @@ class HashedEmbedder:
     """
 
     def embed_sparse(self, text: str) -> SparseVector:
-        counts: dict[int, float] = {}
-        for token in tokenize(text):
-            bucket = _MEMO.get(token)
-            if bucket is None:
-                bucket = _digest_bucket(token)
-            counts[bucket] = counts.get(bucket, 0.0) + 1.0
-        if not counts:
-            return SparseVector((0,), (1.0,), 1.0)
-        buckets = sorted(counts)
-        tallies = list(map(counts.__getitem__, buckets))
-        norm = math.sqrt(sum(map(mul, tallies, tallies)))
-        values = tuple(map(norm.__rtruediv__, tallies))
-        return SparseVector(
-            tuple(buckets), values, math.sqrt(sum(map(mul, values, values)))
-        )
+        tokens = tokenize(text)
+        if not tokens:
+            return _BASIS
+        # _MEMO is read here, not bound at import, so that a cleared or
+        # replaced memo is the one used.
+        buckets = list(map(_MEMO.get, tokens))
+        if None in buckets:
+            buckets = [
+                _digest_bucket(token) if bucket is None else bucket
+                for token, bucket in zip(tokens, buckets)
+            ]
+        distinct = sorted(set(buckets))
+        if len(distinct) == len(buckets):
+            # Every tally is 1, so the sum of their squares is exactly
+            # the count.
+            norm = math.sqrt(len(distinct))
+            values = (1.0 / norm,) * len(distinct)
+        else:
+            # Whole counts, so int tallies give the floats that float
+            # tallies would, and the sums keep bucket order.
+            tallies = list(map(buckets.count, distinct))
+            norm = math.sqrt(sum(map(mul, tallies, tallies)))
+            values = tuple(map(norm.__rtruediv__, tallies))
+        return _tuple_new(SparseVector, (
+            tuple(distinct), values, math.sqrt(sum(map(mul, values, values)))
+        ))
 
     def embed(self, text: str) -> list[float]:
         return self.embed_sparse(text).dense()

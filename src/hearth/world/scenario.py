@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import cache
-from importlib import resources
 from typing import TYPE_CHECKING, Any
 
 from ..jsonio import read_json_object
@@ -249,6 +248,10 @@ def read_scenario(path: str | None) -> dict[str, Any]:
 
 def default_scenario_data() -> dict[str, Any]:
     """Return a fresh copy of the bundled two-room household scenario."""
+    # Imported here: commands that never read the bundled file (replay,
+    # memory) skip the importlib.resources machinery at start-up.
+    from importlib import resources
+
     text = resources.files("hearth.data").joinpath("default_scenario.json").read_text(
         encoding="utf-8"
     )

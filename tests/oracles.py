@@ -9,10 +9,13 @@ hand, as the package once did. The dense memory path is the store as it
 was before it kept vectors sparse: a dense embedding, and a cosine that
 sums all 256 buckets and recomputes both norms for every record. Its
 records' embeddings come from `dense_embed` of their descriptions, never
-from the store under test. The prefix-checking replay is replay as it was
-before it compared once: before every turn its backend checks that the
-live context is a prefix of the recording, and only a run that got to
-its end is compared with the recording as a whole. The line-format
+from the store under test. The `json.loads` store load is the store's
+loader as it was before it decoded lines with the json scanner and
+checked a line's fields at once; it embeds with `dense_embed`. The
+prefix-checking replay is replay as it was before it compared once:
+before every turn its backend checks that the live context is a prefix
+of the recording, and only a run that got to its end is compared with
+the recording as a whole. The line-format
 oracle is the hand-written serializers each record once had: one dict
 per transcript line, tool call, tool result and metrics group, with
 every field named. The hand-checked readers are how plans and
@@ -29,6 +32,7 @@ import json
 import math
 import os
 import random
+import sys
 from dataclasses import MISSING
 
 import jsonschema
@@ -51,8 +55,13 @@ from hearth.harness.runner import (
     seed_store,
 )
 from hearth.harness.tasks import TASKS
-from hearth.memory.embedding import EMBEDDING_DIM, _stable_hash_64, tokenize
-from hearth.memory.episodic import EpisodicRecord, EpisodicStore
+from hearth.memory.embedding import EMBEDDING_DIM, SparseVector, _stable_hash_64, tokenize
+from hearth.memory.episodic import (
+    BELIEVED_STATUSES,
+    EpisodicRecord,
+    EpisodicStore,
+    PersistenceError,
+)
 from hearth.memory.scratchpad import Scratchpad
 from hearth.tools.dispatch import MemoryHandles, ToolCall
 from hearth.world.scenario import (
@@ -205,6 +214,86 @@ def dense_record_line(record: EpisodicRecord) -> str:
         "model_id": record.model_id,
     }
     return json.dumps(data, sort_keys=True) + "\n"
+
+
+def sparse_dense_embed(text: str) -> SparseVector:
+    """`dense_embed` as a SparseVector: its non-zero buckets in ascending
+    order, and its norm summed over all buckets in order."""
+    dense = dense_embed(text)
+    buckets = tuple(i for i, value in enumerate(dense) if value)
+    return SparseVector(
+        buckets, tuple(dense[i] for i in buckets), math.sqrt(sum(v * v for v in dense))
+    )
+
+
+def _is_torn(line: str) -> bool:
+    if line.endswith(("\n", "\r")) or not line.strip():
+        return False
+    try:
+        json.loads(line)
+    except json.JSONDecodeError:
+        return True
+    return False
+
+
+def _parse_line(data, ids: set) -> EpisodicRecord:
+    for name in ("id", "task_description", "action_summary", "model_id"):
+        if not isinstance(data[name], str):
+            kind = type(data[name]).__name__
+            raise ValueError(f"{name} must be a string, not {kind}")
+    created_at = data["created_at"]
+    if type(created_at) is not int:
+        raise ValueError(f"created_at must be an integer: {created_at!r}")
+    if data["believed_status"] not in BELIEVED_STATUSES:
+        raise ValueError(f"bad believed_status '{data['believed_status']}'")
+    if data["id"] in ids:
+        raise ValueError(f"duplicate id '{data['id']}'")
+    return EpisodicRecord(
+        id=data["id"],
+        task_description=data["task_description"],
+        believed_status=data["believed_status"],
+        action_summary=data["action_summary"],
+        vector=sparse_dense_embed(data["task_description"]),
+        created_at=created_at,
+        model_id=data["model_id"],
+    )
+
+
+def json_loads_store_load(path: str) -> tuple[list[EpisodicRecord], int, bool]:
+    """(records, next sequence number, unended) of a store file, read as
+    the store read it before it decoded lines with the json scanner:
+    `json.loads` on each stripped line, every check one after the other
+    as each field is read, and the next sequence number kept up per
+    record. Drops and cuts a torn last line with the store's warning;
+    raises PersistenceError with the store's texts."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise PersistenceError(f"cannot read store '{path}': {exc}") from exc
+    if lines and _is_torn(lines[-1]):
+        tail = lines.pop()
+        print(f"warning: dropped torn last line at {path}:{len(lines) + 1}", file=sys.stderr)
+        try:
+            os.truncate(path, os.path.getsize(path) - len(tail.encode("utf-8")))
+        except OSError as exc:
+            raise PersistenceError(f"cannot truncate store '{path}': {exc}") from exc
+    unended = bool(lines) and not lines[-1].endswith(("\n", "\r"))
+    records: list[EpisodicRecord] = []
+    ids: set = set()
+    next_seq = 1
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = _parse_line(json.loads(line), ids)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise PersistenceError(f"corrupt record at {path}:{number}: {exc}") from exc
+        records.append(record)
+        ids.add(record.id)
+        next_seq = max(next_seq, record.created_at + 1)
+    return records, next_seq, unended
 
 
 def validate_error(data) -> tuple[str, str] | None:

@@ -1,6 +1,7 @@
-"""Cold start: a command imports `requests` only to send HTTP and
-`jsonschema` only to validate a scenario. Each check runs in a fresh
-interpreter, since the test process has imported both already."""
+"""Cold start: a command imports `requests` only to send HTTP,
+`jsonschema` only to validate a scenario, and `importlib.resources` only
+to read the bundled scenario. Each check runs in a fresh interpreter,
+since the test process has imported all three already."""
 
 from __future__ import annotations
 
@@ -20,21 +21,27 @@ HEAVY = ("requests", "jsonschema")
 RUN_MAIN = "from hearth.cli import main\ncode = main(sys.argv[1:])"
 
 
-def fresh(body: str, *argv: str, block: bool = False) -> tuple[int, str, str, list[str]]:
+def fresh(
+    body: str, *argv: str, block: bool = False, watch: tuple[str, ...] = HEAVY
+) -> tuple[int, str, str, list[str]]:
     """Run `body`, which sets `code`, in a fresh interpreter with `argv`;
-    returns `code`, stdout, stderr, and which of HEAVY were loaded at the
-    end. With `block`, importing either of them raises ImportError."""
+    returns `code`, stdout, stderr, and which of `watch` were loaded at
+    the end. With `block`, importing either of HEAVY raises ImportError.
+    Without site (`-S`) when `watch` is not HEAVY: a `.pth` file that site
+    runs may import `importlib.resources` before hearth does."""
+    site = watch == HEAVY
     script = "\n".join([
         "import json, sys",
+        "" if site else f"sys.path.insert(0, {SRC!r})",
         "sys.modules['requests'] = sys.modules['jsonschema'] = None" if block else "",
         body,
-        f"print(json.dumps([m for m in {HEAVY!r} if sys.modules.get(m)]), file=sys.stderr)",
+        f"print(json.dumps([m for m in {watch!r} if sys.modules.get(m)]), file=sys.stderr)",
         "sys.exit(code)",
     ])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [sys.executable, *([] if site else ["-S"]), "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     *err, loaded = result.stderr.splitlines(keepends=True)
@@ -72,6 +79,27 @@ def test_memory_list_loads_neither(tmp_path):
     assert fresh(RUN_MAIN, "memory", "list", "--store", str(store)) == (
         0, "0 records\n", "", []
     )
+
+
+def test_replay_and_memory_skip_importlib_resources(t1_transcript, tmp_path):
+    """Neither command reads the bundled scenario, so neither imports
+    it; reading the scenario shows that the check would see it."""
+    store = tmp_path / "store.jsonl"
+    store.write_text("")
+    watch = ("importlib.resources",)
+    code, out, err, loaded = fresh(RUN_MAIN, "replay", t1_transcript, watch=watch)
+    assert (code, err, loaded) == (0, "", [])
+    assert fresh(RUN_MAIN, "memory", "list", "--store", str(store), watch=watch) == (
+        0, "0 records\n", "", []
+    )
+    assert fresh(RUN_MAIN, "memory", "search", "--query", "mug", "--store", str(store),
+                 watch=watch) == (0, "no relevant memories\n", "", [])
+    body = (
+        "from hearth.world.scenario import default_scenario_data\n"
+        "default_scenario_data()\n"
+        "code = 0"
+    )
+    assert fresh(body, watch=watch) == (0, "", "", ["importlib.resources"])
 
 
 def test_scripted_run_loads_jsonschema_but_not_requests():

@@ -1,11 +1,14 @@
 """Memory layer: hashed embeddings, episodic store vs oracle, scratchpad."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hearth.memory import embedding
@@ -16,7 +19,12 @@ from hearth.memory.embedding import (
     _stable_hash_64,
     tokenize,
 )
-from hearth.memory.episodic import EpisodicStore, PersistenceError
+from hearth.memory.episodic import (
+    BELIEVED_STATUSES,
+    EpisodicRecord,
+    EpisodicStore,
+    PersistenceError,
+)
 from hearth.memory.scratchpad import Scratchpad
 
 from .oracles import (
@@ -25,6 +33,8 @@ from .oracles import (
     dense_embed,
     dense_record_line,
     dense_search,
+    json_loads_store_load,
+    sparse_dense_embed,
 )
 
 VOCAB = [
@@ -49,16 +59,6 @@ STORE_FIELDS = {
 
 def norm(vector):
     return math.sqrt(sum(v * v for v in vector))
-
-
-def oracle_vector(text):
-    """The dense oracle's embedding as a SparseVector: its non-zero
-    buckets in ascending order, and its norm summed in bucket order."""
-    dense = dense_embed(text)
-    buckets = tuple(i for i, value in enumerate(dense) if value)
-    return SparseVector(
-        buckets, tuple(dense[i] for i in buckets), math.sqrt(sum(v * v for v in dense))
-    )
 
 
 def text_line(record):
@@ -105,6 +105,19 @@ class TestHashedEmbedder:
 
     def test_sensitive_to_token_multiplicity(self):
         assert HashedEmbedder().embed("mug mug cube") != HashedEmbedder().embed("mug cube")
+
+    def test_tokens_sharing_a_bucket_are_tallied_together(self):
+        """Distinct tokens can share a bucket: their tallies add up there,
+        as a repeated token's do. A shortcut that took distinct tokens for
+        distinct buckets would give each a tally of one."""
+        bucket = _stable_hash_64("clean") % EMBEDDING_DIM
+        assert bucket == _stable_hash_64("put") % EMBEDDING_DIM
+        for text in ["clean put", "put the mug clean", "put put", "clean put put mug mug",
+                     "put", "clean the mug"]:
+            assert HashedEmbedder().embed_sparse(text) == sparse_dense_embed(text), text
+        assert HashedEmbedder().embed_sparse("clean put") == (
+            HashedEmbedder().embed_sparse("put put")
+        )
 
     def test_identical_text_has_similarity_one(self):
         text = "put the mug, the box, and the cube away on the shelf"
@@ -202,6 +215,37 @@ class TestEpisodicStore:
         store.add("put the mug away", "succeeded", "x")
         store.records.clear()
         assert len(store) == 1
+
+    def test_records_and_vectors_are_immutable(self, tmp_path):
+        path = str(tmp_path / "store.jsonl")
+        EpisodicStore(path=path).add("put the mug away", "succeeded", "x")
+        for store in (EpisodicStore(path=path), EpisodicStore()):
+            store.add("swap the mug and cube", "failed", "y")
+            for record in store.records:
+                for name, value in [("id", "mem-9"), ("created_at", 9), ("vector", None)]:
+                    with pytest.raises(AttributeError):
+                        setattr(record, name, value)
+                for name in ("buckets", "values", "norm"):
+                    with pytest.raises(AttributeError):
+                        setattr(record.vector, name, (0,))
+                assert isinstance(record.vector.buckets, tuple)
+                assert isinstance(record.vector.values, tuple)
+
+    def test_mutating_what_is_returned_leaves_later_searches_alone(self):
+        store = EpisodicStore()
+        for text in ["put the mug away", "put the mug on the shelf", "swap the cube"]:
+            store.add(text, "succeeded", "x")
+        first = store.search("put the mug away", k=3, floor=-1.0)
+        want = [(record.id, similarity) for record, similarity in first]
+        first.reverse()
+        first[0] = (EpisodicRecord("mem-9", "mug", "failed", "z",
+                                   SparseVector((1,), (1.0,), 1.0), 9, "m"), 1.0)
+        records = store.records
+        records.clear()
+        records.append(first[0][0])
+        got = store.search("put the mug away", k=3, floor=-1.0)
+        assert [(record.id, similarity) for record, similarity in got] == want
+        assert len(store) == 3
 
 
 class TestPersistence:
@@ -432,6 +476,146 @@ class TestPersistence:
         assert loaded.to_dict() == {k: v for k, v in record.items() if k != "embedding"}
 
 
+# Lines a store holds: blank ones and ones that only Python takes for
+# whitespace, around a record or alone.
+SPACES = ["", " ", "\t", "\x0c", "\xa0", "\u2028", "\x0c\xa0\u2028 "]
+# Lines no store writes: JSON that is not an object, NaN, a byte-order
+# mark, and a torn record.
+ODD_LINES = [
+    "NaN", "5", '"s"', "null", "[1, 2]", "{}", "{", '{"id": "mem-0', "]", "\ufeff", "\ufeff{}",
+]
+# A wrong value for a field: each JSON kind, NaN and a numeric string.
+ODD_VALUES = [None, 5, 7.5, True, False, "7", "", [], {}, ["mem-000001"], float("nan")]
+# What a record line can hold before its JSON and after it: a byte-order
+# mark and trailing extra data.
+ODD_AROUND = [("\ufeff", ""), ("", " 5"), ("", "}"), ("", ","), ("", "]"), ("", " {}"),
+              ("", "x")]
+LINE_ENDS = ["\n", "\n", "\r\n", "\r"]
+
+
+@st.composite
+def record_objects(draw):
+    return {
+        "id": f"mem-{draw(st.integers(1, 30)):06d}",
+        "task_description": draw(st.lists(st.sampled_from(VOCAB + ["MUG", "!"]),
+                                          max_size=6).map(" ".join)),
+        "believed_status": draw(st.sampled_from(BELIEVED_STATUSES)),
+        "action_summary": draw(st.sampled_from(["x", "carried it"])),
+        "created_at": draw(st.integers(-3, 40)),
+        "model_id": draw(st.sampled_from(["m", "scripted:optimal"])),
+    }
+
+
+@st.composite
+def store_lines(draw):
+    """One or two lines, each without its line end. Five in six are lines
+    a store holds (a record in either format, or a blank line), so that
+    many files load."""
+    if draw(st.integers(0, 5)):
+        kind = draw(st.sampled_from(["text", "text", "dense", "blank"]))
+        if kind == "blank":
+            return [draw(st.sampled_from(SPACES))]
+        data = draw(record_objects())
+        if kind == "dense":
+            data["embedding"] = dense_embed(data["task_description"])
+        around = (draw(st.sampled_from(SPACES)), draw(st.sampled_from(SPACES)))
+    else:
+        kind = draw(st.sampled_from(["fields", "fields", "odd", "around", "join"]))
+        if kind == "odd":
+            return [draw(st.sampled_from(ODD_LINES))]
+        data = draw(record_objects())
+        # One to three faults, so that the first fault the checks meet
+        # is not always the only one.
+        for fault in draw(st.lists(st.sampled_from(["wrong", "missing", "status"]),
+                                   min_size=int(kind == "fields"), max_size=3)):
+            if fault == "status":
+                data["believed_status"] = draw(st.sampled_from(["maybe", "Succeeded", "x "]))
+            elif data and fault == "wrong":
+                data[draw(st.sampled_from(sorted(data)))] = draw(st.sampled_from(ODD_VALUES))
+            elif data:
+                del data[draw(st.sampled_from(sorted(data)))]
+        around = draw(st.sampled_from(ODD_AROUND)) if kind == "around" else ("", "")
+    text = json.dumps(data, sort_keys=draw(st.booleans()))
+    if kind == "join":
+        # Two lines that are one JSON array's items once joined with
+        # commas, but each line on its own is a record and extra data.
+        other = json.dumps(draw(record_objects()))
+        return [f'{text}, {other[:-1]}, "x": [{{"b": 1}}', '{"c": 1}]}']
+    return [around[0] + text + around[1]]
+
+
+@st.composite
+def store_files(draw):
+    """A store file's text: a BOM or not, lines with mixed line ends, and
+    a last line that is ended, unended, or cut short."""
+    lines = [line for group in draw(st.lists(store_lines(), max_size=8)) for line in group]
+    text = "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+    if draw(st.integers(0, 9)) == 0:
+        text = "\ufeff" + text
+    last = draw(st.sampled_from(["ended", "ended", "unended", "cut"]))
+    if lines and last == "unended":
+        text = text.rstrip("\r\n")
+    elif lines and last == "cut":
+        text = text.rstrip("\r\n")
+        text = text[:len(text) - draw(st.integers(0, max(0, len(lines[-1]) - 1)))]
+    return text
+
+
+RECORD = (
+    '{"action_summary": "x", "believed_status": "failed", "created_at": 1, '
+    '"id": "mem-000001", "model_id": "m", "task_description": "put the mug away"}'
+)
+# The first line ends in a second record's opening part and the second
+# line closes it: joined into one array, both lines parse as records.
+JOINED = (
+    RECORD + ", " + RECORD.replace("000001", "000002")[:-1] + ', "x": [{"b": 1}\n'
+    '{"c": 1}]}\n'
+)
+
+
+@pytest.fixture(scope="class")
+def store_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential")
+
+
+class TestLoadDifferential:
+    """The store's load against the `json.loads` load it replaced, on
+    drawn files: equal records (vectors under `==`), next sequence
+    number, unended flag, warning and file bytes after the load, or an
+    equal PersistenceError text."""
+
+    @staticmethod
+    def outcome(path, text, load):
+        with open(path, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                result = load(path)
+            except PersistenceError as exc:
+                result = str(exc)
+        with open(path, "rb") as handle:
+            return result, stderr.getvalue(), handle.read()
+
+    @staticmethod
+    def store_load(path):
+        store = EpisodicStore(path=path)
+        return store.records, store._next_seq, store._unended
+
+    @given(text=store_files())
+    @example(text=JOINED)
+    @example(text=RECORD + " " + RECORD + "\n")
+    @example(text="\ufeff" + RECORD + "\n")
+    @example(text=RECORD.replace('"created_at": 1', '"created_at": NaN') + "\r\n")
+    @example(text="\xa0" + RECORD + "\u2028\r\n\x0c\n" + RECORD[:-9])
+    @example(text=RECORD.replace('"id": "mem-000001", "model_id": "m", ', '"id": 5, ') + "\n")
+    @settings(max_examples=400, deadline=None)
+    def test_load_equals_the_json_loads_load(self, store_dir, text):
+        path = os.path.join(store_dir, "store.jsonl")
+        got = self.outcome(path, text, self.store_load)
+        assert got == self.outcome(path, text, json_loads_store_load)
+
+
 class TestDensePath:
     """The sparse store against the dense path it replaced, with `==`."""
 
@@ -518,7 +702,7 @@ class TestBucketMemo:
         path = None if tmp_path is None else str(tmp_path / "store.jsonl")
         store = EpisodicStore(path=path)
         for text in texts:
-            assert embedder.embed_sparse(text) == oracle_vector(text), text
+            assert embedder.embed_sparse(text) == sparse_dense_embed(text), text
             assert len(embedding._MEMO) <= embedding._MEMO_CAP
             if text.strip():
                 store.add(text, "succeeded", "s")
