@@ -65,24 +65,6 @@ class TranscriptMessage:
             )
         return from_json(cls, data)
 
-    def semantic_key(self) -> tuple:
-        """The fields that must match for two messages to count as equal
-        under replay (ids and indexes included; they are deterministic)."""
-        calls = None
-        if self.tool_calls is not None:
-            calls = tuple(
-                (c.get("id"), c.get("name"), json.dumps(c.get("arguments"), sort_keys=True))
-                for c in self.tool_calls
-            )
-        result = None
-        if self.tool_result is not None:
-            result = (
-                self.tool_result.get("call_id"),
-                self.tool_result.get("status"),
-                self.tool_result.get("message"),
-            )
-        return (self.index, self.role, self.content, calls, result)
-
 
 @dataclass
 class TranscriptHeader:

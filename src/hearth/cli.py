@@ -90,6 +90,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_CONFIG
+        if args.scenario is not None:
+            print("error: --scenario only applies to tasks without a prerequisite",
+                  file=sys.stderr)
+            return EXIT_CONFIG
         scenario, baseline_snapshot = _load_baseline(args.baseline)
     else:
         if args.baseline is not None:
@@ -141,7 +145,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     plan = ExperimentPlan.from_file(args.plan)
     records = run_trials(plan)
     report = compute_metrics(records, plan.exclude_backend_errors)
-    out_dir = plan.output_dir or args.report_dir
+    out_dir = args.report_dir or plan.output_dir
     if out_dir:
         paths = emit_report(report, out_dir)
         for path in paths:

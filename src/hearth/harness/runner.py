@@ -332,10 +332,11 @@ def replay_transcript(transcript: Transcript) -> ReplayReport:
 def _divergence(live: Transcript, recording: Transcript) -> str | None:
     """How a live run that terminated differs from its recording, or None.
 
-    The first differing message is named before any difference in length.
+    Messages are compared whole, every field of each. The first differing
+    message is named before any difference in length.
     """
     for got, want in zip(live.messages, recording.messages):
-        if got.semantic_key() != want.semantic_key():
+        if got != want:
             return (
                 f"replay divergence at message index {got.index}: live message "
                 f"{got.to_dict()!r} != recorded {want.to_dict()!r}"

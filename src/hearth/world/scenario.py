@@ -15,18 +15,7 @@ from functools import cache
 from typing import TYPE_CHECKING, Any
 
 from ..jsonio import read_json_object
-from .semantic_map import SemanticMap
-from .state import (
-    DEFAULT_REACH_RADIUS,
-    AgentBody,
-    AtLocation,
-    Furniture,
-    InSlot,
-    SimObject,
-    WorldState,
-    canonical_json,
-    validate_state,
-)
+from .state import DEFAULT_REACH_RADIUS, WorldState, canonical_json, slot_name
 
 if TYPE_CHECKING:
     from jsonschema.exceptions import ValidationError
@@ -140,10 +129,13 @@ def _schema_path(error: ValidationError) -> str:
 
 
 def load_scenario(data: dict[str, Any]) -> WorldState:
-    """Build a validated WorldState from a scenario document.
+    """Build a validated WorldState from a scenario document, rewritten
+    into the world form `WorldState.to_dict` writes and read by
+    `WorldState.from_dict`. Only what that form cannot express is checked
+    here: a dangling or doubly seeded slot, an object id that is a
+    furniture id, and a disconnected map.
 
-    Raises ScenarioError with the offending field named for any schema
-    violation, duplicate id, dangling reference, or disconnected map.
+    Raises ScenarioError naming the offending field or id.
     """
     from jsonschema.exceptions import best_match
 
@@ -153,48 +145,20 @@ def load_scenario(data: dict[str, Any]) -> WorldState:
             f"schema violation at {_schema_path(error)}: {error.message}"
         ) from error
 
-    smap = SemanticMap()
-    for node in data["nodes"]:
-        try:
-            smap.add_node(node["id"], node["x"], node["y"], node["room"])
-        except ValueError as exc:
-            raise ScenarioError(f"node '{node['id']}': {exc}") from exc
-    for edge in data["edges"]:
-        try:
-            smap.add_edge(edge["a"], edge["b"], edge.get("cost"))
-        except KeyError as exc:
-            raise ScenarioError(
-                f"edge '{edge['a']}'-'{edge['b']}': unknown node {exc.args[0]!r}"
-            ) from exc
-        except ValueError as exc:
-            raise ScenarioError(f"edge '{edge['a']}'-'{edge['b']}': {exc}") from exc
-    if not smap.is_connected():
-        raise ScenarioError("disconnected map: every node must be reachable")
-
-    furniture: dict[str, Furniture] = {}
+    # A repeated furniture id is from_dict's to name; objects are seeded
+    # into the slots of its first entry.
+    slots: dict[str, list[str | None]] = {}
     for spec in data["furniture"]:
-        fid = spec["id"]
-        if fid in furniture:
-            raise ScenarioError(f"duplicate furniture id '{fid}'")
-        if spec["location"] not in smap.positions:
-            raise ScenarioError(
-                f"furniture '{fid}': unknown location '{spec['location']}'"
-            )
-        furniture[fid] = Furniture(
-            id=fid, location=spec["location"], slots=[None] * spec["slot_count"]
-        )
-
-    slot_names: dict[str, tuple[str, int]] = {}
-    for item in furniture.values():
-        for index in range(len(item.slots)):
-            slot_names[item.slot_name(index)] = (item.id, index)
-
-    objects: dict[str, SimObject] = {}
+        slots.setdefault(spec["id"], [None] * spec["slot_count"])
+    slot_names = {
+        slot_name(fid, index): (fid, index)
+        for fid, held in slots.items()
+        for index in range(len(held))
+    }
+    objects = []
     for spec in data["objects"]:
         oid = spec["id"]
-        if oid in objects:
-            raise ScenarioError(f"duplicate object id '{oid}'")
-        if oid in furniture:
+        if oid in slots:
             raise ScenarioError(f"object id '{oid}' collides with a furniture id")
         placement = spec["placement"]
         if "slot" in placement:
@@ -204,38 +168,32 @@ def load_scenario(data: dict[str, Any]) -> WorldState:
                     f"object '{oid}': dangling slot reference '{name}'"
                 )
             fid, index = slot_names[name]
-            if furniture[fid].slots[index] is not None:
+            if slots[fid][index] is not None:
                 raise ScenarioError(
                     f"object '{oid}': slot '{name}' already holds "
-                    f"'{furniture[fid].slots[index]}'"
+                    f"'{slots[fid][index]}'"
                 )
-            furniture[fid].slots[index] = oid
-            containment: InSlot | AtLocation = InSlot(fid, index)
+            slots[fid][index] = oid
+            containment = {"kind": "slot", "furniture": fid, "slot": index}
         else:
-            loc = placement["location"]
-            if loc not in smap.positions:
-                raise ScenarioError(f"object '{oid}': unknown location '{loc}'")
-            containment = AtLocation(loc)
-        objects[oid] = SimObject(
-            id=oid,
-            kind=spec["kind"],
-            graspable=spec["graspable"],
-            containment=containment,
-        )
+            containment = {"kind": "loose", "location": placement["location"]}
+        objects.append({**spec, "containment": containment})
 
-    agent_spec = data["agent"]
-    if agent_spec["location"] not in smap.positions:
-        raise ScenarioError(
-            f"agent: unknown location '{agent_spec['location']}'"
-        )
-    agent = AgentBody(
-        location=agent_spec["location"],
-        held=None,
-        reach_radius=agent_spec.get("reach_radius", DEFAULT_REACH_RADIUS),
-    )
-
-    state = WorldState(map=smap, furniture=furniture, objects=objects, agent=agent)
-    validate_state(state)
+    try:
+        state = WorldState.from_dict({
+            "map": {"nodes": data["nodes"], "edges": data["edges"]},
+            "furniture": [
+                {**spec, "slots": slots[spec["id"]]} for spec in data["furniture"]
+            ],
+            "objects": objects,
+            "agent": {"held": None, "reach_radius": DEFAULT_REACH_RADIUS, **data["agent"]},
+            "step_counter": 0,
+        })
+    except ValueError as exc:
+        # The check's own text, without the `malformed world: KIND:` prefix.
+        raise ScenarioError(str(exc.__cause__)) from exc.__cause__
+    if not state.map.is_connected():
+        raise ScenarioError("disconnected map: every node must be reachable")
     return state
 
 

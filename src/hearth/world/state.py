@@ -64,7 +64,12 @@ class Furniture:
     slots: list[str | None]
 
     def slot_name(self, index: int) -> str:
-        return f"{self.id}_layer_{index + 1}"
+        return slot_name(self.id, index)
+
+
+def slot_name(furniture_id: str, index: int) -> str:
+    """The name tools and scenarios give a furniture's slot `index`."""
+    return f"{furniture_id}_layer_{index + 1}"
 
 
 @dataclass

@@ -15,7 +15,12 @@ checked a line's fields at once; it embeds with `dense_embed`. The
 prefix-checking replay is replay as it was before it compared once:
 before every turn its backend checks that the live context is a prefix
 of the recording, and only a run that got to its end is compared with
-the recording as a whole. The line-format
+the recording as a whole; it compares messages by their semantic key,
+which leaves out a tool result's name and machine payload. The
+hand-built scenario loader is `load_scenario` as it was before it went
+through `WorldState.from_dict`: it builds the map, furniture, objects
+and agent piece by piece, checking each as it goes, then validates the
+whole state. The line-format
 oracle is the hand-written serializers each record once had: one dict
 per transcript line, tool call, tool result and metrics group, with
 every field named. The hand-checked readers are how plans and
@@ -66,12 +71,24 @@ from hearth.memory.scratchpad import Scratchpad
 from hearth.tools.dispatch import MemoryHandles, ToolCall
 from hearth.world.scenario import (
     SCENARIO_SCHEMA,
+    ScenarioError,
     default_scenario_data,
     load_scenario,
     scenario_hash,
 )
 from hearth.world.semantic_map import SemanticMap
-from hearth.world.state import WorldState, canonical_json, snapshot
+from hearth.world.state import (
+    DEFAULT_REACH_RADIUS,
+    AgentBody,
+    AtLocation,
+    Furniture,
+    InSlot,
+    SimObject,
+    WorldState,
+    canonical_json,
+    snapshot,
+    validate_state,
+)
 
 
 def dijkstra_cost(smap: SemanticMap, start: str, goal: str) -> float | None:
@@ -296,6 +313,100 @@ def json_loads_store_load(path: str) -> tuple[list[EpisodicRecord], int, bool]:
     return records, next_seq, unended
 
 
+def hand_built_load_scenario(data) -> WorldState:
+    """The world `load_scenario` builds from a scenario document, built
+    piece by piece with each check written out in the loader."""
+    try:
+        jsonschema.validate(data, SCENARIO_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ScenarioError(exc.message) from exc
+
+    smap = SemanticMap()
+    for node in data["nodes"]:
+        try:
+            smap.add_node(node["id"], node["x"], node["y"], node["room"])
+        except ValueError as exc:
+            raise ScenarioError(f"node '{node['id']}': {exc}") from exc
+    for edge in data["edges"]:
+        try:
+            smap.add_edge(edge["a"], edge["b"], edge.get("cost"))
+        except KeyError as exc:
+            raise ScenarioError(
+                f"edge '{edge['a']}'-'{edge['b']}': unknown node {exc.args[0]!r}"
+            ) from exc
+        except ValueError as exc:
+            raise ScenarioError(f"edge '{edge['a']}'-'{edge['b']}': {exc}") from exc
+    if not smap.is_connected():
+        raise ScenarioError("disconnected map: every node must be reachable")
+
+    furniture: dict[str, Furniture] = {}
+    for spec in data["furniture"]:
+        fid = spec["id"]
+        if fid in furniture:
+            raise ScenarioError(f"duplicate furniture id '{fid}'")
+        if spec["location"] not in smap.positions:
+            raise ScenarioError(
+                f"furniture '{fid}': unknown location '{spec['location']}'"
+            )
+        furniture[fid] = Furniture(
+            id=fid, location=spec["location"], slots=[None] * spec["slot_count"]
+        )
+
+    slot_names: dict[str, tuple[str, int]] = {}
+    for item in furniture.values():
+        for index in range(len(item.slots)):
+            slot_names[item.slot_name(index)] = (item.id, index)
+
+    objects: dict[str, SimObject] = {}
+    for spec in data["objects"]:
+        oid = spec["id"]
+        if oid in objects:
+            raise ScenarioError(f"duplicate object id '{oid}'")
+        if oid in furniture:
+            raise ScenarioError(f"object id '{oid}' collides with a furniture id")
+        placement = spec["placement"]
+        if "slot" in placement:
+            name = placement["slot"]
+            if name not in slot_names:
+                raise ScenarioError(
+                    f"object '{oid}': dangling slot reference '{name}'"
+                )
+            fid, index = slot_names[name]
+            if furniture[fid].slots[index] is not None:
+                raise ScenarioError(
+                    f"object '{oid}': slot '{name}' already holds "
+                    f"'{furniture[fid].slots[index]}'"
+                )
+            furniture[fid].slots[index] = oid
+            containment: InSlot | AtLocation = InSlot(fid, index)
+        else:
+            loc = placement["location"]
+            if loc not in smap.positions:
+                raise ScenarioError(f"object '{oid}': unknown location '{loc}'")
+            containment = AtLocation(loc)
+        objects[oid] = SimObject(
+            id=oid,
+            kind=spec["kind"],
+            graspable=spec["graspable"],
+            containment=containment,
+        )
+
+    agent_spec = data["agent"]
+    if agent_spec["location"] not in smap.positions:
+        raise ScenarioError(
+            f"agent: unknown location '{agent_spec['location']}'"
+        )
+    agent = AgentBody(
+        location=agent_spec["location"],
+        held=None,
+        reach_radius=agent_spec.get("reach_radius", DEFAULT_REACH_RADIUS),
+    )
+
+    state = WorldState(map=smap, furniture=furniture, objects=objects, agent=agent)
+    validate_state(state)
+    return state
+
+
 def validate_error(data) -> tuple[str, str] | None:
     """(keyword, ScenarioError text) for the error `jsonschema.validate`
     raises on `data`, or None when the document passes the schema."""
@@ -391,8 +502,27 @@ class ReplayDivergence(RuntimeError):
         super().__init__(f"replay divergence at message index {index}: {detail}")
 
 
+def semantic_key(message: TranscriptMessage) -> tuple:
+    """The fields that must match for two messages to count as equal
+    under replay (ids and indexes included; they are deterministic)."""
+    calls = None
+    if message.tool_calls is not None:
+        calls = tuple(
+            (c.get("id"), c.get("name"), json.dumps(c.get("arguments"), sort_keys=True))
+            for c in message.tool_calls
+        )
+    result = None
+    if message.tool_result is not None:
+        result = (
+            message.tool_result.get("call_id"),
+            message.tool_result.get("status"),
+            message.tool_result.get("message"),
+        )
+    return (message.index, message.role, message.content, calls, result)
+
+
 def _expect_match(got, want) -> None:
-    if got.semantic_key() != want.semantic_key():
+    if semantic_key(got) != semantic_key(want):
         raise ReplayDivergence(
             got.index,
             f"live message {got.to_dict()!r} != recorded {want.to_dict()!r}",
@@ -447,7 +577,7 @@ def _whole_run_divergence(live: Transcript, recording: Transcript) -> str | None
             f"recording has {len(recording.messages)}"
         )
     for got, want in zip(live.messages, recording.messages):
-        if got.semantic_key() != want.semantic_key():
+        if semantic_key(got) != semantic_key(want):
             return f"message index {got.index} differs from the recording"
     if live.final.termination != recording.final.termination:
         return (

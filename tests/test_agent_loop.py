@@ -418,9 +418,7 @@ class TestTranscriptRoundtrip:
         loaded = Transcript.read_jsonl(path)
         assert loaded.header.to_dict() == transcript.header.to_dict()
         assert loaded.final.to_dict() == transcript.final.to_dict()
-        assert len(loaded.messages) == len(transcript.messages)
-        for got, want in zip(loaded.messages, transcript.messages):
-            assert got.semantic_key() == want.semantic_key()
+        assert loaded.messages == transcript.messages
 
     def test_missing_final_line_rejected(self, tmp_path, world, handles):
         transcript = self.build(world, handles)

@@ -147,6 +147,20 @@ class TestBaselineFlow:
         assert code == 2
         assert "--baseline only applies" in capsys.readouterr().err
 
+    def test_t2_with_scenario_is_a_config_error(self, t1_output, capsys):
+        """A baseline carries its own scenario, so a --scenario beside it
+        is refused, not ignored."""
+        code = main(
+            [
+                "run", "--task", "t2", "--backend", "scripted:optimal",
+                "--baseline", str(t1_output), "--scenario", "/nonexistent.json",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --scenario only applies to tasks without a prerequisite\n"
+        )
+
     def test_corrupt_baseline_rejected(self, tmp_path, capsys):
         bad = tmp_path / "baseline.json"
         bad.write_text(json.dumps({"scenario": {}}))
@@ -467,6 +481,14 @@ class TestExperimentCommand:
         assert (out_dir / "metrics.json").exists()
         assert (out_dir / "trials.jsonl").exists()
         assert (out_dir / "transcripts").is_dir()
+
+    def test_report_dir_wins_over_plan_output_dir(self, tmp_path, capsys):
+        out_dir, report_dir = tmp_path / "out", tmp_path / "report"
+        plan = self.write_plan(tmp_path, output_dir=str(out_dir))
+        assert main(["experiment", plan, "--report-dir", str(report_dir)]) == 0
+        metrics = {"metrics.json", "metrics.csv", "metrics.md"}
+        assert {path.name for path in report_dir.iterdir()} == metrics
+        assert {path.name for path in out_dir.iterdir()} == {"trials.jsonl", "transcripts"}
 
     def test_prints_json_without_output_dir(self, tmp_path, capsys):
         plan = self.write_plan(tmp_path, trials=1)

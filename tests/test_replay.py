@@ -173,18 +173,42 @@ def test_verdict_equals_prefix_checking_oracle(tmp_path, capsys, recording, edit
 
 
 def test_clean_replay_compares_each_message_once(recording, monkeypatch):
-    """A clean optimal t1 replay builds two semantic keys per message, one
-    live and one recorded, and no more."""
+    """A clean optimal t1 replay compares each live message with its
+    recording once, and no more."""
     calls = []
-    key = TranscriptMessage.semantic_key
+    equal = TranscriptMessage.__eq__
 
-    def counting(message):
+    def counting(message, other):
         calls.append(message.index)
-        return key(message)
+        return equal(message, other)
 
-    monkeypatch.setattr(TranscriptMessage, "semantic_key", counting)
+    monkeypatch.setattr(TranscriptMessage, "__eq__", counting)
     assert replay_transcript(recording) == ReplayReport(30, 14, "end_task")
-    assert len(calls) == 60
+    assert calls == list(range(30))
+
+
+def rename_tool(transcript):
+    tool = next(m for m in transcript.messages if m.role == "tool")
+    tool.tool_result["name"] = "grab"
+
+
+def forge_payload(transcript):
+    tool = next(m for m in transcript.messages if m.role == "tool")
+    tool.tool_result["machine_payload"]["room"] = "garage"
+
+
+@pytest.mark.parametrize("edit", [rename_tool, forge_payload],
+                         ids=["tool-name", "machine-payload"])
+def test_tampered_tool_result_field_exits_1(tmp_path, capsys, recording, edit):
+    """Replay compares every field of a message, so a tool result whose
+    name or machine payload was edited diverges at its message."""
+    edit(recording)
+    path = str(tmp_path / "edited.jsonl")
+    recording.write_jsonl(path)
+    assert main(["replay", path]) == 1
+    assert capsys.readouterr().err.startswith(
+        "replay diverged: replay divergence at message index 3: live message "
+    )
 
 
 def test_read_and_replay_build_the_starting_world_once(tmp_path, monkeypatch):

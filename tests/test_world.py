@@ -42,7 +42,7 @@ from hearth.world.state import (
     validate_state,
 )
 
-from .oracles import validate_error
+from .oracles import hand_built_load_scenario, validate_error
 
 
 def tiny_scenario(**overrides):
@@ -119,7 +119,7 @@ class TestScenarioLoading:
     def test_edge_with_unknown_endpoint_rejected(self):
         data = tiny_scenario()
         data["edges"].append({"a": "a", "b": "ghost"})
-        with pytest.raises(ScenarioError, match="unknown node 'ghost'"):
+        with pytest.raises(ScenarioError, match="unknown location 'ghost'"):
             load_scenario(data)
 
     def test_edge_cost_below_euclidean_rejected(self):
@@ -163,7 +163,7 @@ class TestScenarioLoading:
     def test_agent_at_unknown_location_rejected(self):
         data = tiny_scenario()
         data["agent"]["location"] = "nowhere"
-        with pytest.raises(ScenarioError, match="agent: unknown location"):
+        with pytest.raises(ScenarioError, match="agent at unknown location 'nowhere'"):
             load_scenario(data)
 
     def test_loose_object_placement(self):
@@ -310,6 +310,164 @@ class TestWorldTemplate:
             assert shortest_path(copied.map, start, node) == shortest_path(
                 loaded.map, start, node
             )
+
+
+# Single faults for the loader differential test. Each edits a valid
+# scenario so that exactly one check fails, and returns the id the error
+# must name and the loader's text, or None where the text is the
+# reference loader's own. "zz" and ids holding "z" are outside `_IDS`.
+def _first_node(data):
+    return data["nodes"][0]["id"]
+
+
+def _object(oid, placement):
+    return {"id": oid, "kind": "toy", "graspable": True, "placement": placement}
+
+
+def _furniture(data, pick):
+    """A furniture entry of the scenario, adding one when it has none."""
+    if not data["furniture"]:
+        data["furniture"].append(
+            {"id": "fzz", "location": _first_node(data), "slot_count": 1}
+        )
+    return pick(st.sampled_from(data["furniture"]))
+
+
+def _slotted_object(data, pick):
+    """An object of the scenario in a slot, adding one when none is."""
+    slotted = [o for o in data["objects"] if "slot" in o["placement"]]
+    if not slotted:
+        fid = _furniture(data, pick)["id"]
+        slotted = [_object("oza", {"slot": f"{fid}_layer_1"})]
+        data["objects"] += slotted
+    return pick(st.sampled_from(slotted))
+
+
+def fault_duplicate_node(data, pick):
+    node = pick(st.sampled_from(data["nodes"]))
+    data["nodes"].append({**node, "x": node["x"] + 1})
+    return node["id"], f"duplicate node id '{node['id']}'"
+
+
+def fault_unknown_endpoint(data, pick):
+    data["edges"].append({"a": pick(st.sampled_from(data["nodes"]))["id"], "b": "zz"})
+    return "zz", "unknown location 'zz'"
+
+
+def fault_self_loop(data, pick):
+    node = pick(st.sampled_from(data["nodes"]))["id"]
+    data["edges"].append({"a": node, "b": node})
+    return node, f"self-loop on '{node}' not allowed"
+
+
+def fault_cost_below_euclidean(data, pick):
+    node = pick(st.sampled_from(data["nodes"]))
+    data["nodes"].append({"id": "zz", "x": node["x"] + 3, "y": node["y"] + 4, "room": "hall"})
+    data["edges"].append({"a": node["id"], "b": "zz", "cost": 1})
+    return "zz", (f"edge cost 1.0 on ({node['id']}, zz) is below the Euclidean "
+                  "distance 5.000000")
+
+
+def fault_furniture_location(data, pick):
+    data["furniture"].append({"id": "fzz", "location": "zz", "slot_count": 1})
+    return "fzz", "furniture 'fzz' at unknown location 'zz'"
+
+
+def fault_object_location(data, pick):
+    data["objects"].append(_object("ozz", {"location": "zz"}))
+    return "ozz", "object 'ozz' at unknown location 'zz'"
+
+
+def fault_agent_location(data, pick):
+    data["agent"]["location"] = "zz"
+    return "zz", "agent at unknown location 'zz'"
+
+
+def fault_duplicate_furniture(data, pick):
+    """The repeat has one slot and the first entry's last slot is filled,
+    so a loader that seeds the repeat's slots finds a dangling slot."""
+    spec = _furniture(data, pick)
+    last = f"{spec['id']}_layer_{spec['slot_count']}"
+    if all(o["placement"].get("slot") != last for o in data["objects"]):
+        data["objects"].append(_object("ozz", {"slot": last}))
+    data["furniture"].append({**spec, "slot_count": 1})
+    return spec["id"], f"duplicate furniture id '{spec['id']}'"
+
+
+def fault_duplicate_object(data, pick):
+    if not data["objects"]:
+        data["objects"].append(_object("ozz", {"location": _first_node(data)}))
+    spec = pick(st.sampled_from(data["objects"]))
+    data["objects"].append({**spec, "placement": {"location": _first_node(data)}})
+    return spec["id"], f"duplicate object id '{spec['id']}'"
+
+
+def fault_dangling_slot(data, pick):
+    fid = pick(st.sampled_from([f["id"] for f in data["furniture"]] + ["fzz"]))
+    data["objects"].append(_object("ozz", {"slot": f"{fid}_layer_4"}))
+    return "ozz", None
+
+
+def fault_slot_seeded_twice(data, pick):
+    spec = _slotted_object(data, pick)
+    data["objects"].append(_object("ozz", dict(spec["placement"])))
+    return "ozz", None
+
+
+def fault_disconnected_map(data, pick):
+    data["nodes"].append({"id": "zz", "x": 90.0, "y": 90.0, "room": "void"})
+    return "disconnected", None
+
+
+def fault_id_collision(data, pick):
+    fid = _furniture(data, pick)["id"]
+    data["objects"].append(_object(fid, {"location": _first_node(data)}))
+    return fid, None
+
+
+SINGLE_FAULTS = [
+    fault_duplicate_node, fault_unknown_endpoint, fault_self_loop,
+    fault_cost_below_euclidean, fault_furniture_location, fault_object_location,
+    fault_agent_location, fault_duplicate_furniture, fault_duplicate_object,
+    fault_dangling_slot, fault_slot_seeded_twice, fault_disconnected_map,
+    fault_id_collision,
+]
+
+
+def built_layout(world):
+    """A world's `to_dict` bytes and the order it holds furniture, objects
+    and edges in, which is the order tools list them."""
+    return (
+        canonical_json(world.to_dict()),
+        list(world.furniture),
+        list(world.objects),
+        [(node, list(nbrs.items())) for node, nbrs in world.map.adjacency.items()],
+    )
+
+
+class TestOneReader:
+    """`load_scenario` against the loader that built the world piece by
+    piece before it went through `WorldState.from_dict`."""
+
+    @given(valid_scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_valid_scenarios_build_the_reference_world(self, data):
+        document = copy.deepcopy(data)
+        assert built_layout(load_scenario(data)) == built_layout(
+            hand_built_load_scenario(data)
+        )
+        assert data == document
+
+    @given(valid_scenarios(), st.sampled_from(SINGLE_FAULTS), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_single_faults_fail_in_both_naming_the_same_id(self, data, fault, drawn):
+        name, text = fault(data, drawn.draw)
+        with pytest.raises(ScenarioError) as reference:
+            hand_built_load_scenario(data)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(data)
+        assert name in str(reference.value)
+        assert str(info.value) == (str(reference.value) if text is None else text)
 
 
 class TestStateInvariants:
