@@ -1,10 +1,11 @@
 """Transcript records: typed JSONL logs of agent runs.
 
 A transcript is a header line (run metadata plus the full scenario and
-the world state at task start, so a replay can rebuild the exact world),
-one line per context message, and a final line carrying the termination
-verdict and the ground-truth snapshot. Replay consumes these files;
-tamper detection compares them message by message.
+the world state at task start, so a replay can rebuild the exact world,
+and the memories the run's searches returned, so it can rebuild what
+those searches saw), one line per context message, and a final line
+carrying the termination verdict and the ground-truth snapshot. Replay
+consumes these files; tamper detection compares them message by message.
 """
 
 from __future__ import annotations
@@ -80,7 +81,14 @@ class TranscriptHeader:
     initial_world: dict[str, Any]
     seed: int | None = None
     memory_enabled: bool = True
+    # The store records, as `EpisodicRecord.to_dict` gives them and in
+    # store order, that some search_memory call of the run returned; with
+    # the store's size at task start and the sequence number its next add
+    # would mint. Headers written before these two fields held the whole
+    # store.
     initial_memories: list[dict[str, Any]] = field(default_factory=list)
+    memory_count: int | None = None
+    memory_next_seq: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
         values = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -33,9 +33,10 @@ from ..agent.transcript import (
     TranscriptError,
     TranscriptFinal,
     TranscriptHeader,
+    TranscriptMessage,
 )
 from ..jsonio import FieldError, from_json, read_json_object
-from ..memory.episodic import EpisodicStore
+from ..memory.episodic import EpisodicRecord, EpisodicStore
 from ..memory.scratchpad import Scratchpad
 from ..tools.dispatch import MemoryHandles
 from ..world.scenario import load_scenario, read_scenario, scenario_hash
@@ -217,11 +218,11 @@ def task_header(
     store: EpisodicStore,
     world: WorldState,
 ) -> TranscriptHeader:
-    """The transcript header of a task about to start in `world`.
-
-    Memories are listed without embeddings: replay re-embeds each one
-    from its `task_description`, so a header stays small however large
-    the store grows.
+    """The transcript header of a task about to start in `world`, with
+    `store` as it stands: its size and the sequence number its next add
+    would mint. It lists no memories yet; once the run is over,
+    `run_trial` lists the `returned_memories` of its searches, so a
+    header stays small however large the store grows.
     """
     return TranscriptHeader(
         scenario=scenario.data,
@@ -232,9 +233,31 @@ def task_header(
         task_prompt=task.prompt,
         seed=seed,
         memory_enabled=memory_enabled,
-        initial_memories=[record.to_dict() for record in store.records],
+        memory_count=len(store),
+        memory_next_seq=store.next_seq,
         initial_world=world.to_dict(),
     )
+
+
+def returned_memories(
+    records: list[EpisodicRecord], messages: list[TranscriptMessage]
+) -> list[dict[str, Any]]:
+    """The `records` that some search_memory call in `messages` returned,
+    in store order, as a header lists them.
+
+    Replay needs no others. Similarities are computed per record, and ties
+    are broken by `created_at`, then by store order, so a search of this
+    subset returns what the same search of all `records` returned. The
+    one add, end_task's, ends the run, and the header's `memory_next_seq`
+    fixes the id it mints.
+    """
+    returned = {
+        result["id"]
+        for message in messages
+        if message.tool_result and message.tool_result["name"] == "search_memory"
+        for result in message.tool_result["machine_payload"].get("results", ())
+    }
+    return [record.to_dict() for record in records if record.id in returned]
 
 
 def execute_task(
@@ -265,7 +288,8 @@ def execute_task(
 
 
 def seed_store(reports: Iterable[dict[str, Any]]) -> EpisodicStore:
-    """A fresh in-memory store holding `reports`, added in order."""
+    """A fresh in-memory store holding `reports`, added in order and
+    numbered from 1."""
     store = EpisodicStore()
     for report in reports:
         store.add(
@@ -275,6 +299,25 @@ def seed_store(reports: Iterable[dict[str, Any]]) -> EpisodicStore:
             model_id=report.get("model_id", "unknown"),
         )
     return store
+
+
+def replay_store(header: TranscriptHeader) -> EpisodicStore:
+    """The store a replay of `header`'s run searches: the header's
+    memories with their recorded ids and `created_at`, each checked as a
+    store line is, minting `memory_next_seq` next. Memories written
+    without an id or a `created_at` are added afresh by `seed_store`.
+
+    Raises TranscriptError for memories the store would not hold.
+    """
+    memories = header.initial_memories
+    if not all("id" in memory and "created_at" in memory for memory in memories):
+        return seed_store(memories)
+    try:
+        return EpisodicStore.from_dicts(memories, header.memory_next_seq)
+    except KeyError as exc:
+        raise TranscriptError(f"initial memory lacks {exc}") from None
+    except ValueError as exc:
+        raise TranscriptError(f"bad initial memory: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -311,7 +354,7 @@ def replay_transcript(transcript: Transcript) -> ReplayReport:
     world = header.start_world()
     handles = MemoryHandles(
         scratchpad=Scratchpad(),
-        store=seed_store(header.initial_memories),
+        store=replay_store(header),
         model_id=header.model_id,
     )
     # One call of headroom lets a run that ended in a refusal or a backend
@@ -396,6 +439,9 @@ def run_trial(
         size_before = len(store)
         run, transcript = execute_task(
             world, handles, setup.make(task_id), header, max_tool_calls
+        )
+        header.initial_memories = returned_memories(
+            store.records[:size_before], run.messages
         )
         final_snapshot = transcript.final.snapshot
         actual_ok = task.check(final_snapshot, baseline)

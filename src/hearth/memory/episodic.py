@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Any, NamedTuple, NoReturn
+from typing import Any, Iterable, NamedTuple, NoReturn
 
 from .embedding import HashedEmbedder, SparseVector, _tuple_new
 
@@ -145,6 +145,25 @@ class EpisodicStore:
             ids.add(record.id)
         self._next_seq = max([0, *(record.created_at for record in records)]) + 1
 
+    @classmethod
+    def from_dicts(
+        cls, lines: Iterable[dict[str, Any]], next_seq: int | None = None
+    ) -> "EpisodicStore":
+        """An in-memory store of the records `lines` hold, as `to_dict`
+        gives them, each checked as a store line is; the next `add` mints
+        `next_seq`, or, when None, what it would after a load of them.
+        Raises ValueError (or KeyError, TypeError) for a line the store
+        would not write."""
+        store = cls()
+        for data in lines:
+            record = store._parse(data)
+            store._records.append(record)
+            store._ids.add(record.id)
+        if next_seq is None:
+            next_seq = max([0, *(record.created_at for record in store._records)]) + 1
+        store._next_seq = next_seq
+        return store
+
     def _parse(self, data: dict[str, Any]) -> EpisodicRecord:
         """The record a store line holds, re-embedded; raises ValueError
         (or KeyError, TypeError) for a line the store would not write."""
@@ -205,13 +224,9 @@ class EpisodicStore:
                 f"believed_status must be one of {BELIEVED_STATUSES}, "
                 f"got '{believed_status}'"
             )
-        seq = self._next_seq
-        # Loaded ids may run ahead of created_at (an edited or merged
-        # file); never mint an id the store already has.
-        while (record_id := f"mem-{seq:06d}") in self._ids:
-            seq += 1
+        seq = self.next_seq
         record = EpisodicRecord(
-            id=record_id,
+            id=f"mem-{seq:06d}",
             task_description=task_description,
             believed_status=believed_status,
             action_summary=action_summary,
@@ -278,6 +293,17 @@ class EpisodicStore:
                 raise PersistenceError(
                     f"cannot truncate store '{self.path}': {exc}"
                 ) from exc
+
+    @property
+    def next_seq(self) -> int:
+        """The sequence number the next `add` mints, in its id and as its
+        `created_at`."""
+        seq = self._next_seq
+        # Loaded ids may run ahead of created_at (an edited or merged
+        # file); never mint an id the store already has.
+        while f"mem-{seq:06d}" in self._ids:
+            seq += 1
+        return seq
 
     @property
     def records(self) -> list[EpisodicRecord]:

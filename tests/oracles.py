@@ -5,7 +5,8 @@ oracle recomputes similarity from scratch and ranks by repeated max
 extraction instead of a sort; neither imports more than data types. The
 schema oracle asks `jsonschema.validate` itself, and the trial oracle
 loads the scenario afresh for every trial and builds each transcript by
-hand, as the package once did. The dense memory path is the store as it
+hand, as the package once did, picking the header's memories out of the
+run's search results itself. The dense memory path is the store as it
 was before it kept vectors sparse: a dense embedding, and a cosine that
 sums all 256 buckets and recomputes both norms for every record. Its
 records' embeddings come from `dense_embed` of their descriptions, never
@@ -444,7 +445,11 @@ def per_trial_load_trials(plan: ExperimentPlan) -> None:
             task = TASKS[task_id]
             if task.prerequisite is not None and not achieved.get(task.prerequisite):
                 continue
-            memories = [r.to_dict() for r in store.records]
+            records = store.records
+            ids = {r.id for r in records}
+            next_seq = max([0, *(r.created_at for r in records)]) + 1
+            while f"mem-{next_seq:06d}" in ids:
+                next_seq += 1
             initial_world = world.to_dict()
             size_before = len(store)
             run = run_task(
@@ -455,6 +460,13 @@ def per_trial_load_trials(plan: ExperimentPlan) -> None:
                 plan.max_tool_calls,
                 plan.memory_enabled,
             )
+            returned = set()
+            for message in run.messages:
+                result = message.tool_result or {}
+                if result.get("name") == "search_memory":
+                    for hit in result["machine_payload"].get("results", []):
+                        returned.add(hit["id"])
+            memories = [r.to_dict() for r in records if r.id in returned]
             final = snapshot(world)
             ok = task.check(final, baseline)
             header = TranscriptHeader(
@@ -467,6 +479,8 @@ def per_trial_load_trials(plan: ExperimentPlan) -> None:
                 seed=plan.seed,
                 memory_enabled=plan.memory_enabled,
                 initial_memories=memories,
+                memory_count=size_before,
+                memory_next_seq=next_seq,
                 initial_world=initial_world,
             )
             ending = TranscriptFinal(
@@ -630,6 +644,8 @@ def header_dict(header) -> dict:
         "seed": header.seed,
         "memory_enabled": header.memory_enabled,
         "initial_memories": header.initial_memories,
+        "memory_count": header.memory_count,
+        "memory_next_seq": header.memory_next_seq,
         "initial_world": header.initial_world,
     }
 
@@ -765,6 +781,10 @@ def hand_checked_header(data) -> TranscriptHeader:
         raise ValueError(f"seed must be an integer or null: {header.seed!r}")
     if not isinstance(header.memory_enabled, bool):
         raise ValueError(f"memory_enabled must be a boolean: {header.memory_enabled!r}")
+    for name in ("memory_count", "memory_next_seq"):
+        value = getattr(header, name)
+        if value is not None and not _is_int(value):
+            raise ValueError(f"{name} must be an integer or null: {value!r}")
     return header
 
 

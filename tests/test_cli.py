@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from hearth.agent.scripts import T1_DESCRIPTION
+from hearth.agent.transcript import MEMORY_FIELDS
 from hearth.cli import main
 from hearth.memory.episodic import EpisodicStore
 from hearth.world.scenario import default_scenario_data
@@ -15,6 +16,7 @@ from hearth.world.scenario import default_scenario_data
 from .oracles import dense_embed
 
 RUN_T1 = ["run", "--task", "t1", "--backend", "scripted:optimal"]
+MISSING = object()
 
 
 def read_lines(path):
@@ -274,12 +276,17 @@ class TestReplay:
     def test_header_memories_without_embeddings_and_old_headers_replay(
         self, tmp_path, capsys
     ):
-        """Headers list memories without embeddings; a header recorded with
-        them, as older versions wrote it, still replays."""
+        """A header lists the store records the run's searches returned, in
+        store order and without embeddings, with the store's size and the
+        sequence number its next add would mint. Headers in the two older
+        forms still replay: the whole store with embeddings, and the whole
+        store with only the fields a fresh add needs."""
         store_path = str(tmp_path / "store.jsonl")
         store = EpisodicStore(path=store_path)
-        store.add(T1_DESCRIPTION, "succeeded", "carried both objects", "m1")
         store.add("water the garden plants", "failed", "no hose", "m2")
+        store.add("wash dishes", "succeeded", "rinsed them", "m3")
+        store.add(T1_DESCRIPTION, "succeeded", "carried both objects", "m1")
+        water, _, shelved = store.records
         out = tmp_path / "mem"
         assert main(
             ["run", "--task", "t1", "--backend", "scripted:memory_hinted",
@@ -288,15 +295,78 @@ class TestReplay:
         path = str(out / "run_t1.jsonl")
         lines = read_lines(path)
         header = json.loads(lines[0])
-        assert header["initial_memories"] == [record.to_dict() for record in store.records]
+        assert header["initial_memories"] == [water.to_dict(), shelved.to_dict()]
+        assert (header["memory_count"], header["memory_next_seq"]) == (3, 4)
         assert main(["replay", path]) == 0
-        for memory in header["initial_memories"]:
-            memory["embedding"] = dense_embed(memory["task_description"])
-        lines[0] = json.dumps(header, sort_keys=True)
+        del header["memory_count"], header["memory_next_seq"]
+        old_forms = (
+            lambda record: {**record.to_dict(),
+                            "embedding": dense_embed(record.task_description)},
+            lambda record: {key: getattr(record, key) for key in MEMORY_FIELDS},
+        )
+        for old_form in old_forms:
+            header["initial_memories"] = [old_form(record) for record in store.records]
+            lines[0] = json.dumps(header, sort_keys=True)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+            assert main(["replay", path]) == 0
+        assert capsys.readouterr().out.count("replay ok:") == 3
+
+    def test_store_with_gapped_ids_replays(self, tmp_path, capsys):
+        """Replay keeps the ids and created_at values the header recorded,
+        so a run against a store whose ids are not 1..n replays."""
+        store_path = tmp_path / "store.jsonl"
+        store_path.write_text("".join(
+            json.dumps({"id": f"mem-{seq:06d}", "created_at": seq,
+                        "task_description": description,
+                        "believed_status": "succeeded", "action_summary": "done",
+                        "model_id": "m"}) + "\n"
+            for seq, description in ((5, T1_DESCRIPTION),
+                                     (9, "put the plants away on the shelf"))
+        ))
+        out = tmp_path / "gapped"
+        assert main(
+            ["run", "--task", "t1", "--backend", "scripted:memory_hinted",
+             "--memory", str(store_path), "--output-dir", str(out)]
+        ) == 0
+        capsys.readouterr()
+        path = str(out / "run_t1.jsonl")
+        final_call = json.loads(read_lines(path)[-2])
+        assert final_call["tool_result"]["machine_payload"]["record_id"] == "mem-000010"
+        assert main(["replay", path]) == 0
+        assert capsys.readouterr().out == (
+            "replay ok: 30 messages, 14 tool calls, termination end_task\n"
+        )
+
+    @pytest.mark.parametrize(
+        "memories, error",
+        [
+            ([{"id": "mem-000001"}, {"id": "mem-000001"}],
+             "bad initial memory: duplicate id 'mem-000001'"),
+            ([{"believed_status": "maybe"}], "bad initial memory: bad believed_status 'maybe'"),
+            ([{"created_at": "1"}], "bad initial memory: created_at must be an integer: '1'"),
+            ([{"model_id": None}], "bad initial memory: model_id must be a string, not NoneType"),
+            ([{"model_id": MISSING}], "initial memory lacks 'model_id'"),
+        ],
+        ids=["repeated", "status", "created_at", "model_id", "no-model_id"],
+    )
+    def test_memory_the_store_would_not_hold_is_a_config_error(
+        self, t1_output, capsys, memories, error
+    ):
+        path = self.transcript_path(t1_output)
+        lines = read_lines(path)
+        header = json.loads(lines[0])
+        memory = {"id": "mem-000002", "created_at": 2, "task_description": "mop",
+                  "believed_status": "failed", "action_summary": "wet", "model_id": "m"}
+        header["initial_memories"] = [
+            {key: value for key, value in {**memory, **edit}.items() if value is not MISSING}
+            for edit in memories
+        ]
+        lines[0] = json.dumps(header)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
-        assert main(["replay", path]) == 0
-        assert "replay ok:" in capsys.readouterr().out
+        assert main(["replay", path]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize(
         "field, value, error",

@@ -165,12 +165,16 @@ NEAR = {
     "tool_result": [None, {}, {"call_id": "c"}],
     "believed_status": [None, "succeeded"],
     "memory_enabled": [True, False, 0],
+    "memory_count": [None, 0, 3, -1, 3.0, True],
+    "memory_next_seq": [None, 1, 7, "7", False],
 }
 
 
 @cache
 def transcript_lines() -> dict[str, list[dict]]:
-    """The lines of a t1 run from a store that holds one memory, by type."""
+    """The lines of a t1 run from a store that holds one memory, by type;
+    the run never searches, so its header counts the memory but does not
+    list it."""
     scenario = ScenarioTemplate.load()
     world = WorldState.from_dict(scenario.initial_world)
     handles = MemoryHandles(Scratchpad(), seed_store([MEMORY]), "m")

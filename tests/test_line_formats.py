@@ -167,13 +167,14 @@ def test_left_out_optional_fields_take_their_defaults(transcript_paths):
     with open(transcript_paths[0], encoding="utf-8") as handle:
         lines = [json.loads(line) for line in handle]
     header, final = lines[0], lines[-1]
-    for key in ("seed", "memory_enabled", "initial_memories"):
+    for key in ("seed", "memory_enabled", "initial_memories", "memory_count",
+                "memory_next_seq"):
         del header[key]
     del final["believed_status"]
     header["comment"] = final["comment"] = "hand-edited"
     loaded = TranscriptHeader.from_dict(header)
-    assert (loaded.seed, loaded.memory_enabled, loaded.initial_memories) == (
-        None, True, [])
+    assert (loaded.seed, loaded.memory_enabled, loaded.initial_memories,
+            loaded.memory_count, loaded.memory_next_seq) == (None, True, [], None, None)
     assert TranscriptFinal.from_dict(final).believed_status is None
     del final["snapshot"]
     with pytest.raises(KeyError, match="snapshot"):

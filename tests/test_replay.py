@@ -1,12 +1,17 @@
 """Replay as a library: verdicts, unreplayable recordings, recorded batches."""
 
 import copy
+import json
 import os
 import re
+import tempfile
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hearth.agent.backends import BackendError, ScriptedBackend
+from hearth.agent.backends import BackendError, RecordedReplayBackend, ScriptedBackend
 from hearth.agent.loop import DEFAULT_MAX_TOOL_CALLS
 from hearth.agent.scripts import call
 from hearth.agent.transcript import Transcript, TranscriptError, TranscriptMessage
@@ -17,12 +22,14 @@ from hearth.harness.runner import (
     ReplayReport,
     ScenarioTemplate,
     execute_task,
+    replay_store,
     replay_transcript,
+    run_trial,
     run_trials,
     task_header,
 )
 from hearth.harness.tasks import TASKS
-from hearth.memory.episodic import EpisodicStore
+from hearth.memory.episodic import BELIEVED_STATUSES, EpisodicStore
 from hearth.memory.scratchpad import Scratchpad
 from hearth.tools.dispatch import MemoryHandles
 from hearth.world.scenario import scenario_hash
@@ -324,3 +331,100 @@ def test_every_recorded_trial_replays(tmp_path, plan):
         assert report == ReplayReport(
             report.messages, trial.tool_calls, trial.termination
         )
+
+
+# Every description and query is drawn from these words, so searches hit,
+# tie and miss in many orders.
+WORDS = ("put", "the", "mug", "box", "away", "shelf", "water", "plants")
+SENTENCES = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def store_lines(draw):
+    """Store lines with gaps in their ids, ids and created_at values out of
+    file order, repeated created_at values and repeated descriptions."""
+    numbers = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8, unique=True))
+    descriptions = draw(st.lists(SENTENCES, min_size=1, max_size=4))
+    return [
+        {"id": f"mem-{number:06d}", "created_at": draw(st.integers(1, 12)),
+         "task_description": draw(st.sampled_from(descriptions)),
+         "believed_status": draw(st.sampled_from(BELIEVED_STATUSES)),
+         "action_summary": "did it", "model_id": "m"}
+        for number in numbers
+    ]
+
+
+class Searcher:
+    """A backend setup whose agent searches memory once per query, then
+    files its report."""
+
+    model_id = "searcher"
+
+    def __init__(self, queries):
+        self.queries = queries
+
+    def make(self, task_id):
+        def script():
+            for query in self.queries:
+                yield call("search_memory", query=query)
+            yield call("end_task", task_description="put the mug away",
+                       status="succeeded", action_summary="searched first")
+
+        return ScriptedBackend(script)
+
+
+@cache
+def bundled_scenario():
+    return ScenarioTemplate.load()
+
+
+def live_replay(transcript):
+    """The transcript a replay of `transcript` runs, before comparing."""
+    header = transcript.header
+    handles = MemoryHandles(Scratchpad(), replay_store(header), header.model_id)
+    backend = RecordedReplayBackend(transcript)
+    max_tool_calls = transcript.final.tool_calls + 1
+    return execute_task(header.start_world(), handles, backend, header, max_tool_calls)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=store_lines(), queries=st.lists(SENTENCES, max_size=4),
+       memory_enabled=st.booleans())
+def test_pruned_header_replays_as_the_whole_store_does(lines, queries, memory_enabled):
+    """A header keeps the records the run's searches returned, in store
+    order. Replaying it runs the messages and final line that replaying
+    the same run with the whole store in the header and neither
+    memory_count nor memory_next_seq, as headers were once written, runs:
+    the recorded ones. A run with memory disabled whose agent searches
+    anyway keeps what its searches returned too."""
+    with tempfile.TemporaryDirectory() as directory:
+        store_path = os.path.join(directory, "store.jsonl")
+        with open(store_path, "w", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(line) + "\n" for line in lines)
+        store = EpisodicStore(path=store_path)
+        run_trial(bundled_scenario(), ("t1",), Searcher(queries), store,
+                  DEFAULT_MAX_TOOL_CALLS, "diff", directory, memory_enabled=memory_enabled)
+        pruned = Transcript.read_jsonl(os.path.join(directory, "diff_t1.jsonl"))
+        whole = copy.deepcopy(pruned)
+        whole.header.initial_memories = lines
+        whole.header.memory_count = whole.header.memory_next_seq = None
+        whole_path = os.path.join(directory, "whole.jsonl")
+        whole.write_jsonl(whole_path)
+        whole = Transcript.read_jsonl(whole_path)
+    header = pruned.header
+    returned = {
+        hit["id"]
+        for message in pruned.messages
+        if message.tool_result and message.tool_result["name"] == "search_memory"
+        for hit in message.tool_result["machine_payload"]["results"]
+    }
+    assert header.initial_memories == [line for line in lines if line["id"] in returned]
+    added = store.records[-1]
+    assert header.memory_count == len(lines)
+    assert (added.id, added.created_at) == (
+        f"mem-{header.memory_next_seq:06d}", header.memory_next_seq)
+    pruned_live, whole_live = live_replay(pruned), live_replay(whole)
+    assert pruned_live.messages == whole_live.messages == pruned.messages
+    assert pruned_live.final == whole_live.final
+    assert replay_transcript(pruned).divergence is None
+    assert replay_transcript(whole).divergence is None
