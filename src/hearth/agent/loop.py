@@ -53,11 +53,13 @@ def run_task(
     """Drive one task to termination and return its record.
 
     The run stops after `max_tool_calls` dispatched calls; search_memory
-    is offered only if `memory_enabled`.
+    is offered only if `memory_enabled`, and a call to a tool not offered
+    fails as a call to an unknown tool.
     """
     memory.scratchpad.clear()
     context = AgentContext(build_system_prompt(memory_enabled), task_prompt)
     declarations = tool_declarations(memory_enabled)
+    offered = {declaration["function"]["name"] for declaration in declarations}
 
     # Consecutive replies without a tool call; any reply with calls,
     # parallel ones included, resets it.
@@ -107,7 +109,7 @@ def run_task(
 
         call = reply.calls[0]
         context.append_assistant_calls([call], reply.text)
-        result = dispatch(call, world, memory)
+        result = dispatch(call, world, memory, offered)
         tool_calls += 1
         context.append_tool_result(call, result)
 

@@ -112,9 +112,10 @@ def refuser_t1() -> Script:
 
 
 def memory_hinted_t1() -> Script:
-    result = yield call("search_memory", query=T1_DESCRIPTION)
-    if result is None or "no relevant memories" in result.lower():
-        # Memory miss: survey the house before working.
+    result = (yield call("search_memory", query=T1_DESCRIPTION)) or ""
+    if not result.startswith("Found ") or "no relevant memories" in result.lower():
+        # Memory miss, or a failed search (memory not offered): survey the
+        # house before working.
         yield call("look_around")
         yield call("move_to", location="kitchen_center")
         yield call("look_around")

@@ -4,22 +4,20 @@ A transcript is a header line (run metadata plus the full scenario and
 the world state at task start, so a replay can rebuild the exact world,
 and the memories the run's searches returned, so it can rebuild what
 those searches saw), one line per context message, and a final line
-carrying the termination verdict and the ground-truth snapshot. Replay
-consumes these files; tamper detection compares them message by message.
+carrying the termination verdict and the ground-truth snapshot. Lines
+are plain data, each field checked against its annotation on reading;
+replay builds the header's world and store through their own readers,
+then compares the run with the recording message by message.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..jsonio import from_json
-from ..world.state import WorldState
-
-# The fields replay needs to re-add a header memory to a fresh store.
-MEMORY_FIELDS = ("task_description", "believed_status", "action_summary")
 
 
 class TranscriptError(ValueError):
@@ -91,35 +89,12 @@ class TranscriptHeader:
     memory_next_seq: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {"type": "header", **values}
-
-    def start_world(self) -> WorldState:
-        """A world in the state `initial_world` describes, for one run to
-        change. The first call returns the world built when the header was
-        read, so an edit to `initial_world` made after reading shows only
-        from the second call on; each later call builds a new world."""
-        world = vars(self).pop("_parsed_world", None)
-        return world if world is not None else WorldState.from_dict(self.initial_world)
+        return {"type": "header", **vars(self)}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TranscriptHeader":
-        """Parse a header line; raises ValueError (or KeyError, TypeError)
-        when replay could not rebuild its world or its memories, or when a
-        field has the wrong type."""
-        initial_memories = data.get("initial_memories", [])
-        for memory in initial_memories:
-            if not isinstance(memory, dict):
-                raise ValueError(f"initial memory is not an object: {memory!r}")
-            for key in MEMORY_FIELDS:
-                if not isinstance(memory.get(key), str):
-                    raise ValueError(f"initial memory lacks '{key}': {memory!r}")
-        world = WorldState.from_dict(data["initial_world"])
-        header = from_json(cls, data)
-        # Built to check `initial_world`; kept, outside the fields, for the
-        # first `start_world` call, so that a replay builds it only once.
-        header._parsed_world = world
-        return header
+        """Parse a header line; replay checks its world and memories."""
+        return from_json(cls, data)
 
 
 @dataclass

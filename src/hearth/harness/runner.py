@@ -301,25 +301,6 @@ def seed_store(reports: Iterable[dict[str, Any]]) -> EpisodicStore:
     return store
 
 
-def replay_store(header: TranscriptHeader) -> EpisodicStore:
-    """The store a replay of `header`'s run searches: the header's
-    memories with their recorded ids and `created_at`, each checked as a
-    store line is, minting `memory_next_seq` next. Memories written
-    without an id or a `created_at` are added afresh by `seed_store`.
-
-    Raises TranscriptError for memories the store would not hold.
-    """
-    memories = header.initial_memories
-    if not all("id" in memory and "created_at" in memory for memory in memories):
-        return seed_store(memories)
-    try:
-        return EpisodicStore.from_dicts(memories, header.memory_next_seq)
-    except KeyError as exc:
-        raise TranscriptError(f"initial memory lacks {exc}") from None
-    except ValueError as exc:
-        raise TranscriptError(f"bad initial memory: {exc}") from None
-
-
 @dataclass(frozen=True)
 class ReplayReport:
     """The live run's counts and how it diverged from the recording, or
@@ -337,7 +318,8 @@ def replay_transcript(transcript: Transcript) -> ReplayReport:
     finished run with the recording.
 
     Raises TranscriptError when the recording cannot be replayed at all:
-    another prompt version, or a scenario that does not match its hash.
+    another prompt version, a scenario that does not match its hash, or
+    a world or memories that their readers refuse.
     """
     header, recorded = transcript.header, transcript.final
     if header.prompt_version != PROMPT_VERSION:
@@ -351,12 +333,17 @@ def replay_transcript(transcript: Transcript) -> ReplayReport:
             f"scenario hash mismatch: header says "
             f"{header.scenario_hash}, scenario hashes to {recomputed}"
         )
-    world = header.start_world()
-    handles = MemoryHandles(
-        scratchpad=Scratchpad(),
-        store=replay_store(header),
-        model_id=header.model_id,
-    )
+    try:
+        world = WorldState.from_dict(header.initial_world)
+    except ValueError as exc:
+        raise TranscriptError(f"bad initial world: {exc}") from None
+    try:
+        store = EpisodicStore.from_dicts(header.initial_memories, header.memory_next_seq)
+    except KeyError as exc:
+        raise TranscriptError(f"initial memory lacks {exc}") from None
+    except ValueError as exc:
+        raise TranscriptError(f"bad initial memory: {exc}") from None
+    handles = MemoryHandles(Scratchpad(), store, header.model_id)
     # One call of headroom lets a run that ended in a refusal or a backend
     # error reach the turn it ended on; a step limit is the cap itself.
     headroom = 0 if recorded.termination == TERMINATION_STEP_LIMIT else 1

@@ -82,14 +82,9 @@ class EpisodicRecord(NamedTuple):
     def to_dict(self) -> dict[str, Any]:
         """Every field but the vector, which is derived from
         `task_description`: a store line, or a transcript header memory."""
-        return {
-            "id": self.id,
-            "task_description": self.task_description,
-            "believed_status": self.believed_status,
-            "action_summary": self.action_summary,
-            "created_at": self.created_at,
-            "model_id": self.model_id,
-        }
+        data = self._asdict()
+        del data["vector"]
+        return data
 
 
 class EpisodicStore:

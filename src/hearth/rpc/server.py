@@ -51,7 +51,7 @@ class _RpcFault(Exception):
 
 
 class RpcConnection:
-    """Per-connection protocol state: one optional session, a call count."""
+    """Per-connection protocol state: one optional session."""
 
     def __init__(self, initial_world: dict[str, Any], expose_ground_truth: bool) -> None:
         self._initial_world = initial_world
@@ -59,7 +59,6 @@ class RpcConnection:
         self.session_id: str | None = None
         self.world: WorldState | None = None
         self.handles: MemoryHandles | None = None
-        self.tool_calls = 0
 
     def handle_line(self, line: str) -> str | None:
         """Process one frame; returns the response frame, or None for
@@ -161,9 +160,7 @@ class RpcConnection:
         if name not in TOOL_SCHEMAS:
             raise _RpcFault(METHOD_NOT_FOUND, f"unknown method 'tool.{name}'")
         world, handles = self._require_session()
-        result = dispatch(ToolCall(name, params), world, handles)
-        self.tool_calls += 1
-        return result.to_dict()
+        return dispatch(ToolCall(name, params), world, handles).to_dict()
 
 
 def _decoded(frames: Iterable[bytes]) -> Iterator[str]:

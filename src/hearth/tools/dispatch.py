@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Container
 
 from ..memory.episodic import BELIEVED_STATUSES, EpisodicStore
 from ..memory.scratchpad import Scratchpad
@@ -105,9 +105,15 @@ def _validate_arguments(schema: ToolSchema, arguments: Any) -> ToolResult | None
     return None
 
 
-def dispatch(call: ToolCall, world: WorldState, mem: MemoryHandles) -> ToolResult:
-    """Validate and execute one tool call against the given handles."""
-    schema = TOOL_SCHEMAS.get(call.name)
+def dispatch(
+    call: ToolCall,
+    world: WorldState,
+    mem: MemoryHandles,
+    offered: Container[str] = TOOL_SCHEMAS,
+) -> ToolResult:
+    """Validate and execute one tool call against the given handles; a
+    call to a tool not `offered` fails as a call to an unknown tool."""
+    schema = TOOL_SCHEMAS.get(call.name) if call.name in offered else None
     if schema is None:
         return failure("Tool call", "unknown-tool", f"unknown tool '{call.name}'")
     problem = _validate_arguments(schema, call.arguments)

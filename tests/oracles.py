@@ -47,7 +47,6 @@ from hearth.agent.backends import BackendError, BackendReply
 from hearth.agent.context import PROMPT_VERSION
 from hearth.agent.loop import DEFAULT_MAX_TOOL_CALLS, TERMINATION_STEP_LIMIT, run_task
 from hearth.agent.transcript import (
-    MEMORY_FIELDS,
     Transcript,
     TranscriptFinal,
     TranscriptHeader,
@@ -763,14 +762,12 @@ def hand_checked_message(data) -> TranscriptMessage:
 
 
 def hand_checked_header(data) -> TranscriptHeader:
-    for memory in data.get("initial_memories", []):
-        if not isinstance(memory, dict):
-            raise ValueError(f"initial memory is not an object: {memory!r}")
-        for key in MEMORY_FIELDS:
-            if not isinstance(memory.get(key), str):
-                raise ValueError(f"initial memory lacks '{key}': {memory!r}")
-    WorldState.from_dict(data["initial_world"])
     header = _from_fields(TranscriptHeader, data)
+    memories = header.initial_memories
+    if not (isinstance(memories, list) and all(isinstance(m, dict) for m in memories)):
+        raise ValueError(f"initial_memories must be a list of objects: {memories!r}")
+    if not isinstance(header.initial_world, dict):
+        raise ValueError(f"initial_world must be an object: {header.initial_world!r}")
     for name in _HEADER_TEXT_FIELDS:
         value = getattr(header, name)
         if not isinstance(value, str):

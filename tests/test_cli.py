@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from hearth.agent.scripts import T1_DESCRIPTION
-from hearth.agent.transcript import MEMORY_FIELDS
+from hearth.agent.transcript import Transcript, TranscriptError
 from hearth.cli import main
+from hearth.harness import runner
 from hearth.memory.episodic import EpisodicStore
 from hearth.world.scenario import default_scenario_data
 
@@ -22,6 +23,10 @@ MISSING = object()
 def read_lines(path):
     with open(path, encoding="utf-8") as handle:
         return handle.read().splitlines()
+
+
+def no_turn_replayed(*args):
+    raise AssertionError("a turn ran")
 
 
 @pytest.fixture
@@ -246,6 +251,33 @@ class TestMemoryFlag:
     def test_no_memory_flag_still_completes(self, capsys):
         assert main(RUN_T1 + ["--no-memory"]) == 0
 
+    def test_memory_off_run_cannot_search_its_store(self, tmp_path, capsys):
+        """With memory disabled, search_memory is not offered, and a call to
+        it fails as a call to a tool that does not exist: the run reads
+        nothing from the store, so its header lists no memory, the hinted
+        agent explores as on a miss, and the run replays."""
+        store_path = str(tmp_path / "store.jsonl")
+        store = EpisodicStore(path=store_path)
+        store.add("wash dishes", "succeeded", "rinsed them", "m")
+        store.add(T1_DESCRIPTION, "succeeded", "carried all three", "m")
+        out = tmp_path / "off"
+        assert main(
+            ["run", "--task", "t1", "--backend", "scripted:memory_hinted",
+             "--memory", store_path, "--no-memory", "--output-dir", str(out)]
+        ) == 0
+        path = str(out / "run_t1.jsonl")
+        lines = [json.loads(line) for line in read_lines(path)]
+        assert lines[4]["tool_result"]["machine_payload"] == {"cause": "unknown-tool"}
+        assert lines[4]["content"] == (
+            "Tool call failed (unknown-tool): unknown tool 'search_memory'."
+        )
+        assert lines[0]["initial_memories"] == []
+        capsys.readouterr()
+        assert main(["replay", path]) == 0
+        assert capsys.readouterr().out == (
+            "replay ok: 40 messages, 19 tool calls, termination end_task\n"
+        )
+
 
 class TestReplay:
     def transcript_path(self, t1_output):
@@ -278,9 +310,9 @@ class TestReplay:
     ):
         """A header lists the store records the run's searches returned, in
         store order and without embeddings, with the store's size and the
-        sequence number its next add would mint. Headers in the two older
-        forms still replay: the whole store with embeddings, and the whole
-        store with only the fields a fresh add needs."""
+        sequence number its next add would mint. Headers written before
+        those two fields still replay: the whole store, with embeddings or
+        without."""
         store_path = str(tmp_path / "store.jsonl")
         store = EpisodicStore(path=store_path)
         store.add("water the garden plants", "failed", "no hose", "m2")
@@ -302,7 +334,7 @@ class TestReplay:
         old_forms = (
             lambda record: {**record.to_dict(),
                             "embedding": dense_embed(record.task_description)},
-            lambda record: {key: getattr(record, key) for key in MEMORY_FIELDS},
+            lambda record: record.to_dict(),
         )
         for old_form in old_forms:
             header["initial_memories"] = [old_form(record) for record in store.records]
@@ -347,11 +379,16 @@ class TestReplay:
             ([{"created_at": "1"}], "bad initial memory: created_at must be an integer: '1'"),
             ([{"model_id": None}], "bad initial memory: model_id must be a string, not NoneType"),
             ([{"model_id": MISSING}], "initial memory lacks 'model_id'"),
+            # What a fresh add needs, and nothing else: never written by
+            # hearth, so refused like any line the store would not hold.
+            ([{"id": MISSING, "created_at": MISSING, "model_id": MISSING}],
+             "initial memory lacks 'id'"),
         ],
-        ids=["repeated", "status", "created_at", "model_id", "no-model_id"],
+        ids=["repeated", "status", "created_at", "model_id", "no-model_id",
+             "three-fields"],
     )
     def test_memory_the_store_would_not_hold_is_a_config_error(
-        self, t1_output, capsys, memories, error
+        self, t1_output, capsys, monkeypatch, memories, error
     ):
         path = self.transcript_path(t1_output)
         lines = read_lines(path)
@@ -365,24 +402,34 @@ class TestReplay:
         lines[0] = json.dumps(header)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
+        monkeypatch.setattr(runner, "execute_task", no_turn_replayed)
         assert main(["replay", path]) == 2
-        assert capsys.readouterr().err == f"error: {error}\n"
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     @pytest.mark.parametrize(
         "field, value, error",
         [
-            ("initial_world", {"map": {}}, "malformed world: KeyError: 'nodes'"),
+            ("initial_world", {"map": {}},
+             "bad initial world: malformed world: KeyError: 'nodes'"),
             (
                 "initial_memories",
                 [{"believed_status": "succeeded", "action_summary": "shelved"}],
-                "initial memory lacks 'task_description'",
+                "initial memory lacks 'id'",
             ),
+            ("initial_world", [], "PATH:1: malformed header line: "
+             "initial_world must be an object: []"),
+            ("initial_memories", [5], "PATH:1: malformed header line: "
+             "initial_memories must be a list of objects: [5]"),
         ],
-        ids=["initial_world", "initial_memories"],
+        ids=["initial_world", "initial_memories", "initial_world-list",
+             "initial_memories-item"],
     )
     def test_malformed_header_is_a_config_error(
-        self, t1_output, capsys, field, value, error
+        self, t1_output, capsys, monkeypatch, field, value, error
     ):
+        """A header is read as plain data, each field checked against its
+        annotation; its world and memories are checked when replay builds
+        them, before any turn runs."""
         path = self.transcript_path(t1_output)
         lines = read_lines(path)
         header = json.loads(lines[0])
@@ -390,9 +437,14 @@ class TestReplay:
         lines[0] = json.dumps(header)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
+        error = error.replace("PATH", path)
+        monkeypatch.setattr(runner, "execute_task", no_turn_replayed)
+        if not error.startswith(path):
+            with pytest.raises(TranscriptError) as info:
+                runner.replay_transcript(Transcript.read_jsonl(path))
+            assert str(info.value) == error
         assert main(["replay", path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}:1: malformed header line: {error}")
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_tampered_message_diverges(self, t1_output, capsys):
         path = self.transcript_path(t1_output)
@@ -914,11 +966,11 @@ MALFORMED_INPUTS = {
     },
     "header-world-repeats-object": (
         bad_transcript_line(1, lambda d: repeat_first("objects")(d["initial_world"])),
-        ":1: malformed header line: malformed world: "),
+        "error: bad initial world: malformed world: "),
     "header-world-repeats-furniture": (
         bad_transcript_line(
             1, lambda d: repeat_first("furniture")(d["initial_world"])),
-        ":1: malformed header line: malformed world: "),
+        "error: bad initial world: malformed world: "),
     "baseline-world-repeats-object": (
         bad_baseline(lambda b: repeat_first("objects")(b["world"])),
         "malformed world: "),
@@ -927,7 +979,7 @@ MALFORMED_INPUTS = {
     **{
         f"header-world-{name}": (
             bad_transcript_line(1, lambda d, edit=edit: edit(d["initial_world"])),
-            f":1: malformed header line: malformed world: {error}")
+            f"error: bad initial world: malformed world: {error}")
         for name, (edit, error) in BAD_WORLD_FIELDS.items()
     },
     **{

@@ -1,11 +1,13 @@
 """README examples: every documented import resolves, and the first
-library-use snippet runs as shown."""
+library-use snippet and the replay snippet run as shown."""
 
 import importlib
 import pathlib
 import re
 
 import pytest
+
+from hearth.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 IMPORT_LINE = re.compile(r"^from (hearth[\w.]*) import (.+)$", re.MULTILINE)
@@ -33,8 +35,24 @@ def test_readme_import_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
 
 
-def test_first_library_use_snippet_runs(capsys):
+def library_snippets():
     section = readme_text().split("## Library use", 1)[1]
-    snippet = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
-    exec(compile(snippet, "README.md", "exec"), {})
+    return re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+
+
+def test_first_library_use_snippet_runs(capsys):
+    exec(compile(library_snippets()[0], "README.md", "exec"), {})
     assert capsys.readouterr().out == "end_task succeeded True\n"
+
+
+def test_replay_snippet_runs(tmp_path, capsys):
+    """The replay snippet, its path pointed at a transcript just recorded."""
+    snippet = next(s for s in library_snippets() if "replay_transcript(" in s)
+    assert main(["run", "--task", "t1", "--backend", "scripted:optimal",
+                 "--output-dir", str(tmp_path)]) == 0
+    path = str(tmp_path / "run_t1.jsonl")
+    snippet, count = re.subn(r'read_jsonl\("[^"]*"\)', f"read_jsonl({path!r})", snippet)
+    assert count == 1
+    capsys.readouterr()
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "30 14 end_task\nreplay ok\n"

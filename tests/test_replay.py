@@ -22,7 +22,6 @@ from hearth.harness.runner import (
     ReplayReport,
     ScenarioTemplate,
     execute_task,
-    replay_store,
     replay_transcript,
     run_trial,
     run_trials,
@@ -219,9 +218,9 @@ def test_tampered_tool_result_field_exits_1(tmp_path, capsys, recording, edit):
 
 
 def test_read_and_replay_build_the_starting_world_once(tmp_path, monkeypatch):
-    """Reading a header builds its world to check it and the first replay
-    runs in that world; a second replay of the same transcript builds a
-    fresh one and reports the same."""
+    """Reading a header builds no world; each replay builds its starting
+    world once, and a second replay of the same transcript reports the
+    same."""
     path = record(tmp_path, BackendSetup.from_spec("scripted:optimal").make("t1"))
     build = WorldState.from_dict.__func__
     builds = []
@@ -232,6 +231,7 @@ def test_read_and_replay_build_the_starting_world_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(WorldState, "from_dict", classmethod(counting))
     transcript = Transcript.read_jsonl(path)
+    assert builds == []
     first = replay_transcript(transcript)
     assert len(builds) == 1
     assert replay_transcript(transcript) == first == ReplayReport(30, 14, "end_task")
@@ -381,10 +381,12 @@ def bundled_scenario():
 def live_replay(transcript):
     """The transcript a replay of `transcript` runs, before comparing."""
     header = transcript.header
-    handles = MemoryHandles(Scratchpad(), replay_store(header), header.model_id)
+    store = EpisodicStore.from_dicts(header.initial_memories, header.memory_next_seq)
+    handles = MemoryHandles(Scratchpad(), store, header.model_id)
     backend = RecordedReplayBackend(transcript)
     max_tool_calls = transcript.final.tool_calls + 1
-    return execute_task(header.start_world(), handles, backend, header, max_tool_calls)[1]
+    world = WorldState.from_dict(header.initial_world)
+    return execute_task(world, handles, backend, header, max_tool_calls)[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -395,8 +397,8 @@ def test_pruned_header_replays_as_the_whole_store_does(lines, queries, memory_en
     order. Replaying it runs the messages and final line that replaying
     the same run with the whole store in the header and neither
     memory_count nor memory_next_seq, as headers were once written, runs:
-    the recorded ones. A run with memory disabled whose agent searches
-    anyway keeps what its searches returned too."""
+    the recorded ones. A run with memory disabled keeps none: its agent's
+    searches fail as calls to an unknown tool."""
     with tempfile.TemporaryDirectory() as directory:
         store_path = os.path.join(directory, "store.jsonl")
         with open(store_path, "w", encoding="utf-8") as handle:
@@ -416,8 +418,9 @@ def test_pruned_header_replays_as_the_whole_store_does(lines, queries, memory_en
         hit["id"]
         for message in pruned.messages
         if message.tool_result and message.tool_result["name"] == "search_memory"
-        for hit in message.tool_result["machine_payload"]["results"]
+        for hit in message.tool_result["machine_payload"].get("results", ())
     }
+    assert memory_enabled or not returned
     assert header.initial_memories == [line for line in lines if line["id"] in returned]
     added = store.records[-1]
     assert header.memory_count == len(lines)

@@ -143,14 +143,25 @@ class TestSessionLifecycle:
             srv.server_close()
         assert scenario_validations.calls == 1
 
-    def test_connection_counts_tool_calls_across_sessions(self):
+    def test_connection_answers_tool_calls_across_sessions(self):
         connection = RpcConnection(load_scenario(default_scenario_data()).to_dict(), False)
         frames = [{"method": "session.create"}, {"method": "tool.look_around"},
                   {"method": "session.close"}, {"method": "session.create"},
                   {"method": "tool.view_scratchpad"}, {"method": "tool.nope"}]
-        for number, frame in enumerate(frames):
-            connection.handle_line(json.dumps({"jsonrpc": "2.0", "id": number, **frame}))
-        assert connection.tool_calls == 2
+        replies = [
+            json.loads(connection.handle_line(
+                json.dumps({"jsonrpc": "2.0", "id": number, **frame})))
+            for number, frame in enumerate(frames)
+        ]
+        world = load_scenario(default_scenario_data())
+        handles = MemoryHandles(Scratchpad(), EpisodicStore())
+        look = dispatch(ToolCall("look_around"), world, handles).to_dict()
+        assert replies[1]["result"] == look
+        assert replies[4]["result"] == {
+            "status": "success", "message": "The scratchpad is empty.",
+            "machine_payload": {"entries": 0},
+        }
+        assert "result" not in replies[5]
 
 
 class TestTaskOverWire:
