@@ -7,7 +7,6 @@ replay divergence, 2 configuration problem, 3 backend problem.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Any
@@ -233,15 +232,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hearth",
-        description="Household-agent simulator: run tasks, experiments, and "
-        "the tool server.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run one task with a backend")
+def _add_run_arguments(run: argparse.ArgumentParser) -> None:
     run.add_argument("--task", required=True, choices=sorted(TASKS))
     run.add_argument(
         "--backend",
@@ -258,12 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="hide search_memory from the agent")
     run.set_defaults(func=cmd_run)
 
-    experiment = sub.add_parser("experiment", help="run a trial batch from a plan")
+
+def _add_experiment_arguments(experiment: argparse.ArgumentParser) -> None:
     experiment.add_argument("plan", help="experiment plan JSON")
     experiment.add_argument("--report-dir", help="where to write metrics files")
     experiment.set_defaults(func=cmd_experiment)
 
-    memory = sub.add_parser("memory", help="inspect or clear an episodic store")
+
+def _add_memory_arguments(memory: argparse.ArgumentParser) -> None:
     memory.add_argument("action", choices=("list", "search", "purge"))
     memory.add_argument("--store", required=True, help="store JSONL path")
     memory.add_argument("--query", help="search query")
@@ -271,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     memory.add_argument("--yes", action="store_true", help="confirm purge")
     memory.set_defaults(func=cmd_memory)
 
-    serve = sub.add_parser("serve", help="serve the tool interface over JSON-RPC")
+
+def _add_serve_arguments(serve: argparse.ArgumentParser) -> None:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7341)
     serve.add_argument("--scenario", help="scenario JSON (default: bundled)")
@@ -280,15 +274,57 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve a single connection on stdin/stdout")
     serve.set_defaults(func=cmd_serve)
 
-    replay = sub.add_parser("replay", help="re-execute a recorded transcript")
+
+def _add_replay_arguments(replay: argparse.ArgumentParser) -> None:
     replay.add_argument("transcript", help="transcript JSONL path")
     replay.set_defaults(func=cmd_replay)
 
+
+# Each command's help and the function that adds its arguments. The
+# adders name their cmd_* handler when they run, so a handler replaced
+# on this module (perfbench/tracing.py wraps three) is the one called.
+COMMANDS = {
+    "run": ("run one task with a backend", _add_run_arguments),
+    "experiment": ("run a trial batch from a plan", _add_experiment_arguments),
+    "memory": ("inspect or clear an episodic store", _add_memory_arguments),
+    "serve": ("serve the tool interface over JSON-RPC", _add_serve_arguments),
+    "replay": ("re-execute a recorded transcript", _add_replay_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for an invocation whose first argument is `command`.
+
+    A known command gets only its own subparser; the metavar keeps every
+    command in the top-level usage line, which an `unrecognized
+    arguments` error prints. Anything else (`-h`, no argument, an
+    unknown name) gets every subparser and no metavar, so the help and
+    the `required` and `invalid choice` errors name the argument
+    `command`.
+    """
+    parser = argparse.ArgumentParser(
+        prog="hearth",
+        description="Household-agent simulator: run tasks, experiments, and "
+        "the tool server.",
+    )
+    if command in COMMANDS:
+        names = [command]
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}"
+        )
+    else:
+        names = list(COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -305,7 +341,6 @@ def main(argv: list[str] | None = None) -> int:
         PersistenceError,
         ValueError,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterable
 
@@ -486,7 +486,7 @@ def _persist_records(plan: ExperimentPlan, records: list[TrialRecord]) -> None:
     path = os.path.join(plan.output_dir, "trials.jsonl")
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(asdict(record), sort_keys=True) + "\n")
+            handle.write(json.dumps(vars(record), sort_keys=True) + "\n")
 
 
 def run_trials(plan: ExperimentPlan) -> list[TrialRecord]:

@@ -24,25 +24,30 @@ and agent piece by piece, checking each as it goes, then validates the
 whole state. The line-format
 oracle is the hand-written serializers each record once had: one dict
 per transcript line, tool call, tool result and metrics group, with
-every field named. The hand-checked readers are how plans and
+every field named; the trials line oracle writes each trial record through
+`dataclasses.asdict`. The hand-checked readers are how plans and
 transcript lines were read before the generic reader: one `isinstance`
 check per field, in the order the fields were checked. The tool-contract
 model restates, over a world's plain `to_dict` data, which tool call
 succeeds and which cause a failure names, with a breadth-first walk in
-place of A*.
+place of A*. The whole-CLI parser is `build_parser` as it was before a
+command built only its own subparser: the top-level parser and all five
+subcommands, on every call.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import random
 import sys
-from dataclasses import MISSING
+from dataclasses import MISSING, asdict
 
 import jsonschema
 
+from hearth import cli
 from hearth.agent.backends import BackendError, BackendReply
 from hearth.agent.context import PROMPT_VERSION
 from hearth.agent.loop import DEFAULT_MAX_TOOL_CALLS, TERMINATION_STEP_LIMIT, run_task
@@ -709,6 +714,69 @@ def metrics_json(report) -> str:
     """metrics.json as the hand-written report dict rendered it."""
     data = {"groups": [group_dict(group) for group in report.groups]}
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def trials_jsonl(records) -> str:
+    """trials.jsonl as the recursive `asdict` copy of each record wrote it."""
+    return "".join(
+        json.dumps(asdict(record), sort_keys=True) + "\n" for record in records
+    )
+
+
+def whole_cli_parser() -> argparse.ArgumentParser:
+    """Every subparser, built on every call; handlers are read off
+    `hearth.cli` when this runs."""
+    parser = argparse.ArgumentParser(
+        prog="hearth",
+        description="Household-agent simulator: run tasks, experiments, and "
+        "the tool server.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    run = sub.add_parser("run", help="run one task with a backend")
+    run.add_argument("--task", required=True, choices=sorted(TASKS))
+    run.add_argument(
+        "--backend",
+        required=True,
+        help="scripted:NAME or http:CONFIG_JSON",
+    )
+    run.add_argument("--scenario", help="scenario JSON (default: bundled)")
+    run.add_argument("--baseline", help="baseline.json (or its directory) from t1")
+    run.add_argument("--memory", help="episodic store JSONL path")
+    run.add_argument("--output-dir", help="write transcript and baseline here")
+    run.add_argument("--max-tool-calls", type=int, default=DEFAULT_MAX_TOOL_CALLS)
+    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--no-memory", action="store_true",
+                     help="hide search_memory from the agent")
+    run.set_defaults(func=cli.cmd_run)
+
+    experiment = sub.add_parser("experiment", help="run a trial batch from a plan")
+    experiment.add_argument("plan", help="experiment plan JSON")
+    experiment.add_argument("--report-dir", help="where to write metrics files")
+    experiment.set_defaults(func=cli.cmd_experiment)
+
+    memory = sub.add_parser("memory", help="inspect or clear an episodic store")
+    memory.add_argument("action", choices=("list", "search", "purge"))
+    memory.add_argument("--store", required=True, help="store JSONL path")
+    memory.add_argument("--query", help="search query")
+    memory.add_argument("--k", type=int, default=3)
+    memory.add_argument("--yes", action="store_true", help="confirm purge")
+    memory.set_defaults(func=cli.cmd_memory)
+
+    serve = sub.add_parser("serve", help="serve the tool interface over JSON-RPC")
+    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--port", type=int, default=7341)
+    serve.add_argument("--scenario", help="scenario JSON (default: bundled)")
+    serve.add_argument("--expose-ground-truth", action="store_true")
+    serve.add_argument("--stdio", action="store_true",
+                       help="serve a single connection on stdin/stdout")
+    serve.set_defaults(func=cli.cmd_serve)
+
+    replay = sub.add_parser("replay", help="re-execute a recorded transcript")
+    replay.add_argument("transcript", help="transcript JSONL path")
+    replay.set_defaults(func=cli.cmd_replay)
+
+    return parser
 
 
 # Plans and transcript lines as they were read before `from_json`: one

@@ -1,5 +1,6 @@
 """Command line: exit codes, baseline flow, replay verification, reports."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,12 +10,13 @@ import pytest
 
 from hearth.agent.scripts import T1_DESCRIPTION
 from hearth.agent.transcript import Transcript, TranscriptError
-from hearth.cli import main
+from hearth import cli
+from hearth.cli import COMMANDS, main
 from hearth.harness import runner
 from hearth.memory.episodic import EpisodicStore
 from hearth.world.scenario import default_scenario_data
 
-from .oracles import dense_embed
+from .oracles import dense_embed, whole_cli_parser
 
 RUN_T1 = ["run", "--task", "t1", "--backend", "scripted:optimal"]
 MISSING = object()
@@ -1007,3 +1009,107 @@ def test_malformed_input_exits_2(t1_output, tmp_path, capsys, argv, error):
     assert error in err
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+# argv cases for the parser: help, every kind of argparse error, and
+# parses that succeed. Expected output comes from the whole-CLI oracle,
+# since argparse's wording changes between Python versions.
+ARGV_CASES = {
+    "no-argument": [],
+    "help": ["-h"],
+    "long-help": ["--help"],
+    "unknown-command": ["bogus"],
+    "unknown-option": ["--bogus"],
+    "help-before-command": ["-h", "replay"],
+    **{f"{name}-help": [name, "-h"] for name in COMMANDS},
+    "run-help-after-options": RUN_T1 + ["--help"],
+    "run-without-options": ["run"],
+    "run-missing-backend": ["run", "--task", "t1"],
+    "experiment-missing-plan": ["experiment"],
+    "memory-missing-store": ["memory", "list"],
+    "replay-missing-transcript": ["replay"],
+    "bad-task": ["run", "--task", "t3", "--backend", "scripted:optimal"],
+    "bad-memory-action": ["memory", "frob", "--store", "s.jsonl"],
+    "bad-max-tool-calls": RUN_T1 + ["--max-tool-calls", "x"],
+    "bad-port": ["serve", "--port", "x"],
+    "replay-extra": ["replay", "a", "b"],
+    "run-extra": RUN_T1 + ["extra"],
+    "replay-unknown-option": ["replay", "--bogus", "t.jsonl"],
+    "ambiguous-abbreviation": RUN_T1 + ["--s", "x"],
+    "abbreviated-option": ["run", "--ta", "t1", "--backend", "scripted:optimal"],
+    "run": RUN_T1 + ["--seed", "4", "--max-tool-calls", "9", "--no-memory",
+                     "--memory", "s.jsonl", "--output-dir", "out"],
+    "experiment": ["experiment", "plan.json", "--report-dir", "reports"],
+    "memory-search": ["memory", "search", "--store", "s.jsonl", "--query", "mug",
+                      "--k", "2"],
+    "memory-purge": ["memory", "purge", "--store", "s.jsonl", "--yes"],
+    "serve": ["serve", "--stdio", "--port", "9", "--expose-ground-truth"],
+    "replay": ["replay", "t.jsonl"],
+}
+
+
+def oracle_parse(argv):
+    """Exit code and namespace of the whole-CLI parser (None on exit)."""
+    try:
+        return 0, whole_cli_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, None
+
+
+def count_parsers(monkeypatch, argv):
+    """main's exit code for argv and how many ArgumentParsers it built."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code = main(argv)
+    monkeypatch.undo()
+    return code, len(built)
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", ARGV_CASES.values(), ids=ARGV_CASES.keys())
+    def test_parses_as_the_whole_cli_parser(self, monkeypatch, capsys, argv):
+        """Same exit code, stdout and stderr as the parser that built every
+        command, and the same namespace for a parse that succeeds."""
+        monkeypatch.setenv("COLUMNS", "80")
+        handled = []
+        for name in COMMANDS:
+            monkeypatch.setattr(cli, f"cmd_{name}", lambda args: handled.append(args) or 0)
+        code = main(list(argv))
+        got = capsys.readouterr()
+        want_code, want_args = oracle_parse(list(argv))
+        want = capsys.readouterr()
+        assert (code, got.out, got.err) == (want_code, want.out, want.err)
+        if want_args is None:
+            assert handled == []
+        else:
+            assert [vars(args) for args in handled] == [vars(want_args)]
+
+    def test_a_command_builds_only_its_own_parser(self, t1_output, monkeypatch, capsys):
+        path = str(t1_output / "run_t1.jsonl")
+        assert count_parsers(monkeypatch, ["replay", path]) == (0, 2)
+
+    def test_help_builds_every_parser(self, monkeypatch, capsys):
+        assert count_parsers(monkeypatch, ["-h"]) == (0, 1 + len(COMMANDS))
+
+    def test_replay_calls_the_handler_set_on_the_module(
+        self, t1_output, monkeypatch, capsys
+    ):
+        """A handler replaced on hearth.cli after import, as a tracer
+        wraps one, is the one a command runs."""
+        calls = []
+        original = cli.cmd_replay
+
+        def wrapper(args):
+            calls.append(args.transcript)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_replay", wrapper)
+        path = str(t1_output / "run_t1.jsonl")
+        assert main(["replay", path]) == 0
+        assert calls == [path]

@@ -35,6 +35,7 @@ from .oracles import (
     metrics_json,
     result_dict,
     tool_result_entry,
+    trials_jsonl,
 )
 from .test_agent_loop import Exploding, ParallelThenEnd
 
@@ -81,11 +82,17 @@ def run_backend(tmp_path, name, backend):
 
 
 @pytest.fixture(scope="module")
-def transcript_paths(tmp_path_factory):
+def plan_runs(tmp_path_factory):
+    """Each of PLANS run once: name -> (output directory, records)."""
     tmp_path = tmp_path_factory.mktemp("lines")
+    return {name: run_plan(tmp_path, name) for name in PLANS}
+
+
+@pytest.fixture(scope="module")
+def transcript_paths(tmp_path_factory, plan_runs):
+    tmp_path = tmp_path_factory.mktemp("backends")
     paths = []
-    for name in PLANS:
-        out, _ = run_plan(tmp_path, name)
+    for out, _ in plan_runs.values():
         directory = out / "transcripts"
         paths += [str(directory / entry) for entry in sorted(os.listdir(directory))]
     paths.append(run_backend(tmp_path, "backend-error", Exploding()))
@@ -123,6 +130,11 @@ def test_every_line_equals_the_oracle_and_round_trips(transcript_paths):
         record = cls.from_dict(data)
         assert json.dumps(oracle(record), sort_keys=True) + "\n" == line
         assert cls.from_dict(record.to_dict()) == record
+
+
+def test_trials_jsonl_equals_the_oracle(plan_runs):
+    for out, records in plan_runs.values():
+        assert (out / "trials.jsonl").read_text(encoding="utf-8") == trials_jsonl(records)
 
 
 def test_calls_and_results_equal_the_oracle(transcript_paths):
