@@ -89,7 +89,8 @@ class RecordedReplayBackend:
         turns = [m for m in transcript.messages if m.role == "assistant"]
         self._turns = iter(turns)
         # A run that ended in a backend error recorded the error as its
-        # last message; replay raises it again at that turn.
+        # last message; replay raises it again at that turn. The literal is
+        # agent.loop's TERMINATION_BACKEND_ERROR, which imports this module.
         self._error_turn = (
             transcript.messages[-1]
             if transcript.final.termination == "backend_error" and turns

@@ -19,9 +19,25 @@ Script = Generator[Any, str | None, None]
 T1_DESCRIPTION = "put the mug, the box, and the cube away on the shelf"
 T2_DESCRIPTION = "swap the mug and the cube on the shelf"
 
+# Where each t1 item starts, and the shelf slot it goes to.
+T1_SHELVING = (
+    ("kitchen_table", "mug", "shelf_layer_1"),
+    ("kitchen_table", "box", "shelf_layer_2"),
+    ("living_room_table", "cube", "shelf_layer_3"),
+)
+
 
 def call(name: str, **arguments: Any) -> tuple[str, dict[str, Any]]:
     return name, arguments
+
+
+def shelve(moves: tuple[tuple[str, str, str], ...]) -> Script:
+    """Carry each (location, item, slot) item to its kitchen shelf slot."""
+    for location, item, slot in moves:
+        yield call("move_to", location=location)
+        yield call("grab", object=item)
+        yield call("move_to", location="kitchen_shelf")
+        yield call("place", slot=slot)
 
 
 def optimal_t1() -> Script:
@@ -32,18 +48,7 @@ def optimal_t1() -> Script:
             "fetch the cube from the living room table."
         ),
     )
-    yield call("move_to", location="kitchen_table")
-    yield call("grab", object="mug")
-    yield call("move_to", location="kitchen_shelf")
-    yield call("place", slot="shelf_layer_1")
-    yield call("move_to", location="kitchen_table")
-    yield call("grab", object="box")
-    yield call("move_to", location="kitchen_shelf")
-    yield call("place", slot="shelf_layer_2")
-    yield call("move_to", location="living_room_table")
-    yield call("grab", object="cube")
-    yield call("move_to", location="kitchen_shelf")
-    yield call("place", slot="shelf_layer_3")
+    yield from shelve(T1_SHELVING)
     yield call(
         "end_task",
         task_description=T1_DESCRIPTION,
@@ -88,14 +93,8 @@ def optimal_t2() -> Script:
 
 
 def hallucinator_t1() -> Script:
-    yield call("move_to", location="kitchen_table")
-    yield call("grab", object="mug")
-    yield call("move_to", location="kitchen_shelf")
-    yield call("place", slot="shelf_layer_1")
-    yield call("move_to", location="kitchen_table")
-    yield call("grab", object="box")
-    yield call("move_to", location="kitchen_shelf")
-    yield call("place", slot="shelf_layer_2")
+    # The cube stays behind.
+    yield from shelve(T1_SHELVING[:2])
     yield call(
         "end_task",
         task_description=T1_DESCRIPTION,
@@ -121,18 +120,7 @@ def memory_hinted_t1() -> Script:
         yield call("look_around")
         yield call("move_to", location="living_room_center")
         yield call("look_around")
-    yield call("move_to", location="kitchen_table")
-    yield call("grab", object="mug")
-    yield call("move_to", location="kitchen_shelf")
-    yield call("place", slot="shelf_layer_1")
-    yield call("move_to", location="kitchen_table")
-    yield call("grab", object="box")
-    yield call("move_to", location="kitchen_shelf")
-    yield call("place", slot="shelf_layer_2")
-    yield call("move_to", location="living_room_table")
-    yield call("grab", object="cube")
-    yield call("move_to", location="kitchen_shelf")
-    yield call("place", slot="shelf_layer_3")
+    yield from shelve(T1_SHELVING)
     yield call(
         "end_task",
         task_description=T1_DESCRIPTION,

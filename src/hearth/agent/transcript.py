@@ -147,20 +147,16 @@ class Transcript:
                 if not isinstance(data, dict):
                     raise TranscriptError(f"{path}:{number}: not a JSON object")
                 kind = data.get("type")
+                if kind not in ("header", "message", "final"):
+                    raise TranscriptError(f"{path}:{number}: unknown line type {kind!r}")
                 try:
                     if kind == "header":
                         header = TranscriptHeader.from_dict(data)
                     elif kind == "message":
                         messages.append(TranscriptMessage.from_dict(data))
-                    elif kind == "final":
-                        final = TranscriptFinal.from_dict(data)
                     else:
-                        raise TranscriptError(
-                            f"{path}:{number}: unknown line type {kind!r}"
-                        )
+                        final = TranscriptFinal.from_dict(data)
                 except (KeyError, TypeError, ValueError) as exc:
-                    if isinstance(exc, TranscriptError):
-                        raise
                     raise TranscriptError(
                         f"{path}:{number}: malformed {kind} line: {exc}"
                     ) from exc

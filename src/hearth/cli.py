@@ -12,7 +12,7 @@ import sys
 from typing import Any
 
 from .agent.backends import BackendError
-from .agent.loop import DEFAULT_MAX_TOOL_CALLS
+from .agent.loop import DEFAULT_MAX_TOOL_CALLS, TERMINATION_BACKEND_ERROR
 from .agent.transcript import Transcript, TranscriptError
 from .harness.metrics import compute_metrics, emit_report, render_json
 from .harness.runner import (
@@ -73,10 +73,7 @@ def _load_baseline(path: str) -> tuple[ScenarioTemplate, dict[str, Any]]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    task = TASKS.get(args.task)
-    if task is None:
-        print(f"error: unknown task '{args.task}'", file=sys.stderr)
-        return EXIT_CONFIG
+    task = TASKS[args.task]
     if args.max_tool_calls < 1:
         raise ValueError("max_tool_calls must be >= 1")
 
@@ -133,7 +130,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 handle.write(canonical_json(baseline))
             print(f"baseline: {baseline_path}")
 
-    if run.termination == "backend_error":
+    if run.termination == TERMINATION_BACKEND_ERROR:
         if run.error:
             print(f"backend error: {run.error}", file=sys.stderr)
         return EXIT_BACKEND

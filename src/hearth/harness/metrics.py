@@ -15,6 +15,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
+from ..agent.loop import TERMINATION_BACKEND_ERROR
 from .runner import TrialRecord
 from .tasks import EvaluationError
 
@@ -83,7 +84,7 @@ def compute_metrics(
     if not records:
         raise EvaluationError("cannot compute metrics over zero records")
     if exclude_backend_errors:
-        records = [r for r in records if r.termination != "backend_error"]
+        records = [r for r in records if r.termination != TERMINATION_BACKEND_ERROR]
         if not records:
             raise EvaluationError("all records were backend errors")
     grouped: dict[tuple[str, str], list[TrialRecord]] = {}

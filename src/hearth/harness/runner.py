@@ -128,59 +128,54 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class BackendSetup:
-    """Normalized backend choice: knows how to mint a Backend per task."""
+    """Normalized backend choice: knows how to mint a Backend per task.
+    Exactly one of `script_name` and `http_config` is set."""
 
-    kind: str
     model_id: str
     script_name: str | None = None
     http_config: HttpBackendConfig | None = None
 
     @classmethod
     def from_spec(cls, spec: Any) -> "BackendSetup":
+        """A setup from `scripted:NAME`, `http:CONFIG_PATH`, or an object
+        `{"kind": "scripted", "script": NAME}` or `{"kind": "http", ...}`
+        holding what an http config file holds."""
         if isinstance(spec, str):
             kind, _, rest = spec.partition(":")
             if kind == "scripted":
-                if rest not in SCRIPTS:
-                    raise ValueError(
-                        f"unknown script '{rest}'; available: {sorted(SCRIPTS)}"
-                    )
-                return cls(
-                    kind="scripted", model_id=f"scripted:{rest}", script_name=rest
-                )
-            if kind == "http":
-                config = HttpBackendConfig.from_dict(
-                    read_json_object(rest, "backend config")
-                )
-                return cls(kind="http", model_id=config.model, http_config=config)
-            raise ValueError(f"unknown backend spec '{spec}'")
-        if isinstance(spec, dict):
+                data = {"script": rest}
+            elif kind == "http":
+                data = read_json_object(rest, "backend config")
+            else:
+                raise ValueError(f"unknown backend spec '{spec}'")
+        elif isinstance(spec, dict):
             data = dict(spec)
             kind = data.pop("kind", None)
-            if kind == "scripted":
-                name = data.pop("script", None)
-                if data or name not in SCRIPTS:
-                    raise ValueError(f"bad scripted backend config: {spec}")
-                return cls(
-                    kind="scripted", model_id=f"scripted:{name}", script_name=name
+        else:
+            raise ValueError(f"unsupported backend spec type: {type(spec).__name__}")
+        if kind == "scripted":
+            name = data.pop("script", None)
+            if data:
+                raise ValueError(f"unknown scripted backend fields: {sorted(data)}")
+            if name not in SCRIPTS:
+                raise ValueError(
+                    f"unknown script '{name}'; available: {sorted(SCRIPTS)}"
                 )
-            if kind == "http":
-                config = HttpBackendConfig.from_dict(data)
-                return cls(kind="http", model_id=config.model, http_config=config)
-            raise ValueError(f"backend config needs kind scripted|http, got {kind!r}")
-        raise ValueError(f"unsupported backend spec type: {type(spec).__name__}")
+            return cls(model_id=f"scripted:{name}", script_name=name)
+        if kind == "http":
+            config = HttpBackendConfig.from_dict(data)
+            return cls(model_id=config.model, http_config=config)
+        raise ValueError(f"backend config needs kind scripted|http, got {kind!r}")
 
     def make(self, task_id: str) -> Backend:
-        if self.kind == "scripted":
-            assert self.script_name is not None
-            per_task = SCRIPTS[self.script_name]
-            if task_id not in per_task:
-                raise EvaluationError(
-                    f"script '{self.script_name}' has no behavior for task "
-                    f"'{task_id}'"
-                )
-            return ScriptedBackend(per_task[task_id])
-        assert self.http_config is not None
-        return HttpChatBackend(self.http_config)
+        if self.http_config is not None:
+            return HttpChatBackend(self.http_config)
+        per_task = SCRIPTS[self.script_name]
+        if task_id not in per_task:
+            raise EvaluationError(
+                f"script '{self.script_name}' has no behavior for task '{task_id}'"
+            )
+        return ScriptedBackend(per_task[task_id])
 
 
 @dataclass(frozen=True)
@@ -200,13 +195,11 @@ class ScenarioTemplate:
 
 @dataclass
 class TrialOutcome:
-    """One trial's records and runs, the reports it minted (for memory
-    pools), and its world as the last task left it."""
+    """One trial's records and runs, and its world as the last task left it."""
 
     world: WorldState
     records: list[TrialRecord] = field(default_factory=list)
     runs: list[TaskRun] = field(default_factory=list)
-    new_reports: list[dict[str, Any]] = field(default_factory=list)
 
 
 def task_header(
@@ -415,10 +408,11 @@ def run_trial(
         scratchpad=Scratchpad(), store=store, model_id=setup.model_id
     )
     outcome = TrialOutcome(world)
-    achieved = {"t1": baseline is not None}
     for task_id in task_ids:
         task = TASKS[task_id]
-        if task.prerequisite is not None and not achieved.get(task.prerequisite):
+        # t1 is the only prerequisite, and `baseline` is set exactly when
+        # it was achieved.
+        if task.prerequisite is not None and baseline is None:
             continue
         header = task_header(
             scenario, task, setup.model_id, seed, memory_enabled, store, world
@@ -453,12 +447,8 @@ def run_trial(
                 scenario_hash=scenario.digest,
             )
         )
-        outcome.new_reports.extend(
-            record.to_dict() for record in store.records[size_before:]
-        )
-        achieved[task_id] = actual_ok
-        if task_id == "t1" and actual_ok:
-            baseline = final_snapshot
+        if task_id == "t1":
+            baseline = final_snapshot if actual_ok else None
     return outcome
 
 
@@ -516,23 +506,24 @@ def run_trials(plan: ExperimentPlan) -> list[TrialRecord]:
                 f"cannot seed memory size {size}: only {len(pool)} prior "
                 f"reports available"
             )
+        stores = [seed_store(pool[:size]) for _ in range(plan.trials)]
         jobs = [
             partial(
                 run_trial,
                 scenario,
                 plan.tasks,
                 setup,
-                seed_store(pool[:size]),
+                store,
                 plan.max_tool_calls,
                 trial_id=f"{plan.name}-{prefix}{index:03d}",
                 transcript_dir=transcript_dir,
                 seed=plan.seed,
                 memory_enabled=plan.memory_enabled,
             )
-            for index in range(plan.trials)
+            for index, store in enumerate(stores)
         ]
-        for outcome in _run_batch(plan.parallelism, jobs):
+        for outcome, store in zip(_run_batch(plan.parallelism, jobs), stores):
             records.extend(outcome.records)
-            pool.extend(outcome.new_reports)
+            pool.extend(record.to_dict() for record in store.records[size:])
     _persist_records(plan, records)
     return records

@@ -15,11 +15,12 @@ no line end and no whole JSON value; the load drops it with a warning
 and truncates the file to the line before.
 
 A load costs about 10 us a record on a 2-vCPU host, most of it the
-embedding. Each line is decoded on its own by the json module's scanner
-and checked with one test of its six fields; only a line that fails
-either is handed to `json.loads` or checked field by field, for the
-text of its error. Records and vectors are named tuples: immutable, and
-cheap to build.
+embedding. Each line is decoded on its own by the json module's scanner;
+only a line the scanner cannot decode is handed to `json.loads`, for the
+text of its error. Its fields are then checked one at a time, each read
+as it is checked, in the order `_parse` gives, so an error names the
+first that is missing or wrong. Records and vectors are named tuples:
+immutable, and cheap to build.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Any, Iterable, NamedTuple, NoReturn
+from typing import Any, Iterable, NamedTuple
 
 from .embedding import HashedEmbedder, SparseVector, _tuple_new
 
@@ -35,9 +36,6 @@ BELIEVED_STATUSES = ("succeeded", "failed")
 
 DEFAULT_SEARCH_K = 3
 DEFAULT_SIMILARITY_FLOOR = 0.2
-
-# Fields a store line must hold as strings; the embedder reads one of them.
-_TEXT_FIELDS = ("id", "task_description", "action_summary", "model_id")
 
 # Decodes one JSON value at an index, as json.loads does, and returns it
 # with the index where it ends.
@@ -161,46 +159,28 @@ class EpisodicStore:
 
     def _parse(self, data: dict[str, Any]) -> EpisodicRecord:
         """The record a store line holds, re-embedded; raises ValueError
-        (or KeyError, TypeError) for a line the store would not write."""
-        try:
-            record_id = data["id"]
-            description = data["task_description"]
-            summary = data["action_summary"]
-            model_id = data["model_id"]
-            created_at = data["created_at"]
-            status = data["believed_status"]
-        except (KeyError, TypeError):
-            pass
-        else:
-            if (
-                type(record_id) is str
-                and type(description) is str
-                and type(summary) is str
-                and type(model_id) is str
-                and type(created_at) is int
-                and status in BELIEVED_STATUSES
-                and record_id not in self._ids
-            ):
-                return _tuple_new(EpisodicRecord, (
-                    record_id, description, status, summary,
-                    self.embedder.embed_sparse(description), created_at, model_id,
-                ))
-        self._refuse(data)
-
-    def _refuse(self, data: dict[str, Any]) -> NoReturn:
-        """Raise the error of the first check a line fails, reading each
-        field as it is checked, so a wrong field before a missing one is
-        what the error names."""
-        for name in _TEXT_FIELDS:
-            if not isinstance(data[name], str):
-                kind = type(data[name]).__name__
-                raise ValueError(f"{name} must be a string, not {kind}")
+        (or KeyError, TypeError) for a line the store would not write.
+        Each field is read as it is checked, so a wrong field before a
+        missing one is what the error names."""
+        texts = []
+        for name in ("id", "task_description", "action_summary", "model_id"):
+            value = data[name]
+            if type(value) is not str:
+                raise ValueError(f"{name} must be a string, not {type(value).__name__}")
+            texts.append(value)
+        record_id, description, summary, model_id = texts
         created_at = data["created_at"]
         if type(created_at) is not int:
             raise ValueError(f"created_at must be an integer: {created_at!r}")
-        if data["believed_status"] not in BELIEVED_STATUSES:
-            raise ValueError(f"bad believed_status '{data['believed_status']}'")
-        raise ValueError(f"duplicate id '{data['id']}'")
+        status = data["believed_status"]
+        if status not in BELIEVED_STATUSES:
+            raise ValueError(f"bad believed_status '{status}'")
+        if record_id in self._ids:
+            raise ValueError(f"duplicate id '{record_id}'")
+        return _tuple_new(EpisodicRecord, (
+            record_id, description, status, summary,
+            self.embedder.embed_sparse(description), created_at, model_id,
+        ))
 
     def add(
         self,

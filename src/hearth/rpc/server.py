@@ -12,10 +12,10 @@ remote agent cannot peek at the world state it is supposed to discover.
 
 from __future__ import annotations
 
+import itertools
 import json
 import socketserver
 import sys
-import threading
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from ..memory.episodic import EpisodicStore
@@ -32,15 +32,9 @@ INVALID_PARAMS = -32602
 INTERNAL_ERROR = -32603
 APP_ERROR = -32000
 
-_session_counter = 0
-_session_lock = threading.Lock()
-
-
-def _next_session_id() -> str:
-    global _session_counter
-    with _session_lock:
-        _session_counter += 1
-        return f"sess-{_session_counter:04d}"
+# Numbers session ids across every connection; a count's next is one C
+# call, so threads that share it never get the same number.
+_session_numbers = itertools.count(1)
 
 
 class _RpcFault(Exception):
@@ -56,9 +50,8 @@ class RpcConnection:
     def __init__(self, initial_world: dict[str, Any], expose_ground_truth: bool) -> None:
         self._initial_world = initial_world
         self._expose_ground_truth = expose_ground_truth
-        self.session_id: str | None = None
-        self.world: WorldState | None = None
-        self.handles: MemoryHandles | None = None
+        # The open session's id, world and memory handles.
+        self._session: tuple[str, WorldState, MemoryHandles] | None = None
 
     def handle_line(self, line: str) -> str | None:
         """Process one frame; returns the response frame, or None for
@@ -105,10 +98,10 @@ class RpcConnection:
             sort_keys=True,
         )
 
-    def _require_session(self) -> tuple[WorldState, MemoryHandles]:
-        if self.world is None or self.handles is None:
+    def _require_session(self) -> tuple[str, WorldState, MemoryHandles]:
+        if self._session is None:
             raise _RpcFault(APP_ERROR, "no session; call session.create first")
-        return self.world, self.handles
+        return self._session
 
     def _route(self, method: str, params: Any) -> Any:
         if params is None:
@@ -126,20 +119,21 @@ class RpcConnection:
         raise _RpcFault(METHOD_NOT_FOUND, f"unknown method '{method}'")
 
     def _session_create(self, params: dict[str, Any]) -> dict[str, Any]:
-        if self.session_id is not None:
+        if self._session is not None:
             raise _RpcFault(APP_ERROR, "this connection already owns a session")
         model_id = params.get("model_id", "rpc-client")
         if not isinstance(model_id, str):
             raise _RpcFault(INVALID_PARAMS, "model_id must be a string")
-        self.session_id = _next_session_id()
-        self.world = WorldState.from_dict(self._initial_world)
-        self.handles = MemoryHandles(
-            scratchpad=Scratchpad(), store=EpisodicStore(), model_id=model_id
+        session_id = f"sess-{next(_session_numbers):04d}"
+        self._session = (
+            session_id,
+            WorldState.from_dict(self._initial_world),
+            MemoryHandles(Scratchpad(), EpisodicStore(), model_id),
         )
-        return {"session_id": self.session_id, "tools": sorted(TOOL_SCHEMAS)}
+        return {"session_id": session_id, "tools": sorted(TOOL_SCHEMAS)}
 
     def _session_snapshot(self) -> dict[str, Any]:
-        world, _ = self._require_session()
+        _, world, _ = self._require_session()
         if not self._expose_ground_truth:
             raise _RpcFault(
                 APP_ERROR,
@@ -149,17 +143,14 @@ class RpcConnection:
         return snapshot(world)
 
     def _session_close(self) -> dict[str, Any]:
-        self._require_session()
-        closed = self.session_id
-        self.session_id = None
-        self.world = None
-        self.handles = None
+        closed, _, _ = self._require_session()
+        self._session = None
         return {"closed": closed}
 
     def _tool_call(self, name: str, params: dict[str, Any]) -> dict[str, Any]:
         if name not in TOOL_SCHEMAS:
             raise _RpcFault(METHOD_NOT_FOUND, f"unknown method 'tool.{name}'")
-        world, handles = self._require_session()
+        _, world, handles = self._require_session()
         return dispatch(ToolCall(name, params), world, handles).to_dict()
 
 

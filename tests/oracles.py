@@ -32,7 +32,8 @@ model restates, over a world's plain `to_dict` data, which tool call
 succeeds and which cause a failure names, with a breadth-first walk in
 place of A*. The whole-CLI parser is `build_parser` as it was before a
 command built only its own subparser: the top-level parser and all five
-subcommands, on every call.
+subcommands, on every call. The shipped script calls are the tool calls
+each scripted agent yielded when it spelled out every call by hand.
 """
 
 from __future__ import annotations
@@ -1091,3 +1092,100 @@ class ToolContractModel:
             "agent": {"location": self.location, "held": self.held},
             "objects": dict(sorted(self.placement.items())),
         }
+
+
+_T1 = "put the mug, the box, and the cube away on the shelf"
+_SHELVE_MUG_AND_BOX = [
+    ("move_to", {"location": "kitchen_table"}),
+    ("grab", {"object": "mug"}),
+    ("move_to", {"location": "kitchen_shelf"}),
+    ("place", {"slot": "shelf_layer_1"}),
+    ("move_to", {"location": "kitchen_table"}),
+    ("grab", {"object": "box"}),
+    ("move_to", {"location": "kitchen_shelf"}),
+    ("place", {"slot": "shelf_layer_2"}),
+]
+_SHELVE_ALL = _SHELVE_MUG_AND_BOX + [
+    ("move_to", {"location": "living_room_table"}),
+    ("grab", {"object": "cube"}),
+    ("move_to", {"location": "kitchen_shelf"}),
+    ("place", {"slot": "shelf_layer_3"}),
+]
+_MEMORY_HINTED_END = ("end_task", {
+    "task_description": _T1,
+    "status": "succeeded",
+    "action_summary": (
+        "Shelved the mug, the box, and the cube on separate layers of the "
+        "kitchen shelf."
+    ),
+})
+
+# The calls each shipped script yields, keyed by (script, task, what its
+# first search returned), as the scripts spelled them out call by call.
+SHIPPED_SCRIPT_CALLS = {
+    ("optimal", "t1", None): [
+        ("add_to_scratchpad", {"text": (
+            "Plan: shelve the mug and the box from the kitchen table, then "
+            "fetch the cube from the living room table."
+        )}),
+        *_SHELVE_ALL,
+        ("end_task", {
+            "task_description": _T1,
+            "status": "succeeded",
+            "action_summary": (
+                "Carried the mug, the box, and the cube to the kitchen shelf "
+                "one at a time and placed each on its own layer."
+            ),
+        }),
+    ],
+    ("optimal", "t2", None): [
+        ("add_to_scratchpad", {"text": (
+            "Plan: stash the mug on the kitchen table, move the cube into "
+            "the mug's layer, then shelve the mug in the cube's old layer."
+        )}),
+        ("move_to", {"location": "kitchen_shelf"}),
+        ("grab", {"object": "mug"}),
+        ("move_to", {"location": "kitchen_table"}),
+        ("place", {"slot": "kitchen_table_layer_1"}),
+        ("move_to", {"location": "kitchen_shelf"}),
+        ("grab", {"object": "cube"}),
+        ("place", {"slot": "shelf_layer_1"}),
+        ("move_to", {"location": "kitchen_table"}),
+        ("grab", {"object": "mug"}),
+        ("move_to", {"location": "kitchen_shelf"}),
+        ("place", {"slot": "shelf_layer_3"}),
+        ("end_task", {
+            "task_description": "swap the mug and the cube on the shelf",
+            "status": "succeeded",
+            "action_summary": (
+                "Parked the mug on the kitchen table, moved the cube into the "
+                "mug's shelf layer, then placed the mug on the cube's old layer."
+            ),
+        }),
+    ],
+    ("hallucinator", "t1", None): [
+        *_SHELVE_MUG_AND_BOX,
+        ("end_task", {
+            "task_description": _T1,
+            "status": "succeeded",
+            "action_summary": (
+                "Placed the mug, the box, and the cube on the kitchen shelf."
+            ),
+        }),
+    ],
+    ("memory_hinted", "t1", "Found no relevant memories."): [
+        ("search_memory", {"query": _T1}),
+        ("look_around", {}),
+        ("move_to", {"location": "kitchen_center"}),
+        ("look_around", {}),
+        ("move_to", {"location": "living_room_center"}),
+        ("look_around", {}),
+        *_SHELVE_ALL,
+        _MEMORY_HINTED_END,
+    ],
+    ("memory_hinted", "t1", "Found 1 relevant memories:"): [
+        ("search_memory", {"query": _T1}),
+        *_SHELVE_ALL,
+        _MEMORY_HINTED_END,
+    ],
+}

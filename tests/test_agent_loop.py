@@ -25,6 +25,7 @@ from hearth.agent.loop import (
     run_task,
 )
 from hearth.agent.scripts import (
+    SCRIPT_CALL_COUNTS,
     SCRIPTS,
     T1_DESCRIPTION,
     T2_DESCRIPTION,
@@ -44,6 +45,8 @@ from hearth.tools.dispatch import ToolCall
 from hearth.tools.schemas import TOOL_SCHEMAS
 from hearth.world.scenario import default_scenario_data, scenario_hash
 from hearth.world.state import canonical_json, snapshot
+
+from .oracles import SHIPPED_SCRIPT_CALLS
 
 TOOL_NAMES = set(TOOL_SCHEMAS)
 
@@ -213,6 +216,29 @@ def run_script(world, handles, script, **kwargs):
     backend = ScriptedBackend(script)
     prompt = T2_DESCRIPTION if script is optimal_t2 else T1_DESCRIPTION
     return run_task(world, handles, backend, prompt, **kwargs)
+
+
+def script_calls(factory, first_result):
+    """What a script yields when its first call gets `first_result` back
+    and every later call gets "ok"."""
+    script, calls, result = factory(), [], None
+    while True:
+        try:
+            calls.append(script.send(result))
+        except StopIteration:
+            return calls
+        result = first_result if len(calls) == 1 else "ok"
+
+
+@pytest.mark.parametrize("key", list(SHIPPED_SCRIPT_CALLS), ids=repr)
+def test_shipped_scripts_yield_the_reference_calls(key):
+    name, task_id, first_result = key
+    want = SHIPPED_SCRIPT_CALLS[key]
+    assert script_calls(SCRIPTS[name][task_id], first_result) == want
+    counts = SCRIPT_CALL_COUNTS[(name, task_id)]
+    if name == "memory_hinted":
+        counts = counts[first_result.startswith("Found 1")]
+    assert len(want) == counts
 
 
 class TestScriptedRuns:

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from hearth.agent.http_backend import HttpBackendConfig
 from hearth.agent.transcript import Transcript
 from hearth.cli import main
 from hearth.harness import runner
@@ -224,14 +225,38 @@ class TestBackendSetup:
         setup = BackendSetup.from_spec(
             {"kind": "http", "base_url": "http://x", "model": "m-1"}
         )
-        assert setup.kind == "http"
+        assert setup.http_config == HttpBackendConfig(base_url="http://x", model="m-1")
         assert setup.model_id == "m-1"
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("scripted", {"script": "optimal"}),
+        ("scripted", {"script": "genius"}),
+        ("http", {"base_url": "http://x", "model": "m-1", "max_retries": 1}),
+    ], ids=["scripted", "unknown-script", "http"])
+    def test_string_and_object_specs_agree(self, tmp_path, kind, fields):
+        """`scripted:NAME` and `http:PATH` build what their object forms
+        build, and both forms refuse an unknown script alike."""
+        if kind == "http":
+            path = tmp_path / "backend.json"
+            path.write_text(json.dumps(fields))
+            string = f"http:{path}"
+        else:
+            string = f"scripted:{fields['script']}"
+        specs = (string, {"kind": kind, **fields})
+        if fields.get("script") == "genius":
+            for spec in specs:
+                with pytest.raises(ValueError, match="unknown script 'genius'"):
+                    BackendSetup.from_spec(spec)
+        else:
+            assert BackendSetup.from_spec(specs[0]) == BackendSetup.from_spec(specs[1])
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
             BackendSetup.from_spec("telepathy:direct")
         with pytest.raises(ValueError):
             BackendSetup.from_spec({"kind": "psychic"})
+        with pytest.raises(ValueError, match=r"unknown scripted backend fields: \['x'\]"):
+            BackendSetup.from_spec({"kind": "scripted", "script": "optimal", "x": 1})
         with pytest.raises(ValueError):
             BackendSetup.from_spec(42)
 
