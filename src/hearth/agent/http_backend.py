@@ -10,6 +10,7 @@ to be a headline metric.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -59,6 +60,10 @@ class HttpBackendConfig:
             raise ValueError(
                 f"backend config: retry_base_s must be >= 0: {config.retry_base_s}"
             )
+        for name in ("timeout_s", "retry_base_s", "temperature"):
+            value = getattr(config, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"backend config: {name} must be finite: {value}")
         return config
 
 

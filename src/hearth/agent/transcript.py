@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..jsonio import from_json
+from ..jsonio import from_json, loads
 
 
 class TranscriptError(ValueError):
@@ -141,8 +141,8 @@ class Transcript:
                 if not line:
                     continue
                 try:
-                    data = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    data = loads(line)
+                except ValueError as exc:
                     raise TranscriptError(f"{path}:{number}: invalid JSON: {exc}") from exc
                 if not isinstance(data, dict):
                     raise TranscriptError(f"{path}:{number}: not a JSON object")

@@ -26,7 +26,6 @@ from .harness.runner import (
 from .harness.tasks import TASKS, EvaluationError, check_t1
 from .jsonio import read_json_object
 from .memory.episodic import EpisodicStore, PersistenceError
-from .rpc.server import ToolRpcServer, serve_stdio
 from .world.scenario import ScenarioError, load_scenario, read_scenario, scenario_hash
 from .world.state import WorldState, canonical_json, snapshot
 
@@ -194,6 +193,9 @@ def cmd_memory(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    # Imported here: only `serve` needs the server and socketserver.
+    from .rpc.server import ToolRpcServer, serve_stdio
+
     scenario_data = read_scenario(args.scenario)
     if args.stdio:
         serve_stdio(scenario_data, expose_ground_truth=args.expose_ground_truth)

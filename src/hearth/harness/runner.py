@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterable
@@ -457,6 +456,9 @@ def _run_batch(
 ) -> list[TrialOutcome]:
     if parallelism == 1 or len(jobs) <= 1:
         return [job() for job in jobs]
+    # Imported here: a batch run one trial at a time never starts a pool.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         futures = [pool.submit(job) for job in jobs]
         return [future.result() for future in futures]

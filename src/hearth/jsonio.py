@@ -1,7 +1,8 @@
-"""JSON input: `read_json_object` reads plan, scenario, baseline and
-`http:` backend config files; `from_json` builds plans, backend configs
-and transcript lines, checking each value against its field's annotation;
-`read_field` checks one value the same way.
+"""JSON input: `loads` and `scan_once` decode JSON for every reader;
+`read_json_object` reads plan, scenario, baseline and `http:` backend
+config files; `from_json` builds plans, backend configs and transcript
+lines, checking each value against its field's annotation; `read_field`
+checks one value the same way.
 """
 
 from __future__ import annotations
@@ -31,13 +32,39 @@ class FieldError(ValueError):
         self.name, self.value = name, value
 
 
+def _refuse_constant(name: str) -> Any:
+    raise ValueError(f"{name} is not a JSON value")
+
+
+_decoder = json.JSONDecoder(parse_constant=_refuse_constant)
+
+# Decodes one JSON value at an index, as `loads` does, and returns it with
+# the index where it ends; raises StopIteration where no value starts, and
+# RecursionError for nesting too deep, which `loads` turns into its error.
+scan_once = _decoder.scan_once
+
+
+def loads(text: str) -> Any:
+    """The JSON value that is all of `text`, as `json.loads` reads it, but
+    a ValueError for what is not JSON: `NaN`, `Infinity` and `-Infinity`,
+    and nesting too deep for the decoder. A syntax error is a
+    json.JSONDecodeError (a ValueError), with `json.loads`'s text."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    try:
+        return _decoder.decode(text)
+    except RecursionError:
+        raise ValueError("nesting too deep") from None
+
+
 def read_json_object(path: str, what: str) -> dict[str, Any]:
     """The JSON object in the file at `path`; `what` names the file."""
     with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON in {what} '{path}': {exc}") from exc
+        text = handle.read()
+    try:
+        data = loads(text)
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON in {what} '{path}': {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object: '{path}'")
     return data

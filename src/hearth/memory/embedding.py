@@ -71,10 +71,6 @@ class SparseVector(NamedTuple):
             vector[bucket] = value
         return vector
 
-    def dot(self, dense: list[float]) -> float:
-        """Dot product with a dense vector of EMBEDDING_DIM buckets."""
-        return sum(map(mul, map(dense.__getitem__, self.buckets), self.values))
-
 
 # Builds a named tuple from a tuple of its fields, skipping the keyword
 # handling of the class call, at half its cost.
@@ -83,42 +79,67 @@ _tuple_new = tuple.__new__
 # The embedding of a text without a token.
 _BASIS = SparseVector((0,), (1.0,), 1.0)
 
+# The (values, norm) of each tally shape seen before: the tallies of a
+# vector's buckets in bucket order, or, when every tally is 1, their
+# count. Both are a pure function of the shape, and the benchmark's
+# 1 000-record store has 150 shapes, so a load computes each once.
+# Bounded and shared by threads as _MEMO is, since the shapes come from
+# text clients send: a shape of more than _SHAPE_MAX buckets is never
+# kept, and a full memo is cleared.
+_SHAPES: dict[int | tuple[int, ...], tuple[tuple[float, ...], float]] = {}
+_SHAPES_CAP = 1024
+_SHAPE_MAX = 32
+
+
+def _shape_values(shape: int | tuple[int, ...], count: int) -> tuple[tuple[float, ...], float]:
+    """The values and norm of a shape the memo lacks, of `count`
+    buckets; kept there if the shape is short."""
+    if type(shape) is int:
+        # Every tally is 1, so the sum of their squares is exactly the
+        # count.
+        values = (1.0 / math.sqrt(shape),) * shape
+    else:
+        # Whole counts, so int tallies give the floats that float tallies
+        # would, and the sums keep bucket order.
+        tally_norm = math.sqrt(sum(map(mul, shape, shape)))
+        values = tuple(map(tally_norm.__rtruediv__, shape))
+    entry = values, math.sqrt(sum(map(mul, values, values)))
+    if count <= _SHAPE_MAX:
+        if len(_SHAPES) >= _SHAPES_CAP:
+            _SHAPES.clear()
+        _SHAPES[shape] = entry
+    return entry
+
+
+def embed_sparse(text: str) -> SparseVector:
+    """The embedding of `text`: lowercased alphanumeric runs, each hashed
+    to one of EMBEDDING_DIM buckets, with the bucket tallies L2-normalized.
+    Text without a token maps to the first basis vector, so every
+    embedding has unit norm."""
+    tokens = tokenize(text)
+    if not tokens:
+        return _BASIS
+    # The memos are read here, not bound at import, so that a cleared or
+    # replaced memo is the one used.
+    buckets = list(map(_MEMO.get, tokens))
+    if None in buckets:
+        buckets = [
+            _digest_bucket(token) if bucket is None else bucket
+            for token, bucket in zip(tokens, buckets)
+        ]
+    distinct = tuple(sorted(set(buckets)))
+    count = len(distinct)
+    shape = count if count == len(buckets) else tuple(map(buckets.count, distinct))
+    entry = _SHAPES.get(shape) or _shape_values(shape, count)
+    return _tuple_new(SparseVector, (distinct, *entry))
+
 
 class HashedEmbedder:
-    """Deterministic bag-of-words embedder over hashed token buckets.
-
-    Tokens are lowercased alphanumeric runs, each hashed to one of
-    EMBEDDING_DIM buckets; bucket counts are L2-normalized. Text without a
-    token maps to the first basis vector so every embedding has unit norm.
-    """
+    """Deterministic bag-of-words embedder over hashed token buckets:
+    `embed_sparse`, and the dense list of the same vector."""
 
     def embed_sparse(self, text: str) -> SparseVector:
-        tokens = tokenize(text)
-        if not tokens:
-            return _BASIS
-        # _MEMO is read here, not bound at import, so that a cleared or
-        # replaced memo is the one used.
-        buckets = list(map(_MEMO.get, tokens))
-        if None in buckets:
-            buckets = [
-                _digest_bucket(token) if bucket is None else bucket
-                for token, bucket in zip(tokens, buckets)
-            ]
-        distinct = sorted(set(buckets))
-        if len(distinct) == len(buckets):
-            # Every tally is 1, so the sum of their squares is exactly
-            # the count.
-            norm = math.sqrt(len(distinct))
-            values = (1.0 / norm,) * len(distinct)
-        else:
-            # Whole counts, so int tallies give the floats that float
-            # tallies would, and the sums keep bucket order.
-            tallies = list(map(buckets.count, distinct))
-            norm = math.sqrt(sum(map(mul, tallies, tallies)))
-            values = tuple(map(norm.__rtruediv__, tallies))
-        return _tuple_new(SparseVector, (
-            tuple(distinct), values, math.sqrt(sum(map(mul, values, values)))
-        ))
+        return embed_sparse(text)
 
     def embed(self, text: str) -> list[float]:
-        return self.embed_sparse(text).dense()
+        return embed_sparse(text).dense()

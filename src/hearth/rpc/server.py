@@ -18,6 +18,7 @@ import socketserver
 import sys
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
+from ..jsonio import loads
 from ..memory.episodic import EpisodicStore
 from ..memory.scratchpad import Scratchpad
 from ..tools.dispatch import MemoryHandles, ToolCall, dispatch
@@ -57,8 +58,8 @@ class RpcConnection:
         """Process one frame; returns the response frame, or None for
         notifications."""
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+            payload = loads(line)
+        except ValueError as exc:
             return self._encode_error(None, PARSE_ERROR, f"parse error: {exc}")
         if not isinstance(payload, dict):
             return self._encode_error(None, INVALID_REQUEST, "request must be an object")

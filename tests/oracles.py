@@ -12,7 +12,9 @@ sums all 256 buckets and recomputes both norms for every record. Its
 records' embeddings come from `dense_embed` of their descriptions, never
 from the store under test. The `json.loads` store load is the store's
 loader as it was before it decoded lines with the json scanner and
-checked a line's fields at once; it embeds with `dense_embed`. The
+checked a line's fields at once, but decoding each line whole with
+`hearth.jsonio.loads`, which refuses what is not JSON; it embeds with
+`dense_embed`. The
 prefix-checking replay is replay as it was before it compared once:
 before every turn its backend checks that the live context is a prefix
 of the recording, and only a run that got to its end is compared with
@@ -66,6 +68,7 @@ from hearth.harness.runner import (
     seed_store,
 )
 from hearth.harness.tasks import TASKS
+from hearth.jsonio import loads
 from hearth.memory.embedding import EMBEDDING_DIM, SparseVector, _stable_hash_64, tokenize
 from hearth.memory.episodic import (
     BELIEVED_STATUSES,
@@ -253,9 +256,11 @@ def _is_torn(line: str) -> bool:
     if line.endswith(("\n", "\r")) or not line.strip():
         return False
     try:
-        json.loads(line)
+        loads(line)
     except json.JSONDecodeError:
         return True
+    except ValueError:
+        return False
     return False
 
 
@@ -285,7 +290,7 @@ def _parse_line(data, ids: set) -> EpisodicRecord:
 def json_loads_store_load(path: str) -> tuple[list[EpisodicRecord], int, bool]:
     """(records, next sequence number, unended) of a store file, read as
     the store read it before it decoded lines with the json scanner:
-    `json.loads` on each stripped line, every check one after the other
+    `loads` on each stripped line, every check one after the other
     as each field is read, and the next sequence number kept up per
     record. Drops and cuts a torn last line with the store's warning;
     raises PersistenceError with the store's texts."""
@@ -310,7 +315,7 @@ def json_loads_store_load(path: str) -> tuple[list[EpisodicRecord], int, bool]:
         if not line:
             continue
         try:
-            record = _parse_line(json.loads(line), ids)
+            record = _parse_line(loads(line), ids)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise PersistenceError(f"corrupt record at {path}:{number}: {exc}") from exc
         records.append(record)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -678,6 +679,24 @@ class TestServeStdio:
         assert responses[0]["result"]["tools"][0] == "add_to_scratchpad"
         assert responses[1]["result"]["status"] == "success"
 
+    def test_frame_nested_too_deep_is_a_parse_error_and_serving_goes_on(self):
+        frame = {"jsonrpc": "2.0", "id": 1, "method": "session.create"}
+        result = subprocess.run(
+            [sys.executable, "-m", "hearth", "serve", "--stdio"],
+            input=DEEP + "\n" + json.dumps(frame) + "\n",
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        parse_error, created = map(json.loads, result.stdout.splitlines())
+        assert parse_error == {
+            "jsonrpc": "2.0",
+            "id": None,
+            "error": {"code": -32700, "message": "parse error: nesting too deep"},
+        }
+        assert created["id"] == 1 and "result" in created
+
 
 def edited_json(path, edit):
     """Rewrite the JSON file at `path` with `edit` applied to its value."""
@@ -711,12 +730,19 @@ def set_first_call(**fields):
     return lambda data: data["tool_calls"][0].update(fields)
 
 
+def dumps_overflowing(data):
+    """`data` as JSON text, with each infinite float written as a number
+    too large for a float: JSON has no infinity, but Python reads such a
+    number as one."""
+    return json.dumps(data).replace("Infinity", "1e999")
+
+
 def bad_plan(**fields):
     def argv(t1_output, tmp_path):
         plan = {"name": "p", "tasks": ["t1"], "backend": "scripted:optimal",
                 "output_dir": str(tmp_path / "out"), **fields}
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan))
+        path.write_text(dumps_overflowing(plan))
         return ["experiment", str(path)]
     return argv
 
@@ -740,10 +766,37 @@ def bad_http_config(command, **fields):
         if command == "experiment":
             return bad_plan(backend={"kind": "http", **config})(t1_output, tmp_path)
         path = tmp_path / "http.json"
-        path.write_text(json.dumps(config))
+        path.write_text(dumps_overflowing(config))
         return RUN_T1[:3] + ["--backend", f"http:{path}",
                              "--output-dir", str(tmp_path / "out")]
     return argv
+
+
+# A line of JSON nested deeper than the decoder goes.
+DEEP = "[" * 5000 + "]" * 5000
+
+
+def input_file(command, text):
+    """`command` reading a file of `text`: a store for `memory`, a
+    transcript for `replay`, a plan for `experiment`, a scenario for
+    `scenario`."""
+    def argv(t1_output, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(text + "\n")
+        return {
+            "memory": RUN_T1 + ["--memory", str(path)],
+            "replay": ["replay", str(path)],
+            "experiment": ["experiment", str(path)],
+            "scenario": RUN_T1 + ["--scenario", str(path)],
+        }[command]
+    return argv
+
+
+def infinite_scenario():
+    """The bundled scenario with a node at x = Infinity, which is not JSON."""
+    data = default_scenario_data()
+    next(n for n in data["nodes"] if n["id"] == "kitchen_center")["x"] = math.inf
+    return json.dumps(data)
 
 
 def repeat_first(key):
@@ -767,6 +820,11 @@ BAD_HTTP_FIELDS = {
     "timeout-negative": ({"timeout_s": -1}, "timeout_s must be > 0: -1"),
     "timeout-zero": ({"timeout_s": 0.0}, "timeout_s must be > 0: 0.0"),
     "retry-base-negative": ({"retry_base_s": -0.5}, "retry_base_s must be >= 0: -0.5"),
+    "timeout-infinite": ({"timeout_s": math.inf}, "timeout_s must be finite: inf"),
+    "retry-base-infinite": (
+        {"retry_base_s": math.inf}, "retry_base_s must be finite: inf"),
+    "temperature-infinite": (
+        {"temperature": -math.inf}, "temperature must be finite: -inf"),
 }
 
 
@@ -992,6 +1050,16 @@ MALFORMED_INPUTS = {
     },
     "baseline-world-from-before-t1": (
         baseline_world_from_before_t1, "snapshot does not match the baseline's world"),
+    "store-nested-too-deep": (
+        input_file("memory", DEEP), "input.json:1: nesting too deep"),
+    "transcript-nested-too-deep": (
+        input_file("replay", DEEP), "input.json:1: invalid JSON: nesting too deep"),
+    "plan-nested-too-deep": (
+        input_file("experiment", DEEP), "input.json': nesting too deep"),
+    "scenario-nested-too-deep": (
+        input_file("scenario", DEEP), "input.json': nesting too deep"),
+    "scenario-infinite-coordinate": (
+        input_file("scenario", infinite_scenario()), "Infinity is not a JSON value"),
 }
 
 

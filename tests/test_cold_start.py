@@ -1,7 +1,9 @@
 """Cold start: a command imports `requests` only to send HTTP,
-`jsonschema` only to validate a scenario, and `importlib.resources` only
-to read the bundled scenario. Each check runs in a fresh interpreter,
-since the test process has imported all three already."""
+`jsonschema` only to validate a scenario, `importlib.resources` only to
+read the bundled scenario, `socketserver` only to serve, and
+`concurrent.futures` only to run trials in parallel. Each check runs in
+a fresh interpreter, since the test process has imported them all
+already."""
 
 from __future__ import annotations
 
@@ -58,6 +60,11 @@ def t1_transcript(tmp_path_factory):
 
 def test_importing_the_cli_loads_neither():
     assert fresh("import hearth.cli\ncode = 0") == (0, "", "", [])
+
+
+def test_importing_the_cli_loads_no_server_and_no_pool():
+    watch = ("socketserver", "concurrent.futures")
+    assert fresh("import hearth.cli\ncode = 0", watch=watch) == (0, "", "", [])
 
 
 def test_replay_loads_neither(t1_transcript):

@@ -255,6 +255,14 @@ class TestConfig:
         assert config.max_retries == 1
         assert config.retry_base_s == 2.0
 
+    @pytest.mark.parametrize("name", ["timeout_s", "retry_base_s", "temperature"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_numbers_rejected(self, name, value):
+        """A NaN or infinity that passes a range check (or has none) is
+        refused too, before any request."""
+        with pytest.raises(ValueError, match="^backend config: "):
+            HttpBackendConfig.from_dict({"base_url": "x", "model": "y", name: value})
+
 
 class CannedChatHandler(BaseHTTPRequestHandler):
     """Serves a fixed sequence of chat completions over real HTTP."""

@@ -680,15 +680,32 @@ class TestDensePath:
         assert EpisodicStore(path=str(path)).records == store.records
 
 
+def shape_of(text):
+    """The key of a text's vector in the shape memo: its bucket tallies in
+    bucket order, or their count when every tally is 1."""
+    buckets = [_stable_hash_64(token) % EMBEDDING_DIM for token in tokenize(text)]
+    tallies = tuple(map(buckets.count, sorted(set(buckets))))
+    return len(tallies) if set(tallies) == {1} else tallies
+
+
 class TestBucketMemo:
-    """The token-to-bucket memo against the dense oracle, with `==`: cold,
-    warm, through evictions, and for tokens too long to keep."""
+    """The token-to-bucket and shape memos against the dense oracle, with
+    `==`: cold, warm, through evictions, and for tokens too long and
+    shapes too wide to keep."""
 
     LONG = ["x" * (embedding._MEMO_TOKEN_MAX + 1), "mug" * 40, "a1" * 17]
+    # Over _SHAPE_MAX distinct buckets, once with every tally 1 and once
+    # with some tallies above 1.
+    WIDE = [" ".join(f"w{i}" for i in range(60)), " ".join(f"w{i} w{i}" for i in range(60))]
 
     @pytest.fixture(autouse=True)
     def cold_memo(self, monkeypatch):
         monkeypatch.setattr(embedding, "_MEMO", {})
+        monkeypatch.setattr(embedding, "_SHAPES", {})
+
+    @staticmethod
+    def width(shape):
+        return shape if type(shape) is int else len(shape)
 
     def texts(self, seed, count=150):
         rng = random.Random(seed)
@@ -702,8 +719,12 @@ class TestBucketMemo:
         path = None if tmp_path is None else str(tmp_path / "store.jsonl")
         store = EpisodicStore(path=path)
         for text in texts:
-            assert embedder.embed_sparse(text) == sparse_dense_embed(text), text
+            want = sparse_dense_embed(text)
+            assert embedder.embed_sparse(text) == want, text
             assert len(embedding._MEMO) <= embedding._MEMO_CAP
+            assert len(embedding._SHAPES) <= embedding._SHAPES_CAP
+            if tokenize(text) and shape_of(text) in embedding._SHAPES:
+                assert embedding._SHAPES[shape_of(text)] == want[1:], text
             if text.strip():
                 store.add(text, "succeeded", "s")
         stores = [store]
@@ -720,6 +741,7 @@ class TestBucketMemo:
                 assert [(r.id, sim) for r, sim in got] == want
         for token, bucket in embedding._MEMO.items():
             assert bucket == _stable_hash_64(token) % EMBEDDING_DIM
+        assert all(self.width(shape) <= embedding._SHAPE_MAX for shape in embedding._SHAPES)
 
     def test_cold_and_warm(self, tmp_path):
         texts = self.texts(1)
@@ -727,12 +749,23 @@ class TestBucketMemo:
         assert set(embedding._MEMO) == {
             t for text in texts for t in tokenize(text) if t not in self.LONG
         }
+        assert set(embedding._SHAPES) == {shape_of(text) for text in texts if tokenize(text)}
+        assert any(type(shape) is int for shape in embedding._SHAPES)
+        assert any(type(shape) is tuple for shape in embedding._SHAPES)
         self.check(texts)
 
     def test_evictions_keep_results_and_the_cap(self, monkeypatch, tmp_path):
         monkeypatch.setattr(embedding, "_MEMO_CAP", 7)
+        monkeypatch.setattr(embedding, "_SHAPES_CAP", 5)
         self.check(self.texts(2), tmp_path)
         self.check(self.texts(3))
+
+    def test_wide_shapes_are_embedded_but_not_kept(self):
+        assert all(self.width(shape_of(text)) > embedding._SHAPE_MAX for text in self.WIDE)
+        texts = [*self.WIDE, *self.texts(5)]
+        self.check(texts)
+        self.check(texts)
+        assert not {shape_of(text) for text in self.WIDE} & set(embedding._SHAPES)
 
     def test_long_tokens_are_embedded_but_not_kept(self):
         texts = [" ".join(self.LONG), *self.texts(4)]

@@ -238,6 +238,20 @@ class TestProtocolErrors:
         finally:
             raw.close()
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number_is_a_parse_error(self, constant):
+        """A constant Python's json reads but JSON lacks is refused, so a
+        reply never echoes it as an id."""
+        connection = RpcConnection(load_scenario(default_scenario_data()).to_dict(), False)
+        frame = f'{{"jsonrpc": "2.0", "id": {constant}, "method": "session.create"}}'
+        assert json.loads(connection.handle_line(frame)) == {
+            "jsonrpc": "2.0",
+            "id": None,
+            "error": {
+                "code": -32700, "message": f"parse error: {constant} is not a JSON value"
+            },
+        }
+
     def test_invalid_request_shapes(self, server):
         raw = RawConnection(server)
         try:
