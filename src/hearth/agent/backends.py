@@ -8,10 +8,10 @@ http_backend.py.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
+from ..jsonio import loads
 from ..tools.dispatch import ToolCall
 from .context import AgentContext
 from .scripts import Script
@@ -114,10 +114,17 @@ class RecordedReplayBackend:
 
 
 def parse_arguments_json(raw: str, tool_name: str) -> dict[str, Any]:
-    """Decode a tool-call arguments string from the wire."""
+    """Decode a tool-call arguments string from the wire with
+    `jsonio.loads`, so that NaN, infinities and nesting too deep are
+    malformed arguments too."""
+    if not isinstance(raw, str):
+        raise BackendError(
+            f"tool-call arguments for '{tool_name}' must be a JSON string, "
+            f"got {type(raw).__name__}"
+        )
     try:
-        parsed = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        parsed = loads(raw)
+    except ValueError as exc:
         raise BackendError(
             f"malformed tool-call arguments for '{tool_name}': {exc}"
         ) from exc

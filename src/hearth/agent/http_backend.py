@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..jsonio import FieldError, from_json
+from ..jsonio import FieldError, from_json, loads
 from ..tools.dispatch import ToolCall
 from .backends import BackendError, BackendReply, parse_arguments_json
 from .context import AgentContext
@@ -115,7 +115,7 @@ class HttpChatBackend:
                     f"HTTP {response.status_code} from {url}: {response.text[:500]}"
                 )
             try:
-                return response.json()
+                return loads(response.text)
             except ValueError as exc:
                 raise BackendError(f"non-JSON response from {url}: {exc}") from exc
         raise BackendError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import cache
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..jsonio import read_json_object
 from .state import DEFAULT_REACH_RADIUS, WorldState, canonical_json, slot_name
@@ -103,11 +103,76 @@ SCENARIO_SCHEMA: dict[str, Any] = {
 }
 
 
+# The Python types of the JSON values each `type` takes, matched exactly:
+# a bool is not a number, and an integral float such as 2.0 is not an
+# integer here (jsonschema, which takes it, decides such a document).
+_JSON_TYPES = {
+    "object": (dict,),
+    "array": (list,),
+    "string": (str,),
+    "number": (int, float),
+    "integer": (int,),
+    "boolean": (bool,),
+}
+
+# The keywords `_conforms` knows: each takes the value, the keyword's
+# argument and the schema it sits in, and answers True only where
+# jsonschema passes the value on that keyword. A keyword met on a value
+# of a type it does not apply to answers False.
+_KEYWORDS: dict[str, Callable[[Any, Any, dict[str, Any]], bool]] = {
+    "type": lambda value, name, _: type(value) in _JSON_TYPES.get(name, ()),
+    "required": lambda value, keys, _: (
+        type(value) is dict and all(key in value for key in keys)
+    ),
+    "properties": lambda value, subs, _: type(value) is dict and all(
+        key not in value or _conforms(value[key], sub) for key, sub in subs.items()
+    ),
+    "additionalProperties": lambda value, allowed, schema: (
+        allowed is False
+        and type(value) is dict
+        and value.keys() <= schema.get("properties", {}).keys()
+    ),
+    "items": lambda value, sub, _: (
+        type(value) is list and type(sub) is dict
+        and all(_conforms(item, sub) for item in value)
+    ),
+    "minItems": lambda value, low, _: type(value) is list and len(value) >= low,
+    "minLength": lambda value, low, _: type(value) is str and len(value) >= low,
+    "minimum": lambda value, low, _: type(value) in (int, float) and value >= low,
+    "exclusiveMinimum": lambda value, low, _: type(value) in (int, float) and value > low,
+    "minProperties": lambda value, low, _: type(value) is dict and len(value) >= low,
+    "maxProperties": lambda value, high, _: type(value) is dict and len(value) <= high,
+}
+
+
+def _conforms(value: Any, schema: dict[str, Any]) -> bool:
+    """Whether `value` passes `schema`, told without jsonschema. One-sided:
+    True only where jsonschema passes it too; False for a keyword not in
+    `_KEYWORDS`, and for whatever the check leaves to jsonschema."""
+    for keyword, argument in schema.items():
+        check = _KEYWORDS.get(keyword)
+        if check is None or not check(value, argument, schema):
+            return False
+    return True
+
+
+def _schema_error(data: Any) -> ValidationError | None:
+    """The error jsonschema's `best_match` picks for `data` against
+    SCENARIO_SCHEMA, or None where `data` passes. jsonschema is imported
+    only for a document `_conforms` refuses: it then names the error or
+    passes the document."""
+    if _conforms(data, SCENARIO_SCHEMA):
+        return None
+    from jsonschema.exceptions import best_match
+
+    return best_match(_validator().iter_errors(data))
+
+
 @cache
 def _validator() -> Validator:
     """The scenario schema's validator, compiled on first use: importing
-    jsonschema costs about as much as the rest of hearth, and commands
-    such as replay never validate a scenario. Compiled once, because
+    jsonschema costs about as much as the rest of hearth, and a document
+    that `_conforms` passes never needs it. Compiled once, because
     jsonschema.validate re-checks the schema itself on every call."""
     from jsonschema.validators import validator_for
 
@@ -135,11 +200,13 @@ def load_scenario(data: dict[str, Any]) -> WorldState:
     here: a dangling or doubly seeded slot, an object id that is a
     furniture id, and a disconnected map.
 
+    The document is checked against SCENARIO_SCHEMA by `_conforms`;
+    jsonschema is imported only to name the error in a document that
+    check refuses, or to pass one it cannot tell.
+
     Raises ScenarioError naming the offending field or id.
     """
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_validator().iter_errors(data))
+    error = _schema_error(data)
     if error is not None:
         raise ScenarioError(
             f"schema violation at {_schema_path(error)}: {error.message}"
@@ -149,7 +216,7 @@ def load_scenario(data: dict[str, Any]) -> WorldState:
     # into the slots of its first entry.
     slots: dict[str, list[str | None]] = {}
     for spec in data["furniture"]:
-        slots.setdefault(spec["id"], [None] * spec["slot_count"])
+        slots.setdefault(spec["id"], [None] * int(spec["slot_count"]))
     slot_names = {
         slot_name(fid, index): (fid, index)
         for fid, held in slots.items()

@@ -13,6 +13,19 @@ from ..jsonio import read_field
 _COST_EPS = 1e-9
 
 
+def finite(value: float, what: str) -> float:
+    """`value`, or a ValueError naming `what` when it is not a finite
+    number: a coordinate, cost or radius of infinity (which a JSON number
+    such as 1e999 reads as) or NaN would make every distance meaningless."""
+    try:
+        ok = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be a finite number: {value!r}")
+    return value
+
+
 class UnknownLocationError(KeyError):
     """A location id that is not a node of the map."""
 
@@ -40,7 +53,10 @@ class SemanticMap:
     def add_node(self, node_id: str, x: float, y: float, room: str) -> None:
         if node_id in self.positions:
             raise ValueError(f"duplicate node id '{node_id}'")
-        self.positions[node_id] = (float(x), float(y))
+        self.positions[node_id] = (
+            float(finite(x, f"x of node '{node_id}'")),
+            float(finite(y, f"y of node '{node_id}'")),
+        )
         self.rooms[node_id] = room
         self.adjacency[node_id] = {}
 
@@ -53,7 +69,7 @@ class SemanticMap:
         straight = self.euclidean(a, b)
         if cost is None:
             cost = straight
-        cost = float(cost)
+        cost = float(finite(cost, f"cost of edge ({a}, {b})"))
         if cost < 0:
             raise ValueError(f"negative edge cost on ({a}, {b})")
         if cost + _COST_EPS < straight:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..jsonio import from_json, read_field
-from .semantic_map import SemanticMap
+from .semantic_map import SemanticMap, finite
 
 DEFAULT_REACH_RADIUS = 1.5
 
@@ -171,7 +171,7 @@ class WorldState:
             state.agent = AgentBody(
                 read_field(agent, "location", str),
                 read_field(agent, "held", str | None),
-                read_field(agent, "reach_radius", float),
+                finite(read_field(agent, "reach_radius", float), "reach_radius"),
             )
             state.step_counter = read_field(data, "step_counter", int)
             validate_state(state)

@@ -33,24 +33,26 @@ def call_tool(world, handles):
     return runner
 
 
-class CountingValidator:
-    """Stands in for the compiled scenario validator and counts its uses."""
+class CountingCheck:
+    """Stands in for the scenario schema check and counts its uses."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
 
-    def iter_errors(self, data):
+    def __call__(self, data):
         self.calls += 1
-        return self.inner.iter_errors(data)
+        return self.inner(data)
 
 
 @pytest.fixture
-def scenario_validations(monkeypatch) -> CountingValidator:
-    """Count how often scenario documents are validated during a test.
+def scenario_validations(monkeypatch) -> CountingCheck:
+    """Count how often scenario documents are checked against the schema
+    during a test.
 
-    Patches the `_validator()` seam, which compiles the validator on first
-    use, so the count holds whether or not an earlier test compiled it."""
-    counting = CountingValidator(scenario_module._validator())
-    monkeypatch.setattr(scenario_module, "_validator", lambda: counting)
+    Patches the `_schema_error` seam, which every check goes through,
+    whether the in-tree check passes the document or jsonschema is asked
+    to explain it."""
+    counting = CountingCheck(scenario_module._schema_error)
+    monkeypatch.setattr(scenario_module, "_schema_error", counting)
     return counting

@@ -698,11 +698,18 @@ class TestServeStdio:
         assert created["id"] == 1 and "result" in created
 
 
+def dumps_overflowing(data):
+    """`data` as JSON text, with each infinite float written as a number
+    too large for a float: JSON has no infinity, but Python reads such a
+    number as one."""
+    return json.dumps(data).replace("Infinity", "1e999")
+
+
 def edited_json(path, edit):
     """Rewrite the JSON file at `path` with `edit` applied to its value."""
     data = json.loads(path.read_text())
     data = edit(data) or data
-    path.write_text(json.dumps(data))
+    path.write_text(dumps_overflowing(data))
 
 
 def bad_baseline(edit):
@@ -719,7 +726,7 @@ def bad_transcript_line(number, edit):
         path = t1_output / "run_t1.jsonl"
         lines = read_lines(path)
         data = json.loads(lines[number - 1])
-        lines[number - 1] = json.dumps(edit(data) or data)
+        lines[number - 1] = dumps_overflowing(edit(data) or data)
         path.write_text("\n".join(lines) + "\n")
         return ["replay", str(path)]
     return argv
@@ -728,13 +735,6 @@ def bad_transcript_line(number, edit):
 def set_first_call(**fields):
     """Edit the first proposed tool call of an assistant line."""
     return lambda data: data["tool_calls"][0].update(fields)
-
-
-def dumps_overflowing(data):
-    """`data` as JSON text, with each infinite float written as a number
-    too large for a float: JSON has no infinity, but Python reads such a
-    number as one."""
-    return json.dumps(data).replace("Infinity", "1e999")
 
 
 def bad_plan(**fields):
@@ -876,6 +876,18 @@ BAD_WORLD_FIELDS = {
     "cost-bool": (
         lambda w: w["map"]["edges"][0].update(cost=True),
         "FieldError: cost must be a number: True"),
+    "coordinate-infinite": (
+        lambda w: w["map"]["nodes"][0].update(x=math.inf),
+        "ValueError: x of node 'hallway' must be a finite number: inf"),
+    "coordinate-too-large-an-int": (
+        lambda w: w["map"]["nodes"][0].update(y=-10**400),
+        f"ValueError: y of node 'hallway' must be a finite number: {-10**400}"),
+    "cost-infinite": (
+        lambda w: w["map"]["edges"][0].update(cost=math.inf),
+        "ValueError: cost of edge (hallway, kitchen_center) must be a finite number: inf"),
+    "reach-radius-infinite": (
+        lambda w: w["agent"].update(reach_radius=math.inf),
+        "ValueError: reach_radius must be a finite number: inf"),
     "step-counter-float": (
         lambda w: w.update(step_counter=0.0),
         "FieldError: step_counter must be an integer: 0.0"),
@@ -1060,6 +1072,9 @@ MALFORMED_INPUTS = {
         input_file("scenario", DEEP), "input.json': nesting too deep"),
     "scenario-infinite-coordinate": (
         input_file("scenario", infinite_scenario()), "Infinity is not a JSON value"),
+    "scenario-overflowing-coordinate": (
+        input_file("scenario", infinite_scenario().replace("Infinity", "1e999")),
+        "error: x of node 'kitchen_center' must be a finite number: inf"),
 }
 
 

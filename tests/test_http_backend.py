@@ -28,16 +28,20 @@ def wire_call(call_id, name, arguments):
     }
 
 
+# Text that Python's `json` decodes but that is not JSON, or that it
+# cannot decode: 5 000 nested arrays, and a NaN.
+DEEP = "[" * 5000 + "]" * 5000
+NAN_ARGUMENTS = '{"location": NaN}'
+
+
 class PlannedResponse:
     def __init__(self, status_code, payload=None, text=""):
         self.status_code = status_code
-        self._payload = payload
         self.text = text if payload is None else json.dumps(payload)
 
     def json(self):
-        if self._payload is None:
-            raise ValueError("not JSON")
-        return self._payload
+        """The body decoded as `requests.Response.json` decodes it."""
+        return json.loads(self.text)
 
 
 class FakeSession:
@@ -226,6 +230,35 @@ class TestMalformedReplies:
             [PlannedResponse(200, completion(tool_calls=calls))]
         )
         with pytest.raises(BackendError):
+            backend.next_action(fresh_context(), tool_declarations())
+
+    @pytest.mark.parametrize("raw", [DEEP, NAN_ARGUMENTS], ids=["deep", "nan"])
+    def test_tool_arguments_that_are_not_json_raise(self, raw):
+        calls = [{"id": "call-1", "type": "function",
+                  "function": {"name": "move_to", "arguments": raw}}]
+        backend, _, _ = make_backend(
+            [PlannedResponse(200, completion(tool_calls=calls))]
+        )
+        with pytest.raises(BackendError, match="malformed tool-call arguments"):
+            backend.next_action(fresh_context(), tool_declarations())
+
+    def test_tool_arguments_that_are_not_a_string_raise(self):
+        calls = [{"id": "call-1", "type": "function",
+                  "function": {"name": "move_to", "arguments": {"location": "hallway"}}}]
+        backend, _, _ = make_backend(
+            [PlannedResponse(200, completion(tool_calls=calls))]
+        )
+        with pytest.raises(BackendError, match="must be a JSON string, got dict"):
+            backend.next_action(fresh_context(), tool_declarations())
+
+    @pytest.mark.parametrize(
+        "body",
+        [DEEP, json.dumps(completion(content="x")).replace('"x"', "NaN")],
+        ids=["deep", "nan"],
+    )
+    def test_response_body_that_is_not_json_raises(self, body):
+        backend, _, _ = make_backend([PlannedResponse(200, text=body)])
+        with pytest.raises(BackendError, match="non-JSON response"):
             backend.next_action(fresh_context(), tool_declarations())
 
     def test_nameless_tool_call_raises(self):

@@ -135,3 +135,21 @@ class TestEdgeCases:
         smap.add_edge("a", "c", cost=10.0)
         assert shortest_path(smap, "a", "c") == ["a", "b", "c"]
         assert path_cost(smap, ["a", "b", "c"]) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, 10**400],
+        ids=["inf", "-inf", "nan", "huge-int"],
+    )
+    def test_non_finite_numbers_are_refused(self, value):
+        """A coordinate or cost that is not a finite number would make
+        every distance from it meaningless."""
+        smap = SemanticMap()
+        with pytest.raises(ValueError, match="^x of node 'a' must be a finite number: "):
+            smap.add_node("a", value, 0.0, "r")
+        with pytest.raises(ValueError, match="^y of node 'a' must be a finite number: "):
+            smap.add_node("a", 0.0, value, "r")
+        smap.add_node("a", 0.0, 0.0, "r")
+        smap.add_node("b", 1.0, 0.0, "r")
+        with pytest.raises(ValueError, match=r"^cost of edge \(a, b\) must be a finite "):
+            smap.add_edge("a", "b", value)
+        assert smap.adjacency == {"a": {}, "b": {}}

@@ -23,8 +23,10 @@ from hearth.world.actions import (
     objects_in_proximity,
 )
 from hearth.world.scenario import (
+    _KEYWORDS,
     SCENARIO_SCHEMA,
     ScenarioError,
+    _conforms,
     default_scenario,
     default_scenario_data,
     load_scenario,
@@ -166,6 +168,14 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="agent at unknown location 'nowhere'"):
             load_scenario(data)
 
+    def test_integral_float_slot_count_loads_as_its_integer(self):
+        """The schema's `integer` takes 2.0, so the loader must too."""
+        data = tiny_scenario()
+        data["furniture"][0]["slot_count"] = 2.0
+        assert canonical_json(load_scenario(data).to_dict()) == canonical_json(
+            load_scenario(tiny_scenario()).to_dict()
+        )
+
     def test_loose_object_placement(self):
         data = tiny_scenario()
         data["objects"][0]["placement"] = {"location": "a"}
@@ -247,6 +257,102 @@ class TestSchemaValidator:
         with pytest.raises(ScenarioError) as info:
             load_scenario(data)
         assert str(info.value) == expected[1]
+
+
+class TestInTreeCheck:
+    """`_conforms` passes a document only where jsonschema passes it, so
+    that jsonschema need not be imported for a valid scenario."""
+
+    def test_every_schema_keyword_is_known(self):
+        assert schema_keywords(SCENARIO_SCHEMA) | {"properties", "items"} <= set(_KEYWORDS)
+
+    @pytest.mark.parametrize(
+        "keyword, argument", [("pattern", "^a"), ("enum", ["a"]), ("maxLength", 0)]
+    )
+    def test_an_unknown_keyword_refuses(self, keyword, argument):
+        """Whether jsonschema would pass the document (`pattern`, `enum`)
+        or not (`maxLength`)."""
+        schema = {"type": "object", "properties": {"id": {"type": "string"}}}
+        assert _conforms({"id": "a"}, schema)
+        schema["properties"]["id"][keyword] = argument
+        assert not _conforms({"id": "a"}, schema)
+
+    @pytest.mark.parametrize(
+        "value, schema",
+        [(True, {"type": "number"}), (True, {"type": "integer"}), (1, {"type": "boolean"}),
+         (2.0, {"type": "integer"}), (2.0, {"type": "integer", "minimum": 1}),
+         (math.nan, {"type": "number", "exclusiveMinimum": 0}),
+         ({"a": 1}, {"additionalProperties": {"type": "integer"}})],
+    )
+    def test_what_the_check_refuses(self, value, schema):
+        """A bool is not a number, nor 1 a bool; an integral float, a NaN
+        and a schema-valued `additionalProperties` are left to
+        jsonschema, which passes them."""
+        assert not _conforms(value, schema)
+
+    def test_the_bundled_scenario_conforms(self):
+        assert _conforms(default_scenario_data(), SCENARIO_SCHEMA)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_passed_document_passes_jsonschema(self, drawn):
+        data = drawn.draw(valid_scenarios())
+        assert _conforms(data, SCENARIO_SCHEMA)
+        for _ in range(drawn.draw(st.integers(1, 3))):
+            mutate(data, drawn.draw)
+        if _conforms(data, SCENARIO_SCHEMA):
+            assert validate_error(data) is None
+
+
+def json_places(value):
+    """Every (container, key) place that holds a value in a JSON document."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return []
+    places = []
+    for key, item in items:
+        places.append((value, key))
+        places += json_places(item)
+    return places
+
+
+# Values a mutation puts in place of a document's value: every JSON type,
+# bools where numbers go, integral floats, infinities, empty strings.
+_REPLACEMENTS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from(["", "a", "zz"]),
+    st.sampled_from([0.0, 2.0, -0.5, 1.5, math.inf, -math.inf, math.nan]),
+    st.just([]), st.just({}), st.just([{}]),
+)
+
+
+# The numbers the schema bounds from below.
+_BOUNDED = {"cost", "slot_count", "reach_radius"}
+
+
+def mutate(data, pick):
+    """Drop or retype one value of a scenario document, put a bound or an
+    integral float in place of one of its numbers, or add a key to one
+    of its objects."""
+    places = json_places(data)
+    kind = pick(st.sampled_from(["drop", "replace", "number", "extra"]))
+    numbers = [(owner, key) for owner, key in places if key in _BOUNDED]
+    if kind == "extra":
+        objects = [value for value, _ in places if isinstance(value, dict)]
+        owner = pick(st.sampled_from([data, *objects]))
+        owner[pick(st.sampled_from(["extra", "x", "slot", "cost"]))] = pick(_REPLACEMENTS)
+        return
+    if kind == "number" and numbers:
+        owner, key = pick(st.sampled_from(numbers))
+        owner[key] = pick(st.sampled_from([0, 0.0, 1.0, float(owner[key])]))
+        return
+    owner, key = pick(st.sampled_from(places))
+    if kind == "drop":
+        del owner[key]
+    else:
+        owner[key] = pick(_REPLACEMENTS)
 
 
 _IDS = st.text(alphabet="abcdefgh_", min_size=1, max_size=6)
