@@ -11,15 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from functools import cache
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from ..jsonio import read_json_object
 from .state import DEFAULT_REACH_RADIUS, WorldState, canonical_json, slot_name
-
-if TYPE_CHECKING:
-    from jsonschema.exceptions import ValidationError
-    from jsonschema.protocols import Validator
 
 SCENARIO_SCHEMA: dict[str, Any] = {
     "type": "object",
@@ -63,7 +58,7 @@ SCENARIO_SCHEMA: dict[str, Any] = {
                 "properties": {
                     "id": {"type": "string", "minLength": 1},
                     "location": {"type": "string", "minLength": 1},
-                    "slot_count": {"type": "integer", "minimum": 1},
+                    "slot_count": {"type": "integer", "minimum": 1, "maximum": 1000},
                 },
             },
         },
@@ -103,94 +98,97 @@ SCENARIO_SCHEMA: dict[str, Any] = {
 }
 
 
-# The Python types of the JSON values each `type` takes, matched exactly:
-# a bool is not a number, and an integral float such as 2.0 is not an
-# integer here (jsonschema, which takes it, decides such a document).
-_JSON_TYPES = {
-    "object": (dict,),
-    "array": (list,),
-    "string": (str,),
-    "number": (int, float),
-    "integer": (int,),
-    "boolean": (bool,),
+# Whether a value is of each JSON type, told by the Python types that
+# `json.loads` gives: a bool is not a number. `integer` also takes an
+# integral float such as 2.0, as jsonschema does; an int is never made a
+# float, which would overflow for one above about 1e308.
+_JSON_TYPES: dict[str, Callable[[Any], bool]] = {
+    "object": lambda v: type(v) is dict,
+    "array": lambda v: type(v) is list,
+    "string": lambda v: type(v) is str,
+    "number": lambda v: type(v) in (int, float),
+    "integer": lambda v: type(v) is int or (type(v) is float and v.is_integer()),
+    "boolean": lambda v: type(v) is bool,
 }
 
-# The keywords `_conforms` knows: each takes the value, the keyword's
-# argument and the schema it sits in, and answers True only where
-# jsonschema passes the value on that keyword. A keyword met on a value
-# of a type it does not apply to answers False.
-_KEYWORDS: dict[str, Callable[[Any, Any, dict[str, Any]], bool]] = {
-    "type": lambda value, name, _: type(value) in _JSON_TYPES.get(name, ()),
-    "required": lambda value, keys, _: (
-        type(value) is dict and all(key in value for key in keys)
-    ),
-    "properties": lambda value, subs, _: type(value) is dict and all(
-        key not in value or _conforms(value[key], sub) for key, sub in subs.items()
-    ),
-    "additionalProperties": lambda value, allowed, schema: (
-        allowed is False
-        and type(value) is dict
-        and value.keys() <= schema.get("properties", {}).keys()
-    ),
-    "items": lambda value, sub, _: (
-        type(value) is list and type(sub) is dict
-        and all(_conforms(item, sub) for item in value)
-    ),
-    "minItems": lambda value, low, _: type(value) is list and len(value) >= low,
-    "minLength": lambda value, low, _: type(value) is str and len(value) >= low,
-    "minimum": lambda value, low, _: type(value) in (int, float) and value >= low,
-    "exclusiveMinimum": lambda value, low, _: type(value) in (int, float) and value > low,
-    "minProperties": lambda value, low, _: type(value) is dict and len(value) >= low,
-    "maxProperties": lambda value, high, _: type(value) is dict and len(value) <= high,
+# The bound keywords: the type of value each applies to, whether a value
+# breaks the bound `n`, and jsonschema's words after the value's repr.
+_BOUNDS: dict[str, tuple[str, Callable[[Any, Any], bool], Callable[[Any], str]]] = {
+    "minItems": ("array", lambda v, n: len(v) < n,
+                 lambda n: "should be non-empty" if n == 1 else "is too short"),
+    "minLength": ("string", lambda v, n: len(v) < n,
+                  lambda n: "should be non-empty" if n == 1 else "is too short"),
+    "minProperties": ("object", lambda v, n: len(v) < n, lambda n: (
+        "should be non-empty" if n == 1 else "does not have enough properties")),
+    "maxProperties": ("object", lambda v, n: len(v) > n, lambda n: (
+        "is expected to be empty" if n == 0 else "has too many properties")),
+    "minimum": ("number", lambda v, n: v < n,
+                lambda n: f"is less than the minimum of {n!r}"),
+    "maximum": ("number", lambda v, n: v > n,
+                lambda n: f"is greater than the maximum of {n!r}"),
+    "exclusiveMinimum": ("number", lambda v, n: v <= n,
+                         lambda n: f"is less than or equal to the minimum of {n!r}"),
 }
 
 
-def _conforms(value: Any, schema: dict[str, Any]) -> bool:
-    """Whether `value` passes `schema`, told without jsonschema. One-sided:
-    True only where jsonschema passes it too; False for a keyword not in
-    `_KEYWORDS`, and for whatever the check leaves to jsonschema."""
+def _violations(
+    value: Any, schema: dict[str, Any], path: tuple[Any, ...],
+    found: list[tuple[tuple[Any, ...], str]],
+) -> None:
+    """Append (path, message) to `found` for each keyword of `schema` that
+    `value` breaks, in the order jsonschema's `iter_errors` yields them
+    and worded as it words them. Raises, rather than guess, on a keyword
+    or a form of one that SCENARIO_SCHEMA does not use. A list, not a
+    generator: the walk visits every value of a scenario, and a generator
+    per value would cost more than the checks."""
     for keyword, argument in schema.items():
-        check = _KEYWORDS.get(keyword)
-        if check is None or not check(value, argument, schema):
-            return False
-    return True
+        if keyword == "type":
+            if not _JSON_TYPES[argument](value):
+                found.append((path, f"{value!r} is not of type {argument!r}"))
+        elif keyword == "properties":
+            if type(value) is dict:
+                for key, sub in argument.items():
+                    if key in value:
+                        _violations(value[key], sub, path + (key,), found)
+        elif keyword == "items":
+            if type(value) is list:
+                for index, item in enumerate(value):
+                    _violations(item, argument, path + (index,), found)
+        elif keyword == "required":
+            if type(value) is dict:
+                for key in argument:
+                    if key not in value:
+                        found.append((path, f"{key!r} is a required property"))
+        elif keyword == "additionalProperties" and argument is False:
+            known = schema.get("properties", {}).keys()
+            if type(value) is dict and not value.keys() <= known:
+                extras = sorted(value.keys() - known)
+                verb = "was" if len(extras) == 1 else "were"
+                found.append((path, f"Additional properties are not allowed "
+                              f"({', '.join(map(repr, extras))} {verb} unexpected)"))
+        else:
+            kind, breaks, words = _BOUNDS[keyword]
+            if _JSON_TYPES[kind](value) and breaks(value, argument):
+                found.append((path, f"{value!r} {words(argument)}"))
 
 
-def _schema_error(data: Any) -> ValidationError | None:
-    """The error jsonschema's `best_match` picks for `data` against
-    SCENARIO_SCHEMA, or None where `data` passes. jsonschema is imported
-    only for a document `_conforms` refuses: it then names the error or
-    passes the document."""
-    if _conforms(data, SCENARIO_SCHEMA):
+def _schema_error(data: Any) -> str | None:
+    """The error text `jsonschema.validate` gives for `data` against
+    SCENARIO_SCHEMA, or None where `data` passes. The violation chosen is
+    the one jsonschema's `best_match` chooses: the shortest path, then the
+    greatest, then the first found. The rest of its `relevance` key ties
+    here: the errors at one path are one value's against one subschema."""
+    found: list[tuple[tuple[Any, ...], str]] = []
+    _violations(data, SCENARIO_SCHEMA, (), found)
+    if not found:
         return None
-    from jsonschema.exceptions import best_match
-
-    return best_match(_validator().iter_errors(data))
-
-
-@cache
-def _validator() -> Validator:
-    """The scenario schema's validator, compiled on first use: importing
-    jsonschema costs about as much as the rest of hearth, and a document
-    that `_conforms` passes never needs it. Compiled once, because
-    jsonschema.validate re-checks the schema itself on every call."""
-    from jsonschema.validators import validator_for
-
-    return validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+    path, message = max(found, key=lambda error: (-len(error[0]), error[0]))
+    steps = "".join(f"[{step}]" if type(step) is int else f".{step}" for step in path)
+    return f"schema violation at ${steps}: {message}"
 
 
 class ScenarioError(ValueError):
     """Raised when a scenario document cannot be turned into a world."""
-
-
-def _schema_path(error: ValidationError) -> str:
-    parts = ["$"]
-    for step in error.absolute_path:
-        if isinstance(step, int):
-            parts.append(f"[{step}]")
-        else:
-            parts.append(f".{step}")
-    return "".join(parts)
 
 
 def load_scenario(data: dict[str, Any]) -> WorldState:
@@ -200,17 +198,15 @@ def load_scenario(data: dict[str, Any]) -> WorldState:
     here: a dangling or doubly seeded slot, an object id that is a
     furniture id, and a disconnected map.
 
-    The document is checked against SCENARIO_SCHEMA by `_conforms`;
-    jsonschema is imported only to name the error in a document that
-    check refuses, or to pass one it cannot tell.
+    The document is checked against SCENARIO_SCHEMA by `_schema_error`,
+    an in-tree walk of the keywords the schema uses, which words the
+    error as jsonschema would.
 
     Raises ScenarioError naming the offending field or id.
     """
     error = _schema_error(data)
     if error is not None:
-        raise ScenarioError(
-            f"schema violation at {_schema_path(error)}: {error.message}"
-        ) from error
+        raise ScenarioError(error)
 
     # A repeated furniture id is from_dict's to name; objects are seeded
     # into the slots of its first entry.

@@ -51,8 +51,7 @@ def scenario_validations(monkeypatch) -> CountingCheck:
     during a test.
 
     Patches the `_schema_error` seam, which every check goes through,
-    whether the in-tree check passes the document or jsonschema is asked
-    to explain it."""
+    whether the document passes or its error is worded."""
     counting = CountingCheck(scenario_module._schema_error)
     monkeypatch.setattr(scenario_module, "_schema_error", counting)
     return counting

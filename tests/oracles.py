@@ -3,8 +3,10 @@
 The Dijkstra oracle uses a dict scan instead of a heap, and the cosine
 oracle recomputes similarity from scratch and ranks by repeated max
 extraction instead of a sort; neither imports more than data types. The
-schema oracle asks `jsonschema.validate` itself, and the trial oracle
-loads the scenario afresh for every trial and builds each transcript by
+schema oracle asks `jsonschema.validate` itself: hearth's own check
+walks the schema in-tree, and jsonschema is a test dependency only,
+kept to word what that walk must word. The trial oracle loads the
+scenario afresh for every trial and builds each transcript by
 hand, as the package once did, picking the header's memories out of the
 run's search results itself. The dense memory path is the store as it
 was before it kept vectors sparse: a dense embedding, and a cosine that

@@ -87,6 +87,24 @@ class TestRunExitCodes:
         assert main(RUN_T1 + ["--scenario", str(bad)]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "slot_count, code", [(1e300, 2), (10**20, 2), (1001, 2), (1000, 0)],
+        ids=["float-1e300", "int-10**20", "1001", "1000"],
+    )
+    def test_slot_count_is_bounded(self, tmp_path, capsys, slot_count, code):
+        """Neither an overflowing `int()` nor a list of 10**20 slots: a
+        slot count above 1000 is a schema violation."""
+        data = default_scenario_data()
+        data["furniture"][0]["slot_count"] = slot_count
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert main(RUN_T1 + ["--scenario", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else (
+            f"error: schema violation at $.furniture[0].slot_count: "
+            f"{slot_count!r} is greater than the maximum of 1000\n"
+        ))
+
     def test_scenario_file_validated_once(self, tmp_path, scenario_validations, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(default_scenario_data()))

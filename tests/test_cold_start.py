@@ -1,9 +1,9 @@
 """Cold start: a command imports `requests` only to send HTTP,
-`jsonschema` only to explain a scenario that the in-tree schema check
-refuses, `importlib.resources` only to read the bundled scenario,
-`socketserver` only to serve, and `concurrent.futures` only to run
-trials in parallel. Each check runs in a fresh interpreter, since the
-test process has imported them all already."""
+`importlib.resources` only to read the bundled scenario, `socketserver`
+only to serve, and `concurrent.futures` only to run trials in parallel.
+It never imports `jsonschema`, which only the tests use, not even to
+word the error in a refused scenario. Each check runs in a fresh
+interpreter, since the test process has imported them all already."""
 
 from __future__ import annotations
 
@@ -144,7 +144,7 @@ def test_first_validation_in_a_fresh_process_keeps_its_text(tmp_path, edit, expe
     edit(data)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
-    assert fresh(
-        RUN_MAIN, "run", "--task", "t1", "--backend", "scripted:optimal",
-        "--scenario", str(path),
-    ) == (2, "", f"error: {expected}\n", ["jsonschema"])
+    argv = ("run", "--task", "t1", "--backend", "scripted:optimal", "--scenario", str(path))
+    refused = (2, "", f"error: {expected}\n", [])
+    assert fresh(RUN_MAIN, *argv) == refused
+    assert fresh(RUN_MAIN, *argv, block=True) == refused

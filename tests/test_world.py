@@ -23,10 +23,10 @@ from hearth.world.actions import (
     objects_in_proximity,
 )
 from hearth.world.scenario import (
-    _KEYWORDS,
     SCENARIO_SCHEMA,
     ScenarioError,
-    _conforms,
+    _schema_error,
+    _violations,
     default_scenario,
     default_scenario_data,
     load_scenario,
@@ -201,8 +201,8 @@ def mutated(path, value):
 
 
 # (keyword the error comes from, document). Every keyword the schema uses
-# appears at least once; the last rows break several rules at once, so
-# the error chosen among them is compared too.
+# appears at least once; the rows without a keyword break several rules
+# at once, so the error chosen among them is compared too.
 SCHEMA_CASES = [
     ("type", mutated(("nodes",), "x")),
     ("type", mutated(("nodes", 0, "x"), "0")),
@@ -227,17 +227,41 @@ SCHEMA_CASES = [
     (None, {}),
     (None, {**mutated(("nodes",), []), "agent": {"hat": 1}}),
     (None, {**mutated(("edges", 0, "cost"), 0), "furniture": [{"id": ""}]}),
+    ("maximum", mutated(("furniture", 0, "slot_count"), 1001)),
+    ("maximum", mutated(("furniture", 0, "slot_count"), 10**400)),
+    ("type", mutated(("furniture", 0, "slot_count"), 0.5)),
+    (None, mutated(("agent",), {"location": "", "reach_radius": -1})),
 ]
+
+
+def subschemas(schema):
+    """A schema and every schema under its `properties` and `items`."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from subschemas(sub)
+    if "items" in schema:
+        yield from subschemas(schema["items"])
 
 
 def schema_keywords(schema):
     """Every validation keyword used anywhere in a schema."""
-    found = set(schema) - {"properties", "items"}
-    for sub in schema.get("properties", {}).values():
-        found |= schema_keywords(sub)
-    if "items" in schema:
-        found |= schema_keywords(schema["items"])
+    return {key for sub in subschemas(schema) for key in sub} - {"properties", "items"}
+
+
+def walk(value, schema):
+    """The violations `_violations` finds for `value` against `schema`."""
+    found = []
+    _violations(value, schema, (), found)
     return found
+
+
+def jsonschema_violations(value, schema):
+    """What `walk` should give for `value`: every error of jsonschema's
+    `iter_errors`, in its order, as (path, message)."""
+    return [
+        (tuple(error.absolute_path), error.message)
+        for error in validator_for(schema)(schema).iter_errors(value)
+    ]
 
 
 class TestSchemaValidator:
@@ -260,48 +284,69 @@ class TestSchemaValidator:
 
 
 class TestInTreeCheck:
-    """`_conforms` passes a document only where jsonschema passes it, so
-    that jsonschema need not be imported for a valid scenario."""
+    """`_violations` finds jsonschema's errors for the keywords the
+    scenario schema uses, and `_schema_error` picks the one `best_match`
+    picks, so that jsonschema is needed only by the tests."""
 
     def test_every_schema_keyword_is_known(self):
-        assert schema_keywords(SCENARIO_SCHEMA) | {"properties", "items"} <= set(_KEYWORDS)
+        """On a value of no JSON type the walk meets every keyword of a
+        schema and descends into none."""
+        for sub in subschemas(SCENARIO_SCHEMA):
+            walk(None, sub)
 
     @pytest.mark.parametrize(
-        "keyword, argument", [("pattern", "^a"), ("enum", ["a"]), ("maxLength", 0)]
+        "keyword, argument",
+        [("pattern", "^a"), ("enum", ["a"]), ("maxLength", 0),
+         ("additionalProperties", {"type": "integer"})],
     )
     def test_an_unknown_keyword_refuses(self, keyword, argument):
-        """Whether jsonschema would pass the document (`pattern`, `enum`)
-        or not (`maxLength`)."""
+        """Whether jsonschema would pass the document (`pattern`, `enum`,
+        a schema-valued `additionalProperties`) or not (`maxLength`), the
+        walk raises rather than guess."""
         schema = {"type": "object", "properties": {"id": {"type": "string"}}}
-        assert _conforms({"id": "a"}, schema)
+        assert walk({"id": "a"}, schema) == []
         schema["properties"]["id"][keyword] = argument
-        assert not _conforms({"id": "a"}, schema)
+        with pytest.raises(KeyError, match=keyword):
+            walk({"id": "a"}, schema)
 
     @pytest.mark.parametrize(
         "value, schema",
         [(True, {"type": "number"}), (True, {"type": "integer"}), (1, {"type": "boolean"}),
          (2.0, {"type": "integer"}), (2.0, {"type": "integer", "minimum": 1}),
          (math.nan, {"type": "number", "exclusiveMinimum": 0}),
-         ({"a": 1}, {"additionalProperties": {"type": "integer"}})],
+         ({"a": 1, "b": 2}, {"additionalProperties": False, "properties": {"b": {}}}),
+         pytest.param(10**400, {"type": "integer", "minimum": 1, "maximum": 1000},
+                      id="400-digits-maximum"),
+         pytest.param(-(10**400), {"type": "number", "exclusiveMinimum": 0},
+                      id="400-digits-exclusiveMinimum"),
+         (0.5, {"type": "integer", "minimum": 1}), (math.inf, {"type": "integer"}),
+         ({"e": 1, "d": 2, "c": 3, "b": 4, "a": 5},
+          {"additionalProperties": False, "minProperties": 6}),
+         (0.5, {"minimum": 1, "type": "integer"}),
+         ([], {"minItems": 2}), ("", {"minLength": 2}), ({}, {"maxProperties": 0}),
+         ({"a": {}}, {"maxProperties": 0})],
     )
     def test_what_the_check_refuses(self, value, schema):
-        """A bool is not a number, nor 1 a bool; an integral float, a NaN
-        and a schema-valued `additionalProperties` are left to
-        jsonschema, which passes them."""
-        assert not _conforms(value, schema)
+        """A bool is not a number, nor 1 a bool; an integral float is an
+        integer, and NaN breaks no bound; an int of 400 digits is an
+        integer and is compared as an int. Every error jsonschema gives,
+        in its order and its words."""
+        assert walk(value, schema) == jsonschema_violations(value, schema)
 
     def test_the_bundled_scenario_conforms(self):
-        assert _conforms(default_scenario_data(), SCENARIO_SCHEMA)
+        assert _schema_error(default_scenario_data()) is None
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_a_passed_document_passes_jsonschema(self, drawn):
+        """A mutated scenario passes exactly when jsonschema passes it,
+        and a refused one reads as jsonschema's error."""
         data = drawn.draw(valid_scenarios())
-        assert _conforms(data, SCENARIO_SCHEMA)
+        assert _schema_error(data) is None
         for _ in range(drawn.draw(st.integers(1, 3))):
             mutate(data, drawn.draw)
-        if _conforms(data, SCENARIO_SCHEMA):
-            assert validate_error(data) is None
+        expected = validate_error(data)
+        assert _schema_error(data) == (expected and expected[1])
 
 
 def json_places(value):
@@ -338,7 +383,10 @@ def mutate(data, pick):
     of its objects."""
     places = json_places(data)
     kind = pick(st.sampled_from(["drop", "replace", "number", "extra"]))
-    numbers = [(owner, key) for owner, key in places if key in _BOUNDED]
+    numbers = [
+        (owner, key) for owner, key in places
+        if key in _BOUNDED and type(owner[key]) in (int, float)
+    ]
     if kind == "extra":
         objects = [value for value, _ in places if isinstance(value, dict)]
         owner = pick(st.sampled_from([data, *objects]))
@@ -346,7 +394,7 @@ def mutate(data, pick):
         return
     if kind == "number" and numbers:
         owner, key = pick(st.sampled_from(numbers))
-        owner[key] = pick(st.sampled_from([0, 0.0, 1.0, float(owner[key])]))
+        owner[key] = pick(st.sampled_from([0, 0.0, 1.0, 1000, 1001.0, float(owner[key])]))
         return
     owner, key = pick(st.sampled_from(places))
     if kind == "drop":
