@@ -8,11 +8,14 @@ kept sparse.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from operator import mul
 from typing import NamedTuple
+
+# hashlib's blake2b is this one: CPython never takes blake2 from OpenSSL.
+# Importing it here skips hashlib, which loads OpenSSL's libcrypto.
+from _blake2 import blake2b
 
 EMBEDDING_DIM = 256
 
@@ -26,7 +29,7 @@ def tokenize(text: str) -> list[str]:
 def _stable_hash_64(token: str) -> int:
     # Python's builtin hash() is salted per process; use a keyed-less
     # blake2b digest so the bucket assignment survives restarts.
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

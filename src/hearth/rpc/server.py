@@ -45,6 +45,15 @@ class _RpcFault(Exception):
         self.message = message
 
 
+def _error(code: int, message: str) -> dict[str, Any]:
+    return {"error": {"code": code, "message": message}}
+
+
+def _encode(request_id: Any, response: dict[str, Any]) -> str:
+    """The frame of a response: `response` holds its result or error."""
+    return json.dumps({"jsonrpc": "2.0", "id": request_id, **response}, sort_keys=True)
+
+
 class RpcConnection:
     """Per-connection protocol state: one optional session."""
 
@@ -55,49 +64,38 @@ class RpcConnection:
         self._session: tuple[str, WorldState, MemoryHandles] | None = None
 
     def handle_line(self, line: str) -> str | None:
-        """Process one frame; returns the response frame, or None for
-        notifications."""
+        """Process one frame; returns the response frame, or None for a
+        notification. A frame that is not JSON, or not a valid request, is
+        answered even without an id, since it is no notification."""
         try:
             payload = loads(line)
         except ValueError as exc:
-            return self._encode_error(None, PARSE_ERROR, f"parse error: {exc}")
+            return _encode(None, _error(PARSE_ERROR, f"parse error: {exc}"))
         if not isinstance(payload, dict):
-            return self._encode_error(None, INVALID_REQUEST, "request must be an object")
+            return _encode(None, _error(INVALID_REQUEST, "request must be an object"))
         request_id = payload.get("id")
-        if payload.get("jsonrpc") != "2.0":
-            return self._encode_error(
-                request_id, INVALID_REQUEST, "jsonrpc must be '2.0'"
+        # A bool is an int to Python, but not a number to JSON-RPC.
+        if type(request_id) not in (str, int, float, type(None)):
+            return _encode(
+                None, _error(INVALID_REQUEST, "id must be a string, a number or null")
             )
+        if payload.get("jsonrpc") != "2.0":
+            return _encode(request_id, _error(INVALID_REQUEST, "jsonrpc must be '2.0'"))
         method = payload.get("method")
         if not isinstance(method, str):
-            return self._encode_error(
-                request_id, INVALID_REQUEST, "method must be a string"
-            )
-        params = payload.get("params", {})
+            return _encode(request_id, _error(INVALID_REQUEST, "method must be a string"))
         try:
-            result = self._route(method, params)
+            response = {"result": self._route(method, payload.get("params", {}))}
         except _RpcFault as fault:
-            return self._encode_error(request_id, fault.code, fault.message)
-        except Exception as exc:  # noqa: BLE001 - the frame must be answered
-            return self._encode_error(
-                request_id, INTERNAL_ERROR, f"internal error: {exc}"
-            )
+            response = _error(fault.code, fault.message)
+        except Exception as exc:  # noqa: BLE001 - the request must be answered
+            response = _error(INTERNAL_ERROR, f"internal error: {exc}")
         if "id" not in payload:
+            # A notification is never answered, not even when it fails
+            # (JSON-RPC 2.0, section 4.1): a client that pipelines
+            # requests would take the reply for that of its next request.
             return None
-        return json.dumps(
-            {"jsonrpc": "2.0", "id": request_id, "result": result}, sort_keys=True
-        )
-
-    @staticmethod
-    def _encode_error(request_id: Any, code: int, message: str) -> str:
-        return json.dumps(
-            {
-                "jsonrpc": "2.0",
-                "id": request_id,
-                "error": {"code": code, "message": message},
-            },
-            sort_keys=True,
-        )
+        return _encode(request_id, response)
 
     def _require_session(self) -> tuple[str, WorldState, MemoryHandles]:
         if self._session is None:

@@ -9,12 +9,22 @@ surface later as a confusing runtime error.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Callable
 
 from ..jsonio import read_json_object
 from .state import DEFAULT_REACH_RADIUS, WorldState, canonical_json, slot_name
+
+# hashlib loads OpenSSL's libcrypto, which adds megabytes to every
+# process, so sha256 comes from the interpreter's own module: `_sha2` on
+# 3.12+, `_sha256` before. The digest is the same.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 SCENARIO_SCHEMA: dict[str, Any] = {
     "type": "object",
@@ -285,4 +295,4 @@ def default_scenario() -> WorldState:
 
 def scenario_hash(data: dict[str, Any]) -> str:
     """Stable content hash of a scenario document."""
-    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
+    return sha256(canonical_json(data).encode("utf-8")).hexdigest()

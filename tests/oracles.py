@@ -9,12 +9,14 @@ kept to word what that walk must word. The trial oracle loads the
 scenario afresh for every trial and builds each transcript by
 hand, as the package once did, picking the header's memories out of the
 run's search results itself. The dense memory path is the store as it
-was before it kept vectors sparse: a dense embedding, and a cosine that
-sums all 256 buckets and recomputes both norms for every record. Its
-records' embeddings come from `dense_embed` of their descriptions, never
-from the store under test. The `json.loads` store load is the store's
-loader as it was before it decoded lines with the json scanner and
-checked a line's fields at once, but decoding each line whole with
+was before it kept vectors sparse: a dense embedding, whose token
+buckets come from `hashlib`'s blake2b rather than the package's, and a
+cosine that sums all 256 buckets and recomputes both norms for every
+record. Its records' embeddings come from `dense_embed` of their
+descriptions, never from the store under test. The `json.loads` store
+load is the store's loader as it was before it decoded lines with the
+json scanner and checked a line's fields at once, but decoding each
+line whole with
 `hearth.jsonio.loads`, which refuses what is not JSON; it embeds with
 `dense_embed`. The
 prefix-checking replay is replay as it was before it compared once:
@@ -43,6 +45,7 @@ each scripted agent yielded when it spelled out every call by hand.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -71,7 +74,7 @@ from hearth.harness.runner import (
 )
 from hearth.harness.tasks import TASKS
 from hearth.jsonio import loads
-from hearth.memory.embedding import EMBEDDING_DIM, SparseVector, _stable_hash_64, tokenize
+from hearth.memory.embedding import EMBEDDING_DIM, SparseVector, tokenize
 from hearth.memory.episodic import (
     BELIEVED_STATUSES,
     EpisodicRecord,
@@ -190,11 +193,18 @@ def brute_force_search(
     return picked
 
 
+def token_bucket(token: str, dimension: int = EMBEDDING_DIM) -> int:
+    """A token's bucket: its 8-byte blake2b digest, big-endian, taken
+    from `hashlib` rather than from the package."""
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % dimension
+
+
 def dense_embed(text: str, dimension: int = EMBEDDING_DIM) -> list[float]:
     """The hashed bag-of-words embedding, built as a dense list."""
     counts = [0.0] * dimension
     for token in tokenize(text):
-        counts[_stable_hash_64(token) % dimension] += 1.0
+        counts[token_bucket(token, dimension)] += 1.0
     norm = math.sqrt(sum(v * v for v in counts))
     if norm == 0.0:
         basis = [0.0] * dimension

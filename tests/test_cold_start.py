@@ -2,8 +2,10 @@
 `importlib.resources` only to read the bundled scenario, `socketserver`
 only to serve, and `concurrent.futures` only to run trials in parallel.
 It never imports `jsonschema`, which only the tests use, not even to
-word the error in a refused scenario. Each check runs in a fresh
-interpreter, since the test process has imported them all already."""
+word the error in a refused scenario, and never `hashlib`, which loads
+OpenSSL's libcrypto: only an HTTP backend does, through `requests`.
+Each check runs in a fresh interpreter, since the test process has
+imported them all already."""
 
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from hearth.world.scenario import default_scenario_data
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hearth.__file__)))
 HEAVY = ("requests", "jsonschema")
+HASHLIB = ("hashlib", "_hashlib")
 RUN_MAIN = "from hearth.cli import main\ncode = main(sys.argv[1:])"
 
 
@@ -115,6 +118,62 @@ def test_scripted_run_loads_neither():
     assert (code, err, loaded) == (0, "", [])
     assert "actual: succeeded\n" in out
     assert fresh(RUN_MAIN, *argv, block=True) == (code, out, err, loaded)
+
+
+def test_no_command_but_http_loads_hashlib(t1_transcript, tmp_path):
+    """Importing the CLI, a scripted run that searches and adds to a
+    store, replay, memory list and search, a scripted experiment, and a
+    stdio server answering tool calls: none loads hashlib."""
+    store = str(tmp_path / "store.jsonl")
+    run = ("run", "--task", "t1", "--backend", "scripted:memory_hinted",
+           "--memory", store, "--output-dir", str(tmp_path / "run"))
+    assert main(list(run)) == 0
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(
+        {"name": "cold", "tasks": ["t1"], "backend": "scripted:optimal", "trials": 1}
+    ))
+    assert fresh("import hearth.cli\ncode = 0", watch=HASHLIB) == (0, "", "", [])
+    for argv in [
+        run,
+        ("replay", t1_transcript),
+        ("memory", "list", "--store", store),
+        ("memory", "search", "--query", "put away the mug", "--store", store),
+        ("experiment", str(plan), "--report-dir", str(tmp_path / "report")),
+    ]:
+        code, out, err, loaded = fresh(RUN_MAIN, *argv, watch=HASHLIB)
+        assert (code, err, loaded) == (0, "", []), argv
+    assert "2 records" in fresh(RUN_MAIN, "memory", "list", "--store", store)[1]
+
+    calls = [
+        ("session.create", {}),
+        ("tool.move_to", {"location": "kitchen_table"}),
+        ("tool.search_memory", {"query": "put away the mug"}),
+        ("tool.end_task", {"task_description": "t", "status": "failed",
+                           "action_summary": "s"}),
+    ]
+    frames = "".join(
+        json.dumps({"jsonrpc": "2.0", "id": n, "method": m, "params": p}) + "\n"
+        for n, (m, p) in enumerate(calls)
+    )
+    body = f"import io\nsys.stdin = io.TextIOWrapper(io.BytesIO({frames.encode()!r}))\n"
+    code, out, err, loaded = fresh(body + RUN_MAIN, "serve", "--stdio", watch=HASHLIB)
+    assert (code, err, loaded) == (0, "", [])
+    replies = [json.loads(line) for line in out.splitlines()]
+    assert [reply["id"] for reply in replies] == [0, 1, 2, 3]
+    assert all(reply["result"] for reply in replies)
+    assert replies[3]["result"]["status"] == "success"
+
+
+def test_http_backend_loads_hashlib_when_built():
+    """The positive control of the hashlib watch, without site but with
+    this process's path, where `requests` is found."""
+    body = (
+        f"sys.path.extend({sys.path!r})\n"
+        "from hearth.agent.http_backend import HttpBackendConfig, HttpChatBackend\n"
+        "HttpChatBackend(HttpBackendConfig('http://127.0.0.1:9/v1', 'm'))\n"
+        "code = 0"
+    )
+    assert fresh(body, watch=HASHLIB) == (0, "", "", list(HASHLIB))
 
 
 def test_http_backend_loads_requests_when_built():

@@ -308,6 +308,58 @@ class TestProtocolErrors:
         finally:
             raw.close()
 
+    @pytest.mark.parametrize(
+        "notification",
+        [
+            {"jsonrpc": "2.0", "method": "nope"},
+            {"jsonrpc": "2.0", "method": "tool.move_to",
+             "params": {"location": "kitchen_table"}},
+            {"jsonrpc": "2.0", "method": "session.create", "params": [1, 2]},
+        ],
+        ids=["unknown-method", "no-session", "bad-params"],
+    )
+    def test_failed_notification_gets_no_response(self, notification):
+        """A client that pipelines requests reads only its request's reply."""
+        frames = [notification, {"jsonrpc": "2.0", "id": 7, "method": "session.create"}]
+        stdin = io.StringIO("".join(json.dumps(frame) + "\n" for frame in frames))
+        stdout = io.StringIO()
+        serve_stdio(default_scenario_data(), stdin=stdin, stdout=stdout)
+        replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert len(replies) == 1
+        assert replies[0]["id"] == 7
+        assert replies[0]["result"]["session_id"].startswith("sess-")
+
+    @pytest.mark.parametrize(
+        "frame", [{"jsonrpc": "2.0"}, {"method": "session.create"}, {"id": 3}],
+        ids=["no-method", "no-jsonrpc", "id-only"],
+    )
+    def test_invalid_request_without_id_is_answered(self, frame):
+        connection = RpcConnection(load_scenario(default_scenario_data()).to_dict(), False)
+        reply = json.loads(connection.handle_line(json.dumps(frame)))
+        assert reply["error"]["code"] == -32600
+        assert reply["id"] == frame.get("id")
+
+    @pytest.mark.parametrize("request_id", [[1, 2], {}, True], ids=["array", "object", "bool"])
+    def test_id_of_another_type_is_refused(self, request_id):
+        connection = RpcConnection(load_scenario(default_scenario_data()).to_dict(), False)
+        frame = {"jsonrpc": "2.0", "id": request_id, "method": "session.create"}
+        assert json.loads(connection.handle_line(json.dumps(frame))) == {
+            "jsonrpc": "2.0",
+            "id": None,
+            "error": {"code": -32600, "message": "id must be a string, a number or null"},
+        }
+        # No session was opened: the next create succeeds.
+        frame["id"] = 1
+        assert "session_id" in json.loads(connection.handle_line(json.dumps(frame)))["result"]
+
+    @pytest.mark.parametrize("request_id", [1.5, "a", 0, None])
+    def test_string_number_and_null_ids_are_echoed(self, request_id):
+        connection = RpcConnection(load_scenario(default_scenario_data()).to_dict(), False)
+        frame = {"jsonrpc": "2.0", "id": request_id, "method": "session.create"}
+        reply = json.loads(connection.handle_line(json.dumps(frame)))
+        assert reply["id"] == request_id
+        assert reply["result"]["session_id"].startswith("sess-")
+
 
 class TestStdioMode:
     def test_scenario_validated_once_per_stream(self, scenario_validations):
