@@ -8,6 +8,7 @@ http_backend.py.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
@@ -116,7 +117,8 @@ class RecordedReplayBackend:
 def parse_arguments_json(raw: str, tool_name: str) -> dict[str, Any]:
     """Decode a tool-call arguments string from the wire with
     `jsonio.loads`, so that NaN, infinities and nesting too deep are
-    malformed arguments too."""
+    malformed arguments too, as is a number that reads as infinity, such
+    as 1e999: the transcript could not record it as JSON."""
     if not isinstance(raw, str):
         raise BackendError(
             f"tool-call arguments for '{tool_name}' must be a JSON string, "
@@ -124,6 +126,7 @@ def parse_arguments_json(raw: str, tool_name: str) -> dict[str, Any]:
         )
     try:
         parsed = loads(raw)
+        json.dumps(parsed, allow_nan=False)
     except ValueError as exc:
         raise BackendError(
             f"malformed tool-call arguments for '{tool_name}': {exc}"

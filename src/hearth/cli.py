@@ -200,6 +200,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.stdio:
         serve_stdio(scenario_data, expose_ground_truth=args.expose_ground_truth)
         return EXIT_OK
+    if not 0 <= args.port <= 65535:
+        raise ValueError(f"port must be 0-65535: {args.port}")
     server = ToolRpcServer(
         (args.host, args.port),
         scenario_data,

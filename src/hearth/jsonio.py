@@ -1,8 +1,8 @@
 """JSON input: `loads` and `scan_once` decode JSON for every reader;
 `read_json_object` reads plan, scenario, baseline and `http:` backend
-config files; `from_json` builds plans, backend configs and transcript
-lines, checking each value against its field's annotation; `read_field`
-checks one value the same way.
+config files; `from_json` builds plans, backend configs, transcript
+lines and a world's parts, checking each value against its field's
+annotation; `read_field` checks one value the same way.
 """
 
 from __future__ import annotations

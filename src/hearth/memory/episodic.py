@@ -38,7 +38,7 @@ from .embedding import SparseVector, _tuple_new, embed_sparse
 BELIEVED_STATUSES = ("succeeded", "failed")
 
 DEFAULT_SEARCH_K = 3
-DEFAULT_SIMILARITY_FLOOR = 0.2
+SIMILARITY_FLOOR = 0.2
 
 
 class PersistenceError(RuntimeError):
@@ -242,16 +242,12 @@ class EpisodicStore:
         self._unended = False
 
     def search(
-        self,
-        query: str,
-        k: int = DEFAULT_SEARCH_K,
-        floor: float = DEFAULT_SIMILARITY_FLOOR,
+        self, query: str, k: int = DEFAULT_SEARCH_K
     ) -> list[tuple[EpisodicRecord, float]]:
-        """Top-k records by cosine similarity, most recent first on ties."""
+        """Top-k records by cosine similarity, of those at SIMILARITY_FLOOR
+        or above, most recent first on ties."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        if not -1.0 <= floor <= 1.0:
-            raise ValueError("floor must lie in [-1, 1]")
         query_vec = embed_sparse(query)
         query_value = query_vec.dense().__getitem__
         query_norm = query_vec.norm
@@ -264,7 +260,7 @@ class EpisodicStore:
             similarity = sum(map(mul, map(query_value, buckets), values)) / (
                 query_norm * norm
             )
-            if similarity >= floor:
+            if similarity >= SIMILARITY_FLOOR:
                 scored.append((record, similarity))
         scored.sort(key=lambda pair: (-pair[1], -pair[0].created_at))
         return scored[:k]

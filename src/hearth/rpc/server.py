@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import socketserver
 import sys
 from typing import Any, Callable, Iterable, Iterator, TextIO
@@ -74,8 +75,10 @@ class RpcConnection:
         if not isinstance(payload, dict):
             return _encode(None, _error(INVALID_REQUEST, "request must be an object"))
         request_id = payload.get("id")
-        # A bool is an int to Python, but not a number to JSON-RPC.
-        if type(request_id) not in (str, int, float, type(None)):
+        # A bool is an int to Python, but not a number to JSON-RPC; nor is
+        # the infinity that a number such as 1e999 reads as.
+        typed = type(request_id) in (str, int, float, type(None))
+        if not typed or request_id in (math.inf, -math.inf):
             return _encode(
                 None, _error(INVALID_REQUEST, "id must be a string, a number or null")
             )

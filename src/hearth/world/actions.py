@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .semantic_map import shortest_path
-from .state import AtLocation, Held, InSlot, WorldState
+from .state import WorldState
 
 # Failure cause keywords. These exact strings appear in tool messages and
 # are part of the test contract.
@@ -90,10 +90,10 @@ def attach(state: WorldState, object_id: str) -> Outcome:
     if not obj.graspable:
         return Outcome(CAUSE_NOT_GRASPABLE)
 
-    if isinstance(obj.containment, InSlot):
-        src = state.furniture[obj.containment.furniture_id]
-        src.slots[obj.containment.slot_index] = None
-    obj.containment = Held()
+    c = obj.containment
+    if c["kind"] == "slot":
+        state.furniture[c["furniture"]].slots[c["slot"]] = None
+    obj.containment = {"kind": "held"}
     state.agent.held = object_id
     return Outcome()
 
@@ -117,6 +117,6 @@ def detach_at(state: WorldState, slot_name: str) -> Outcome:
 
     object_id = state.agent.held
     furn.slots[index] = object_id
-    state.objects[object_id].containment = InSlot(furn.id, index)
+    state.objects[object_id].containment = {"kind": "slot", "furniture": furn.id, "slot": index}
     state.agent.held = None
     return Outcome(furniture_id=furn.id, slot_index=index)

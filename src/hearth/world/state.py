@@ -10,49 +10,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..jsonio import from_json, read_field
 from .semantic_map import SemanticMap, finite
 
 DEFAULT_REACH_RADIUS = 1.5
-
-
-@dataclass(frozen=True)
-class InSlot:
-    furniture_id: str
-    slot_index: int
-
-
-@dataclass(frozen=True)
-class Held:
-    pass
-
-
-@dataclass(frozen=True)
-class AtLocation:
-    location_id: str
-
-
-Containment = InSlot | Held | AtLocation
-
-
-def containment_to_dict(c: Containment) -> dict:
-    if isinstance(c, InSlot):
-        return {"kind": "slot", "furniture": c.furniture_id, "slot": c.slot_index}
-    if isinstance(c, Held):
-        return {"kind": "held"}
-    return {"kind": "loose", "location": c.location_id}
-
-
-def containment_from_dict(d: dict) -> Containment:
-    kind = d["kind"]
-    if kind == "slot":
-        return InSlot(d["furniture"], read_field(d, "slot", int))
-    if kind == "held":
-        return Held()
-    if kind == "loose":
-        return AtLocation(d["location"])
-    raise ValueError(f"unknown containment kind '{kind}'")
 
 
 @dataclass
@@ -74,17 +37,36 @@ def slot_name(furniture_id: str, index: int) -> str:
 
 @dataclass
 class SimObject:
+    """A movable object. `containment` is its snapshot entry:
+    `{"kind": "slot", "furniture": ID, "slot": INDEX}`, `{"kind": "held"}`
+    or `{"kind": "loose", "location": NODE}`. An entry is never changed in
+    place; a move assigns a fresh one."""
+
     id: str
     kind: str
     graspable: bool
-    containment: Containment
+    containment: dict[str, Any]
+
+
+def _read_containment(entry: dict[str, Any]) -> dict[str, Any]:
+    """A containment entry read from a world dict, with only its kind's
+    keys; raises for an unknown kind or a key of the wrong type."""
+    kind = entry["kind"]
+    if kind == "slot":
+        return {"kind": kind, "furniture": read_field(entry, "furniture", str),
+                "slot": read_field(entry, "slot", int)}
+    if kind == "held":
+        return {"kind": kind}
+    if kind == "loose":
+        return {"kind": kind, "location": read_field(entry, "location", str)}
+    raise ValueError(f"unknown containment kind '{kind}'")
 
 
 @dataclass
 class AgentBody:
     location: str
-    held: str | None = None
-    reach_radius: float = DEFAULT_REACH_RADIUS
+    held: str | None
+    reach_radius: float
 
 
 @dataclass
@@ -92,7 +74,8 @@ class WorldState:
     map: SemanticMap
     furniture: dict[str, Furniture] = field(default_factory=dict)
     objects: dict[str, SimObject] = field(default_factory=dict)
-    agent: AgentBody = field(default_factory=lambda: AgentBody(location=""))
+    agent: AgentBody = field(
+        default_factory=lambda: AgentBody("", None, DEFAULT_REACH_RADIUS))
     step_counter: int = 0
 
     def find_slot(self, slot_name: str) -> tuple[Furniture, int] | None:
@@ -107,11 +90,11 @@ class WorldState:
 
     def object_position(self, obj: SimObject) -> tuple[float, float]:
         c = obj.containment
-        if isinstance(c, InSlot):
-            return self.map.positions[self.furniture[c.furniture_id].location]
-        if isinstance(c, Held):
+        if c["kind"] == "slot":
+            return self.map.positions[self.furniture[c["furniture"]].location]
+        if c["kind"] == "held":
             return self.agent_position()
-        return self.map.positions[c.location_id]
+        return self.map.positions[c["location"]]
 
     def within_reach(self, position: tuple[float, float]) -> bool:
         return math.dist(self.agent_position(), position) <= self.agent.reach_radius
@@ -119,11 +102,11 @@ class WorldState:
     def describe_placement(self, obj: SimObject) -> str:
         """Human-readable placement, e.g. 'mug on shelf layer 2'."""
         c = obj.containment
-        if isinstance(c, InSlot):
-            return f"{obj.id} on {c.furniture_id} layer {c.slot_index + 1}"
-        if isinstance(c, Held):
+        if c["kind"] == "slot":
+            return f"{obj.id} on {c['furniture']} layer {c['slot'] + 1}"
+        if c["kind"] == "held":
             return f"{obj.id} held by agent"
-        return f"{obj.id} at {c.location_id}"
+        return f"{obj.id} at {c['location']}"
 
     def to_dict(self) -> dict:
         return {
@@ -134,7 +117,7 @@ class WorldState:
             ],
             "objects": [
                 {"id": o.id, "kind": o.kind, "graspable": o.graspable,
-                 "containment": containment_to_dict(o.containment)}
+                 "containment": dict(o.containment)}
                 for o in sorted(self.objects.values(), key=lambda o: o.id)
             ],
             "agent": {
@@ -158,21 +141,13 @@ class WorldState:
                     raise InvariantViolation(f"duplicate furniture id '{furniture.id}'")
                 state.furniture[furniture.id] = furniture
             for o in data["objects"]:
-                obj = SimObject(
-                    read_field(o, "id", str),
-                    read_field(o, "kind", str),
-                    read_field(o, "graspable", bool),
-                    containment_from_dict(o["containment"]),
-                )
+                obj = from_json(SimObject, o)
+                obj.containment = _read_containment(obj.containment)
                 if obj.id in state.objects:
                     raise InvariantViolation(f"duplicate object id '{obj.id}'")
                 state.objects[obj.id] = obj
-            agent = data["agent"]
-            state.agent = AgentBody(
-                read_field(agent, "location", str),
-                read_field(agent, "held", str | None),
-                finite(read_field(agent, "reach_radius", float), "reach_radius"),
-            )
+            state.agent = from_json(AgentBody, data["agent"])
+            finite(state.agent.reach_radius, "reach_radius")
             state.step_counter = read_field(data, "step_counter", int)
             validate_state(state)
         except (
@@ -196,7 +171,7 @@ def snapshot(state: WorldState) -> dict:
         "step_counter": state.step_counter,
         "agent": {"location": state.agent.location, "held": state.agent.held},
         "objects": {
-            oid: containment_to_dict(obj.containment)
+            oid: dict(obj.containment)
             for oid, obj in sorted(state.objects.items())
         },
     }
@@ -213,13 +188,6 @@ def validate_state(state: WorldState) -> None:
             raise InvariantViolation(msg)
 
     smap = state.map
-    for node, nbrs in smap.adjacency.items():
-        check(node in smap.positions, f"edge endpoint '{node}' missing from nodes")
-        for nbr, cost in nbrs.items():
-            check(nbr in smap.positions, f"edge endpoint '{nbr}' missing from nodes")
-            check(nbr != node, f"self-loop on '{node}'")
-            check(cost >= 0, f"negative cost on ({node}, {nbr})")
-
     check(state.step_counter >= 0, "negative step counter")
     check(state.agent.reach_radius > 0,
           f"reach_radius {state.agent.reach_radius!r} is not positive")
@@ -235,25 +203,25 @@ def validate_state(state: WorldState) -> None:
             obj = state.objects.get(occupant)
             check(obj is not None,
                   f"slot {furn.slot_name(index)} holds unknown object '{occupant}'")
-            check(obj.containment == InSlot(furn.id, index),
+            check(obj.containment == {"kind": "slot", "furniture": furn.id, "slot": index},
                   f"slot {furn.slot_name(index)} and object '{occupant}' disagree")
 
     held_objects = []
     for obj in state.objects.values():
         c = obj.containment
-        if isinstance(c, InSlot):
-            furn = state.furniture.get(c.furniture_id)
+        if c["kind"] == "slot":
+            furn = state.furniture.get(c["furniture"])
             check(furn is not None,
-                  f"object '{obj.id}' references unknown furniture '{c.furniture_id}'")
-            check(0 <= c.slot_index < len(furn.slots),
-                  f"object '{obj.id}' references slot index {c.slot_index} out of range")
-            check(furn.slots[c.slot_index] == obj.id,
+                  f"object '{obj.id}' references unknown furniture '{c['furniture']}'")
+            check(0 <= c["slot"] < len(furn.slots),
+                  f"object '{obj.id}' references slot index {c['slot']} out of range")
+            check(furn.slots[c["slot"]] == obj.id,
                   f"object '{obj.id}' not registered in its slot")
-        elif isinstance(c, Held):
+        elif c["kind"] == "held":
             held_objects.append(obj.id)
         else:
-            check(c.location_id in smap.positions,
-                  f"object '{obj.id}' at unknown location '{c.location_id}'")
+            check(c["location"] in smap.positions,
+                  f"object '{obj.id}' at unknown location '{c['location']}'")
 
     check(len(held_objects) <= 1, f"multiple held objects: {held_objects}")
     if held_objects:

@@ -77,6 +77,7 @@ from hearth.jsonio import loads
 from hearth.memory.embedding import EMBEDDING_DIM, SparseVector, tokenize
 from hearth.memory.episodic import (
     BELIEVED_STATUSES,
+    SIMILARITY_FLOOR,
     EpisodicRecord,
     EpisodicStore,
     PersistenceError,
@@ -94,9 +95,7 @@ from hearth.world.semantic_map import SemanticMap
 from hearth.world.state import (
     DEFAULT_REACH_RADIUS,
     AgentBody,
-    AtLocation,
     Furniture,
-    InSlot,
     SimObject,
     WorldState,
     canonical_json,
@@ -169,9 +168,9 @@ def brute_force_search(
     records: list[EpisodicRecord],
     query_vector: list[float],
     k: int,
-    floor: float,
 ) -> list[tuple[str, float]]:
-    """(record id, similarity) by exhaustive scan and max extraction."""
+    """(record id, similarity) of the records at SIMILARITY_FLOOR or above,
+    by exhaustive scan and max extraction."""
     scored = []
     for record in records:
         embedding = dense_embed(record.task_description)
@@ -179,7 +178,7 @@ def brute_force_search(
         nq = math.sqrt(math.fsum(q * q for q in query_vector))
         nv = math.sqrt(math.fsum(v * v for v in embedding))
         similarity = 0.0 if nq == 0.0 or nv == 0.0 else dot / (nq * nv)
-        if similarity >= floor:
+        if similarity >= SIMILARITY_FLOOR:
             scored.append((record.id, similarity, record.created_at))
     picked: list[tuple[str, float]] = []
     remaining = list(scored)
@@ -225,16 +224,17 @@ def cosine(a: list[float], b: list[float]) -> float:
 
 
 def dense_search(
-    records: list[EpisodicRecord], query: str, k: int, floor: float
+    records: list[EpisodicRecord], query: str, k: int
 ) -> list[tuple[str, float]]:
-    """(record id, similarity) as the dense store computed them; compare
-    with `==`, since the sparse store must give the same floats."""
+    """(record id, similarity) as the dense store computed them, at
+    SIMILARITY_FLOOR or above; compare with `==`, since the sparse store
+    must give the same floats."""
     query_vec = dense_embed(query)
     scored = [
         (record, cosine(query_vec, dense_embed(record.task_description)))
         for record in records
     ]
-    scored = [(record, sim) for record, sim in scored if sim >= floor]
+    scored = [(record, sim) for record, sim in scored if sim >= SIMILARITY_FLOOR]
     scored.sort(key=lambda pair: (-pair[1], -pair[0].created_at))
     return [(record.id, sim) for record, sim in scored[:k]]
 
@@ -401,12 +401,12 @@ def hand_built_load_scenario(data) -> WorldState:
                     f"'{furniture[fid].slots[index]}'"
                 )
             furniture[fid].slots[index] = oid
-            containment: InSlot | AtLocation = InSlot(fid, index)
+            containment = {"kind": "slot", "furniture": fid, "slot": index}
         else:
             loc = placement["location"]
             if loc not in smap.positions:
                 raise ScenarioError(f"object '{oid}': unknown location '{loc}'")
-            containment = AtLocation(loc)
+            containment = {"kind": "loose", "location": loc}
         objects[oid] = SimObject(
             id=oid,
             kind=spec["kind"],

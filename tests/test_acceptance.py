@@ -216,11 +216,8 @@ def test_criterion_06_memory_search_oracle(tmp_path, announce):
             descriptions.append(text)
         query = " ".join(rng.choices(vocab, k=rng.randint(1, 5)))
         k = rng.randint(1, 6)
-        floor = rng.choice([0.0, 0.2, 0.4])
-        got = store.search(query, k=k, floor=floor)
-        want = brute_force_search(
-            store.records, HashedEmbedder().embed(query), k=k, floor=floor
-        )
+        got = store.search(query, k=k)
+        want = brute_force_search(store.records, HashedEmbedder().embed(query), k=k)
         assert [r.id for r, _ in got] == [rid for rid, _ in want], f"trial {trial}"
 
         # An exact-description query must rank its record first at 1.0.
@@ -238,8 +235,8 @@ def test_criterion_06_memory_search_oracle(tmp_path, announce):
         durable.add(text, "succeeded", "s")
     reloaded = EpisodicStore(path=path)
     for query in texts + ["mug shelf", "cube swap kitchen"]:
-        before = [(r.id, sim) for r, sim in durable.search(query, k=5, floor=0.0)]
-        after = [(r.id, sim) for r, sim in reloaded.search(query, k=5, floor=0.0)]
+        before = [(r.id, sim) for r, sim in durable.search(query, k=5)]
+        after = [(r.id, sim) for r, sim in reloaded.search(query, k=5)]
         assert before == after
     announce(6, "search equals brute-force scan on 50 stores; reload stable")
 

@@ -671,6 +671,17 @@ class TestExperimentCommand:
         assert scenario_validations.calls == 1
 
 
+class TestServe:
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_out_of_range_exits_2_before_binding(self, monkeypatch, capsys, port):
+        def bind(*args, **kwargs):
+            pytest.fail("a server was started")
+
+        monkeypatch.setattr("hearth.rpc.server.ToolRpcServer", bind)
+        assert main(["serve", "--port", port]) == 2
+        assert capsys.readouterr() == ("", f"error: port must be 0-65535: {port}\n")
+
+
 class TestServeStdio:
     @pytest.mark.parametrize("text", ["{broken", "[1, 2]", '{"nodes": []}'])
     def test_bad_scenario_exits_2_before_serving(self, tmp_path, capsys, text):

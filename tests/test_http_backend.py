@@ -10,7 +10,10 @@ import requests
 from hearth.agent.backends import BackendError
 from hearth.agent.context import AgentContext, tool_declarations
 from hearth.agent.http_backend import HttpBackendConfig, HttpChatBackend
-from hearth.agent.loop import TERMINATION_END_TASK, run_task
+from hearth.agent.loop import REFUSAL_THRESHOLD, TERMINATION_END_TASK, run_task
+from hearth.cli import main
+
+from .test_replay import record
 
 
 def completion(content=None, tool_calls=None):
@@ -29,9 +32,11 @@ def wire_call(call_id, name, arguments):
 
 
 # Text that Python's `json` decodes but that is not JSON, or that it
-# cannot decode: 5 000 nested arrays, and a NaN.
+# cannot decode: 5 000 nested arrays, and a NaN. A number too large for a
+# float is JSON, but reads as infinity, which JSON cannot write back.
 DEEP = "[" * 5000 + "]" * 5000
 NAN_ARGUMENTS = '{"location": NaN}'
+INFINITE_ARGUMENTS = '{"location": 1e999}'
 
 
 class PlannedResponse:
@@ -232,7 +237,11 @@ class TestMalformedReplies:
         with pytest.raises(BackendError):
             backend.next_action(fresh_context(), tool_declarations())
 
-    @pytest.mark.parametrize("raw", [DEEP, NAN_ARGUMENTS], ids=["deep", "nan"])
+    @pytest.mark.parametrize(
+        "raw",
+        [DEEP, NAN_ARGUMENTS, INFINITE_ARGUMENTS, '{"location": "a", "x": [-1e999]}'],
+        ids=["deep", "nan", "infinite", "nested-infinite"],
+    )
     def test_tool_arguments_that_are_not_json_raise(self, raw):
         calls = [{"id": "call-1", "type": "function",
                   "function": {"name": "move_to", "arguments": raw}}]
@@ -241,6 +250,17 @@ class TestMalformedReplies:
         )
         with pytest.raises(BackendError, match="malformed tool-call arguments"):
             backend.next_action(fresh_context(), tool_declarations())
+
+    def test_run_ended_by_infinite_arguments_replays(self, tmp_path, capsys):
+        calls = [{"id": "call-1", "type": "function",
+                  "function": {"name": "move_to", "arguments": INFINITE_ARGUMENTS}}]
+        # What a run that reads the call would go on to get.
+        refusals = [PlannedResponse(200, completion(content="No."))] * REFUSAL_THRESHOLD
+        backend, _, _ = make_backend(
+            [PlannedResponse(200, completion(tool_calls=calls)), *refusals])
+        path = record(tmp_path, backend)
+        assert main(["replay", path]) == 0
+        assert capsys.readouterr().out.endswith("termination backend_error\n")
 
     def test_tool_arguments_that_are_not_a_string_raise(self):
         calls = [{"id": "call-1", "type": "function",

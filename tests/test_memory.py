@@ -165,8 +165,6 @@ class TestEpisodicStore:
         store = EpisodicStore()
         with pytest.raises(ValueError, match="k must be"):
             store.search("mug", k=0)
-        with pytest.raises(ValueError, match="floor"):
-            store.search("mug", floor=2.0)
 
     def test_floor_excludes_unrelated_records(self):
         store = EpisodicStore()
@@ -199,11 +197,8 @@ class TestEpisodicStore:
                 store.add(" ".join(words), rng.choice(["succeeded", "failed"]), "s")
             query = " ".join(rng.choices(VOCAB, k=rng.randint(1, 4)))
             k = rng.randint(1, 5)
-            floor = rng.choice([0.0, 0.2, 0.5])
-            got = store.search(query, k=k, floor=floor)
-            expected = brute_force_search(
-                store.records, HashedEmbedder().embed(query), k=k, floor=floor
-            )
+            got = store.search(query, k=k)
+            expected = brute_force_search(store.records, HashedEmbedder().embed(query), k=k)
             assert [r.id for r, _ in got] == [rid for rid, _ in expected], (
                 f"trial {trial}"
             )
@@ -235,7 +230,7 @@ class TestEpisodicStore:
         store = EpisodicStore()
         for text in ["put the mug away", "put the mug on the shelf", "swap the cube"]:
             store.add(text, "succeeded", "x")
-        first = store.search("put the mug away", k=3, floor=-1.0)
+        first = store.search("put the mug away", k=3)
         want = [(record.id, similarity) for record, similarity in first]
         first.reverse()
         first[0] = (EpisodicRecord("mem-9", "mug", "failed", "z",
@@ -243,7 +238,7 @@ class TestEpisodicStore:
         records = store.records
         records.clear()
         records.append(first[0][0])
-        got = store.search("put the mug away", k=3, floor=-1.0)
+        got = store.search("put the mug away", k=3)
         assert [(record.id, similarity) for record, similarity in got] == want
         assert len(store) == 3
 
@@ -641,19 +636,17 @@ class TestDensePath:
             for _ in range(5):
                 query = " ".join(rng.choices(VOCAB, k=rng.randint(0, 5)))
                 k = rng.randint(1, 8)
-                floor = rng.choice([-1.0, 0.0, 0.2, 0.5])
                 for searched in (store, reloaded, dense, mixed, mixed_reloaded):
-                    want = dense_search(searched.records, query, k, floor)
-                    got = searched.search(query, k=k, floor=floor)
+                    want = dense_search(searched.records, query, k)
+                    got = searched.search(query, k=k)
                     assert [(r.id, sim) for r, sim in got] == want, f"trial {trial}"
 
     @given(
         texts=st.lists(TEXTS, min_size=1, max_size=12),
         query=TEXTS,
-        floor=st.sampled_from([-1.0, 0.0, 0.2]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_search_and_embedding_equal_dense_path(self, texts, query, floor):
+    def test_search_and_embedding_equal_dense_path(self, texts, query):
         store = EpisodicStore()
         for text in texts:
             if text.strip():
@@ -661,8 +654,8 @@ class TestDensePath:
         for record in store.records:
             assert json.dumps(record.to_dict(), sort_keys=True) + "\n" == text_line(record)
         assert HashedEmbedder().embed(query) == dense_embed(query)
-        got = store.search(query, k=5, floor=floor)
-        assert [(r.id, sim) for r, sim in got] == dense_search(store.records, query, 5, floor)
+        got = store.search(query, k=5)
+        assert [(r.id, sim) for r, sim in got] == dense_search(store.records, query, 5)
 
     def test_store_lines_equal_dense_lines(self, tmp_path):
         """Store lines are the dense store's lines without the embedding:
@@ -734,10 +727,9 @@ class TestBucketMemo:
             assert stores[1].records == store.records
         rng = random.Random(len(texts))
         for query in rng.sample(texts, 25):
-            floor = rng.choice([-1.0, 0.0, 0.2])
-            want = dense_search(store.records, query, 5, floor)
+            want = dense_search(store.records, query, 5)
             for searched in stores:
-                got = searched.search(query, k=5, floor=floor)
+                got = searched.search(query, k=5)
                 assert [(r.id, sim) for r, sim in got] == want
         for token, bucket in embedding._MEMO.items():
             assert bucket == _stable_hash_64(token) % EMBEDDING_DIM

@@ -431,3 +431,37 @@ def test_pruned_header_replays_as_the_whole_store_does(lines, queries, memory_en
     assert pruned_live.final == whole_live.final
     assert replay_transcript(pruned).divergence is None
     assert replay_transcript(whole).divergence is None
+
+
+# The frozen corpus: transcripts recorded by an earlier hearth, each with
+# the `hearth run` arguments that recorded it. A change that alters what a
+# run writes shows up here as a diff to a committed file.
+CORPUS = os.path.join(os.path.dirname(__file__), "data", "replay")
+CORPUS_RUNS = {
+    "optimal_t1.jsonl": ["--task", "t1", "--backend", "scripted:optimal"],
+    "optimal_t2.jsonl": ["--task", "t2", "--backend", "scripted:optimal",
+                         "--baseline", os.path.join(CORPUS, "baseline.json")],
+    "hallucinator_t1.jsonl": ["--task", "t1", "--backend", "scripted:hallucinator"],
+    # In this order: the miss leaves the one record that the hit finds.
+    "memory_hinted_t1_miss.jsonl": ["--task", "t1", "--backend", "scripted:memory_hinted"],
+    "memory_hinted_t1_hit.jsonl": ["--task", "t1", "--backend", "scripted:memory_hinted"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_RUNS))
+def test_corpus_transcript_replays(name, capsys):
+    assert main(["replay", os.path.join(CORPUS, name)]) == 0
+    assert capsys.readouterr().out.startswith("replay ok:")
+
+
+def test_corpus_rerecords_byte_for_byte(tmp_path):
+    for name, args in CORPUS_RUNS.items():
+        out = tmp_path / name
+        if name.startswith("memory_"):
+            args = [*args, "--memory", str(tmp_path / "store.jsonl")]
+        main(["run", *args, "--output-dir", str(out)])
+        written = {"t1": "run_t1.jsonl", "t2": "run_t2.jsonl"}[args[1]]
+        with open(os.path.join(CORPUS, name), "rb") as committed:
+            assert (out / written).read_bytes() == committed.read(), name
+    with open(os.path.join(CORPUS, "baseline.json"), "rb") as committed:
+        assert (tmp_path / "optimal_t1.jsonl" / "baseline.json").read_bytes() == committed.read()

@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from hearth.harness.tasks import check_t1
+from hearth.jsonio import loads
 from hearth.memory.episodic import EpisodicStore
 from hearth.memory.scratchpad import Scratchpad
 from hearth.rpc.client import RpcClient, RpcError
@@ -339,18 +340,23 @@ class TestProtocolErrors:
         assert reply["error"]["code"] == -32600
         assert reply["id"] == frame.get("id")
 
-    @pytest.mark.parametrize("request_id", [[1, 2], {}, True], ids=["array", "object", "bool"])
+    # An infinity (as 1e999 reads) is no JSON number, and no reply could echo it.
+    @pytest.mark.parametrize(
+        "request_id", ["[1, 2]", "{}", "true", "1e999", "-1e999"],
+        ids=["array", "object", "bool", "infinite", "negative-infinite"],
+    )
     def test_id_of_another_type_is_refused(self, request_id):
         connection = RpcConnection(load_scenario(default_scenario_data()).to_dict(), False)
-        frame = {"jsonrpc": "2.0", "id": request_id, "method": "session.create"}
-        assert json.loads(connection.handle_line(json.dumps(frame))) == {
+        frame = f'{{"jsonrpc": "2.0", "id": {request_id}, "method": "session.create"}}'
+        # The reply is JSON, so the server's own reader takes it.
+        assert loads(connection.handle_line(frame)) == {
             "jsonrpc": "2.0",
             "id": None,
             "error": {"code": -32600, "message": "id must be a string, a number or null"},
         }
         # No session was opened: the next create succeeds.
-        frame["id"] = 1
-        assert "session_id" in json.loads(connection.handle_line(json.dumps(frame)))["result"]
+        frame = frame.replace(request_id, "1")
+        assert "session_id" in loads(connection.handle_line(frame))["result"]
 
     @pytest.mark.parametrize("request_id", [1.5, "a", 0, None])
     def test_string_number_and_null_ids_are_echoed(self, request_id):

@@ -32,9 +32,7 @@ from hearth.tools.dispatch import MemoryHandles, ToolCall, dispatch
 from hearth.world.scenario import load_scenario, scenario_hash
 from hearth.world.semantic_map import SemanticMap
 from hearth.world.state import (
-    AtLocation,
     Furniture,
-    InSlot,
     SimObject,
     WorldState,
     canonical_json,
@@ -65,10 +63,13 @@ def split_world() -> WorldState:
     world = WorldState(map=smap)
     world.furniture["fw"] = Furniture("fw", "w1", ["oa", None])
     world.furniture["fe"] = Furniture("fe", "e0", ["od"])
-    world.objects["oa"] = SimObject("oa", "mug", True, InSlot("fw", 0))
-    world.objects["ob"] = SimObject("ob", "cube", True, AtLocation("w0"))
-    world.objects["oc"] = SimObject("oc", "tv", False, AtLocation("w2"))
-    world.objects["od"] = SimObject("od", "box", True, InSlot("fe", 0))
+    for oid, kind, graspable, containment in [
+        ("oa", "mug", True, {"kind": "slot", "furniture": "fw", "slot": 0}),
+        ("ob", "cube", True, {"kind": "loose", "location": "w0"}),
+        ("oc", "tv", False, {"kind": "loose", "location": "w2"}),
+        ("od", "box", True, {"kind": "slot", "furniture": "fe", "slot": 0}),
+    ]:
+        world.objects[oid] = SimObject(oid, kind, graspable, containment)
     world.agent.location = "w0"
     world.agent.reach_radius = 2.0
     validate_state(world)

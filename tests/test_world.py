@@ -34,9 +34,6 @@ from hearth.world.scenario import (
 )
 from hearth.world.semantic_map import SemanticMap, shortest_path
 from hearth.world.state import (
-    AtLocation,
-    Held,
-    InSlot,
     InvariantViolation,
     WorldState,
     canonical_json,
@@ -81,10 +78,12 @@ class TestScenarioLoading:
 
     def test_default_scenario_seed_placements(self):
         world = default_scenario()
-        assert world.objects["mug"].containment == InSlot("kitchen_table", 0)
-        assert world.objects["box"].containment == InSlot("kitchen_table", 1)
-        assert world.objects["cube"].containment == InSlot("living_room_table", 1)
-        assert world.objects["tv"].containment == InSlot("living_room_table", 0)
+        assert snapshot(world)["objects"] == {
+            "mug": {"kind": "slot", "furniture": "kitchen_table", "slot": 0},
+            "box": {"kind": "slot", "furniture": "kitchen_table", "slot": 1},
+            "cube": {"kind": "slot", "furniture": "living_room_table", "slot": 1},
+            "tv": {"kind": "slot", "furniture": "living_room_table", "slot": 0},
+        }
         assert not world.objects["tv"].graspable
 
     def test_scenario_hash_is_stable_and_sensitive(self):
@@ -180,7 +179,7 @@ class TestScenarioLoading:
         data = tiny_scenario()
         data["objects"][0]["placement"] = {"location": "a"}
         world = load_scenario(data)
-        assert world.objects["ball"].containment == AtLocation("a")
+        assert world.objects["ball"].containment == {"kind": "loose", "location": "a"}
 
 
 _DELETE = object()
@@ -655,9 +654,9 @@ class TestStateInvariants:
     def test_multiple_held_detected(self, world):
         for oid in ("mug", "cube"):
             obj = world.objects[oid]
-            furn = world.furniture[obj.containment.furniture_id]
-            furn.slots[obj.containment.slot_index] = None
-            obj.containment = Held()
+            furn = world.furniture[obj.containment["furniture"]]
+            furn.slots[obj.containment["slot"]] = None
+            obj.containment = {"kind": "held"}
         world.agent.held = "mug"
         with pytest.raises(InvariantViolation, match="multiple held objects"):
             validate_state(world)
@@ -725,7 +724,7 @@ class TestAttachDetach:
         execute_move(world, "kitchen_table")
         assert attach(world, "mug").ok
         assert world.furniture["kitchen_table"].slots[0] is None
-        assert world.objects["mug"].containment == Held()
+        assert world.objects["mug"].containment == {"kind": "held"}
         assert world.agent.held == "mug"
 
     def test_place_cause_order_and_purity(self, world):
@@ -747,7 +746,7 @@ class TestAttachDetach:
         assert outcome.ok
         assert (outcome.furniture_id, outcome.slot_index) == ("shelf", 1)
         assert world.furniture["shelf"].slots[1] == "mug"
-        assert world.objects["mug"].containment == InSlot("shelf", 1)
+        assert world.objects["mug"].containment == {"kind": "slot", "furniture": "shelf", "slot": 1}
         assert world.agent.held is None
         validate_state(world)
 
