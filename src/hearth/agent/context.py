@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from ..tools.dispatch import ToolCall, ToolResult
-from ..tools.schemas import TOOL_SCHEMAS
+from ..tools.dispatch import TOOL_SCHEMAS, ToolCall, ToolResult
 from .transcript import TranscriptMessage
 
 PROMPT_VERSION = "v1"
@@ -160,15 +159,13 @@ class AgentContext:
 
 
 def tool_declarations(memory_enabled: bool = True) -> list[dict[str, Any]]:
-    """Function declarations offered to the backend, gated like the prompt."""
-    from ..tools.schemas import function_declarations
-
-    declarations = function_declarations()
-    if not memory_enabled:
-        declarations = [
-            d for d in declarations if d["function"]["name"] != "search_memory"
-        ]
-    return declarations
+    """Function declarations offered to the backend, gated like the prompt;
+    they are the shared TOOL_SCHEMAS entries, which no caller changes."""
+    return [
+        declaration
+        for name, declaration in TOOL_SCHEMAS.items()
+        if memory_enabled or name != "search_memory"
+    ]
 
 
 assert all(name in build_system_prompt() for name in TOOL_SCHEMAS)

@@ -13,7 +13,7 @@ from typing import Any
 
 from .agent.backends import BackendError
 from .agent.loop import DEFAULT_MAX_TOOL_CALLS, TERMINATION_BACKEND_ERROR
-from .agent.transcript import Transcript, TranscriptError
+from .agent.transcript import Transcript
 from .harness.metrics import compute_metrics, emit_report, render_json
 from .harness.runner import (
     BackendSetup,
@@ -26,7 +26,7 @@ from .harness.runner import (
 from .harness.tasks import TASKS, EvaluationError, check_t1
 from .jsonio import read_json_object
 from .memory.episodic import EpisodicStore, PersistenceError
-from .world.scenario import ScenarioError, load_scenario, read_scenario, scenario_hash
+from .world.scenario import load_scenario, read_scenario, scenario_hash
 from .world.state import WorldState, canonical_json, snapshot
 
 # perfbench/tracing.py wraps this name here (its WRAP_TARGETS) and fails
@@ -218,11 +218,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        report = replay_transcript(Transcript.read_jsonl(args.transcript))
-    except (TranscriptError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    report = replay_transcript(Transcript.read_jsonl(args.transcript))
     if report.divergence is not None:
         print(f"replay diverged: {report.divergence}", file=sys.stderr)
         return EXIT_TASK_FAILED
@@ -336,13 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (
-        ScenarioError,
-        EvaluationError,
-        PersistenceError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (EvaluationError, PersistenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

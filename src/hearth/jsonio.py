@@ -2,7 +2,8 @@
 `read_json_object` reads plan, scenario, baseline and `http:` backend
 config files; `from_json` builds plans, backend configs, transcript
 lines and a world's parts, checking each value against its field's
-annotation; `read_field` checks one value the same way.
+annotation; `read_field` checks one value the same way, and
+`read_object` that a value is an object.
 """
 
 from __future__ import annotations
@@ -85,6 +86,13 @@ def from_json(cls: type, data: dict[str, Any]) -> Any:
         elif required:
             raise KeyError(name)
     return cls(**values)
+
+
+def read_object(value: Any, name: str) -> dict[str, Any]:
+    """`value`, or a FieldError naming it when it is not an object."""
+    if not isinstance(value, dict):
+        raise FieldError(name, "an object", value)
+    return value
 
 
 def read_field(data: dict[str, Any], name: str, hint: Any) -> Any:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from typing import NamedTuple
 
 # hashlib's blake2b is this one: CPython never takes blake2 from OpenSSL.
@@ -106,7 +107,8 @@ def _shape_values(shape: int | tuple[int, ...], count: int) -> tuple[tuple[float
         # would, and the sums keep bucket order.
         tally_norm = math.sqrt(sum(map(mul, shape, shape)))
         values = tuple(map(tally_norm.__rtruediv__, shape))
-    entry = values, math.sqrt(sum(map(mul, values, values)))
+    # Left to right, as sum() of floats added before Python 3.12.
+    entry = values, math.sqrt(reduce(add, map(mul, values, values), 0.0))
     if count <= _SHAPE_MAX:
         if len(_SHAPES) >= _SHAPES_CAP:
             _SHAPES.clear()

@@ -29,7 +29,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from typing import Any, Iterable, NamedTuple
 
 from ..jsonio import loads, scan_once
@@ -253,13 +254,14 @@ class EpisodicStore:
         query_norm = query_vec.norm
         # No norm is zero: every vector, loaded ones too, comes from the
         # embedder, which gives unit norm; so this is the dense cosine
-        # without its zero guard. The dot product sums in bucket order.
+        # without its zero guard. The dot product sums left to right in
+        # bucket order on every Python: from 3.12 on, sum() of floats is
+        # compensated, and a similarity could change in its last bit.
         scored = []
         for record in self._records:
             buckets, values, norm = record.vector
-            similarity = sum(map(mul, map(query_value, buckets), values)) / (
-                query_norm * norm
-            )
+            dot = reduce(add, map(mul, map(query_value, buckets), values), 0.0)
+            similarity = dot / (query_norm * norm)
             if similarity >= SIMILARITY_FLOOR:
                 scored.append((record, similarity))
         scored.sort(key=lambda pair: (-pair[1], -pair[0].created_at))

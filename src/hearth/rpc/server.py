@@ -22,8 +22,7 @@ from typing import Any, Callable, Iterable, Iterator, TextIO
 from ..jsonio import loads
 from ..memory.episodic import EpisodicStore
 from ..memory.scratchpad import Scratchpad
-from ..tools.dispatch import MemoryHandles, ToolCall, dispatch
-from ..tools.schemas import TOOL_SCHEMAS
+from ..tools.dispatch import TOOL_SCHEMAS, MemoryHandles, ToolCall, dispatch
 from ..world.scenario import load_scenario
 from ..world.state import WorldState, snapshot
 

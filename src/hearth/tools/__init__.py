@@ -1,3 +1,3 @@
-"""The eight agent-facing tools: schemas and the dispatcher."""
+"""The eight agent-facing tools: their declarations and the dispatcher."""
 
 from .dispatch import MemoryHandles

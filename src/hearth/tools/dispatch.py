@@ -1,11 +1,15 @@
-"""Tool dispatch: validates calls, routes to handlers, templates messages.
+"""Tool dispatch: declares the tools, validates calls, routes to handlers,
+templates messages.
 
 This layer is the only interface between the reasoning backend and the
-world/memory. It is total: any syntactically valid call produces a
-ToolResult, never an exception, so the agent can always read its own
-mistake. Messages are templated deterministically; every failure message
-carries the violated-condition keyword in parentheses so transcripts are
-greppable.
+world/memory. Each tool is declared once, in the chat-completions form
+the backend is sent, and an import-time check ties each declaration to
+its handler's parameters, so the model and the executor cannot disagree
+about how a tool is called. Dispatch is total: any syntactically valid
+call produces a ToolResult, never an exception, so the agent can always
+read its own mistake. Messages are templated deterministically; every
+failure message carries the violated-condition keyword in parentheses so
+transcripts are greppable.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from ..world.actions import (
 )
 from ..world.semantic_map import UnknownLocationError
 from ..world.state import WorldState
-from .schemas import TOOL_SCHEMAS, ToolSchema
 
 STATUS_SUCCESS = "success"
 STATUS_FAILURE = "failure"
@@ -72,54 +75,6 @@ def failure(action: str, cause: str, detail: str, **payload: Any) -> ToolResult:
     and whose payload carries the same `cause`."""
     payload["cause"] = cause
     return ToolResult(STATUS_FAILURE, f"{action} failed ({cause}): {detail}.", payload)
-
-
-def _validate_arguments(schema: ToolSchema, arguments: Any) -> ToolResult | None:
-    if not isinstance(arguments, dict):
-        return failure(
-            "Tool call", "invalid-arguments",
-            f"arguments for '{schema.name}' must be an object",
-        )
-    for name in arguments:
-        if name not in schema.param_names():
-            return failure(
-                "Tool call", "invalid-arguments",
-                f"unexpected argument '{name}' for '{schema.name}'",
-                argument=name,
-            )
-    for param in schema.params:
-        if param.name not in arguments:
-            return failure(
-                "Tool call", "invalid-arguments",
-                f"missing required argument '{param.name}' for '{schema.name}'",
-                argument=param.name,
-            )
-        value = arguments[param.name]
-        if not isinstance(value, str):
-            return failure(
-                "Tool call", "invalid-arguments",
-                f"argument '{param.name}' for '{schema.name}' must be a string, "
-                f"got {type(value).__name__}",
-                argument=param.name,
-            )
-    return None
-
-
-def dispatch(
-    call: ToolCall,
-    world: WorldState,
-    mem: MemoryHandles,
-    offered: Container[str] = TOOL_SCHEMAS,
-) -> ToolResult:
-    """Validate and execute one tool call against the given handles; a
-    call to a tool not `offered` fails as a call to an unknown tool."""
-    schema = TOOL_SCHEMAS.get(call.name) if call.name in offered else None
-    if schema is None:
-        return failure("Tool call", "unknown-tool", f"unknown tool '{call.name}'")
-    problem = _validate_arguments(schema, call.arguments)
-    if problem is not None:
-        return problem
-    return _HANDLERS[call.name](world, mem, **call.arguments)
 
 
 def tool_look_around(world: WorldState, mem: MemoryHandles) -> ToolResult:
@@ -283,6 +238,85 @@ def tool_search_memory(world: WorldState, mem: MemoryHandles, query: str) -> Too
     return success("\n".join(lines), results=payload)
 
 
+def _string(description: str, **extra: Any) -> dict[str, Any]:
+    return {"type": "string", "description": description, **extra}
+
+
+def _declare(name: str, description: str, **params: dict[str, Any]) -> dict[str, Any]:
+    """A tool's chat-completions declaration; every parameter is required."""
+    return {
+        "type": "function",
+        "function": {
+            "name": name,
+            "description": description,
+            "parameters": {
+                "type": "object",
+                "properties": params,
+                "required": sorted(params),
+            },
+        },
+    }
+
+
+# What the backend is offered, in this order: each tool's declaration,
+# exactly as it goes on the wire.
+TOOL_SCHEMAS: dict[str, dict[str, Any]] = {
+    declaration["function"]["name"]: declaration
+    for declaration in (
+        _declare(
+            "move_to",
+            "Walk to a named location on the map. The route is planned "
+            "automatically; the result reports the path taken.",
+            location=_string("Identifier of the target location."),
+        ),
+        _declare(
+            "grab",
+            "Pick up a nearby object. Fails if the object is missing, out "
+            "of reach, not graspable, or your hand is already full.",
+            object=_string("Identifier of the object to pick up."),
+        ),
+        _declare(
+            "place",
+            "Put the held object into a named furniture slot. Fails if "
+            "you hold nothing or the slot is unknown, out of reach, or "
+            "occupied.",
+            slot=_string("Name of the target slot."),
+        ),
+        _declare(
+            "look_around",
+            "Describe your surroundings: current location, reachable "
+            "neighbor locations, nearby objects, and what you hold.",
+        ),
+        _declare(
+            "add_to_scratchpad",
+            "Append a short note to your working scratchpad.",
+            text=_string("Text of the note to record."),
+        ),
+        _declare(
+            "view_scratchpad",
+            "Read back every note on your working scratchpad.",
+        ),
+        _declare(
+            "search_memory",
+            "Search long-term memory for reports of past task executions "
+            "similar to a query.",
+            query=_string("Free-text description to match."),
+        ),
+        _declare(
+            "end_task",
+            "Finish the task and file a report. Call exactly once, when "
+            "you believe the task is done or cannot be completed.",
+            task_description=_string("Short restatement of the task you were given."),
+            status=_string(
+                "Your own judgement of the outcome.", enum=list(BELIEVED_STATUSES)
+            ),
+            action_summary=_string(
+                "One-paragraph report of what you did and what happened."
+            ),
+        ),
+    )
+}
+
 _HANDLERS = {
     "look_around": tool_look_around,
     "move_to": tool_move_to,
@@ -296,5 +330,58 @@ _HANDLERS = {
 
 # Dispatch passes a call's arguments as keywords after world and mem.
 _TAKES = {name: list(inspect.signature(h).parameters)[2:] for name, h in _HANDLERS.items()}
-if _TAKES != {name: [p.name for p in s.params] for name, s in TOOL_SCHEMAS.items()}:
-    raise TypeError("each tool handler must take its schema's parameters, in order")
+if _TAKES != {
+    name: list(d["function"]["parameters"]["properties"])
+    for name, d in TOOL_SCHEMAS.items()
+}:
+    raise TypeError("each tool handler must take its declaration's parameters, in order")
+
+
+def _validate_arguments(
+    name: str, params: list[str], arguments: Any
+) -> ToolResult | None:
+    if not isinstance(arguments, dict):
+        return failure(
+            "Tool call", "invalid-arguments",
+            f"arguments for '{name}' must be an object",
+        )
+    for arg in arguments:
+        if arg not in params:
+            return failure(
+                "Tool call", "invalid-arguments",
+                f"unexpected argument '{arg}' for '{name}'",
+                argument=arg,
+            )
+    for param in params:
+        if param not in arguments:
+            return failure(
+                "Tool call", "invalid-arguments",
+                f"missing required argument '{param}' for '{name}'",
+                argument=param,
+            )
+        value = arguments[param]
+        if not isinstance(value, str):
+            return failure(
+                "Tool call", "invalid-arguments",
+                f"argument '{param}' for '{name}' must be a string, "
+                f"got {type(value).__name__}",
+                argument=param,
+            )
+    return None
+
+
+def dispatch(
+    call: ToolCall,
+    world: WorldState,
+    mem: MemoryHandles,
+    offered: Container[str] = TOOL_SCHEMAS,
+) -> ToolResult:
+    """Validate and execute one tool call against the given handles; a
+    call to a tool not `offered` fails as a call to an unknown tool."""
+    params = _TAKES.get(call.name) if call.name in offered else None
+    if params is None:
+        return failure("Tool call", "unknown-tool", f"unknown tool '{call.name}'")
+    problem = _validate_arguments(call.name, params, call.arguments)
+    if problem is not None:
+        return problem
+    return _HANDLERS[call.name](world, mem, **call.arguments)

@@ -6,7 +6,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from ..jsonio import read_field
+from ..jsonio import read_field, read_object
 
 # Slack when checking that an edge cost covers the straight-line distance
 # between its endpoints (keeps the Euclidean heuristic admissible).
@@ -122,10 +122,11 @@ class SemanticMap:
 
     @classmethod
     def from_dict(cls, data: dict) -> SemanticMap:
-        """Rebuild a map from `to_dict()` output; ids and rooms must be
-        strings, coordinates and costs numbers."""
+        """Rebuild a map from `to_dict()` output; nodes and edges must be
+        objects, ids and rooms strings, coordinates and costs numbers."""
         smap = cls()
         for node in data["nodes"]:
+            read_object(node, "node entry")
             smap.add_node(
                 read_field(node, "id", str),
                 read_field(node, "x", float),
@@ -133,6 +134,7 @@ class SemanticMap:
                 read_field(node, "room", str),
             )
         for edge in data["edges"]:
+            read_object(edge, "edge entry")
             cost = read_field(edge, "cost", float) if "cost" in edge else None
             smap.add_edge(edge["a"], edge["b"], cost)
         return smap

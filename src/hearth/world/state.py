@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..jsonio import from_json, read_field
+from ..jsonio import from_json, read_field, read_object
 from .semantic_map import SemanticMap, finite
 
 DEFAULT_REACH_RADIUS = 1.5
@@ -134,19 +134,19 @@ class WorldState:
         `data` is not a valid world, as in a hand-edited file, including a
         value of the wrong JSON type."""
         try:
-            state = cls(map=SemanticMap.from_dict(data["map"]))
+            state = cls(map=SemanticMap.from_dict(read_object(data["map"], "map")))
             for f in data["furniture"]:
-                furniture = from_json(Furniture, f)
+                furniture = from_json(Furniture, read_object(f, "furniture entry"))
                 if furniture.id in state.furniture:
                     raise InvariantViolation(f"duplicate furniture id '{furniture.id}'")
                 state.furniture[furniture.id] = furniture
             for o in data["objects"]:
-                obj = from_json(SimObject, o)
+                obj = from_json(SimObject, read_object(o, "object entry"))
                 obj.containment = _read_containment(obj.containment)
                 if obj.id in state.objects:
                     raise InvariantViolation(f"duplicate object id '{obj.id}'")
                 state.objects[obj.id] = obj
-            state.agent = from_json(AgentBody, data["agent"])
+            state.agent = from_json(AgentBody, read_object(data["agent"], "agent"))
             finite(state.agent.reach_radius, "reach_radius")
             state.step_counter = read_field(data, "step_counter", int)
             validate_state(state)

@@ -5,10 +5,11 @@ oracle recomputes similarity from scratch and ranks by repeated max
 extraction instead of a sort; neither imports more than data types. The
 schema oracle asks `jsonschema.validate` itself: hearth's own check
 walks the schema in-tree, and jsonschema is a test dependency only,
-kept to word what that walk must word. The trial oracle loads the
-scenario afresh for every trial and builds each transcript by
-hand, as the package once did, picking the header's memories out of the
-run's search results itself. The dense memory path is the store as it
+kept to word what that walk must word; it is imported where it is
+used, so that the other oracles run where it cannot be imported. The
+trial oracle loads the scenario afresh for every trial and builds each
+transcript by hand, as the package once did, picking the header's
+memories out of the run's search results itself. The dense memory path is the store as it
 was before it kept vectors sparse: a dense embedding, whose token
 buckets come from `hashlib`'s blake2b rather than the package's, and a
 cosine that sums all 256 buckets and recomputes both norms for every
@@ -52,8 +53,8 @@ import os
 import random
 import sys
 from dataclasses import MISSING, asdict
-
-import jsonschema
+from functools import reduce
+from operator import add, mul
 
 from hearth import cli
 from hearth.agent.backends import BackendError, BackendReply
@@ -200,11 +201,12 @@ def token_bucket(token: str, dimension: int = EMBEDDING_DIM) -> int:
 
 
 def dense_embed(text: str, dimension: int = EMBEDDING_DIM) -> list[float]:
-    """The hashed bag-of-words embedding, built as a dense list."""
+    """The hashed bag-of-words embedding, built as a dense list; its
+    sums, like the store's, add left to right."""
     counts = [0.0] * dimension
     for token in tokenize(text):
         counts[token_bucket(token, dimension)] += 1.0
-    norm = math.sqrt(sum(v * v for v in counts))
+    norm = math.sqrt(reduce(add, map(mul, counts, counts), 0.0))
     if norm == 0.0:
         basis = [0.0] * dimension
         basis[0] = 1.0
@@ -215,9 +217,9 @@ def dense_embed(text: str, dimension: int = EMBEDDING_DIM) -> list[float]:
 def cosine(a: list[float], b: list[float]) -> float:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    dot = sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(y * y for y in b))
+    dot = reduce(add, map(mul, a, b), 0.0)
+    na = math.sqrt(reduce(add, map(mul, a, a), 0.0))
+    nb = math.sqrt(reduce(add, map(mul, b, b), 0.0))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -260,7 +262,9 @@ def sparse_dense_embed(text: str) -> SparseVector:
     dense = dense_embed(text)
     buckets = tuple(i for i, value in enumerate(dense) if value)
     return SparseVector(
-        buckets, tuple(dense[i] for i in buckets), math.sqrt(sum(v * v for v in dense))
+        buckets,
+        tuple(dense[i] for i in buckets),
+        math.sqrt(reduce(add, map(mul, dense, dense), 0.0)),
     )
 
 
@@ -339,6 +343,8 @@ def json_loads_store_load(path: str) -> tuple[list[EpisodicRecord], int, bool]:
 def hand_built_load_scenario(data) -> WorldState:
     """The world `load_scenario` builds from a scenario document, built
     piece by piece with each check written out in the loader."""
+    import jsonschema
+
     try:
         jsonschema.validate(data, SCENARIO_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -433,6 +439,8 @@ def hand_built_load_scenario(data) -> WorldState:
 def validate_error(data) -> tuple[str, str] | None:
     """(keyword, ScenarioError text) for the error `jsonschema.validate`
     raises on `data`, or None when the document passes the schema."""
+    import jsonschema
+
     try:
         jsonschema.validate(data, SCENARIO_SCHEMA)
     except jsonschema.ValidationError as exc:

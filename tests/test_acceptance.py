@@ -298,7 +298,10 @@ def test_criterion_09_wire_conformance(announce):
     server = ToolRpcServer(
         ("127.0.0.1", 0), default_scenario_data(), expose_ground_truth=True
     )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits up to one poll; serve_forever's default is 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         with RpcClient("127.0.0.1", server.port) as client:

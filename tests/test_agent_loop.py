@@ -41,8 +41,7 @@ from hearth.agent.transcript import (
     TranscriptHeader,
 )
 from hearth.harness.tasks import check_t1, check_t2
-from hearth.tools.dispatch import ToolCall
-from hearth.tools.schemas import TOOL_SCHEMAS
+from hearth.tools.dispatch import TOOL_SCHEMAS, ToolCall
 from hearth.world.scenario import default_scenario_data, scenario_hash
 from hearth.world.state import canonical_json, snapshot
 

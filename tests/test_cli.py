@@ -801,8 +801,10 @@ def bad_http_config(command, **fields):
     return argv
 
 
-# A line of JSON nested deeper than the decoder goes.
-DEEP = "[" * 5000 + "]" * 5000
+# A line of JSON nested deeper than the decoder goes, on every Python:
+# the json scanner's limit moved from 1 000 levels (3.11) to 5 000 (3.12)
+# and higher still on 3.13.
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def input_file(command, text):
@@ -923,6 +925,22 @@ BAD_WORLD_FIELDS = {
     "slot-index-bool": (
         lambda w: in_slot(w)["containment"].update(slot=True),
         "FieldError: slot must be an integer: True"),
+    "map-list": (
+        lambda w: w.update(map=[]), "FieldError: map must be an object: []"),
+    "node-entry-number": (
+        lambda w: w["map"]["nodes"].append(7),
+        "FieldError: node entry must be an object: 7"),
+    "edge-entry-list": (
+        lambda w: w["map"]["edges"].append(["hallway", "kitchen_center"]),
+        "FieldError: edge entry must be an object: ['hallway', 'kitchen_center']"),
+    "furniture-entry-list": (
+        lambda w: w["furniture"].append([1]),
+        "FieldError: furniture entry must be an object: [1]"),
+    "object-entry-string": (
+        lambda w: w["objects"].append("mug"),
+        "FieldError: object entry must be an object: 'mug'"),
+    "agent-number": (
+        lambda w: w.update(agent=5), "FieldError: agent must be an object: 5"),
 }
 
 # Line 4 of t1's transcript is its first assistant turn with a tool call;

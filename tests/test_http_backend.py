@@ -32,9 +32,10 @@ def wire_call(call_id, name, arguments):
 
 
 # Text that Python's `json` decodes but that is not JSON, or that it
-# cannot decode: 5 000 nested arrays, and a NaN. A number too large for a
-# float is JSON, but reads as infinity, which JSON cannot write back.
-DEEP = "[" * 5000 + "]" * 5000
+# cannot decode: 100 000 nested arrays, past the scanner's limit on every
+# Python, and a NaN. A number too large for a float is JSON, but reads as
+# infinity, which JSON cannot write back.
+DEEP = "[" * 100_000 + "]" * 100_000
 NAN_ARGUMENTS = '{"location": NaN}'
 INFINITE_ARGUMENTS = '{"location": 1e999}'
 
@@ -360,7 +361,10 @@ class TestAgainstRealServer:
         ]
         CannedChatHandler.served = 0
         server = ThreadingHTTPServer(("127.0.0.1", 0), CannedChatHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # shutdown() waits up to one poll; serve_forever's default is 0.5 s.
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         thread.start()
         try:
             config = HttpBackendConfig(

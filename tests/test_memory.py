@@ -17,6 +17,7 @@ from hearth.memory.embedding import (
     HashedEmbedder,
     SparseVector,
     _stable_hash_64,
+    embed_sparse,
     tokenize,
 )
 from hearth.memory.episodic import (
@@ -656,6 +657,21 @@ class TestDensePath:
         assert HashedEmbedder().embed(query) == dense_embed(query)
         got = store.search(query, k=5)
         assert [(r.id, sim) for r, sim in got] == dense_search(store.records, query, 5)
+
+    def test_float_sums_add_left_to_right(self):
+        """Norms and dot products add left to right on every Python, as
+        sum() did before 3.12 made it compensated: these sums round to
+        other bits when added exactly."""
+        vector = embed_sparse("put the cube on put")
+        assert vector.norm == 0.9999999999999998
+        assert math.sqrt(math.fsum(v * v for v in vector.values)) == 0.9999999999999999
+        text = "put the mug, the box, and the cube away on the shelf"
+        vector = embed_sparse(text)
+        assert math.fsum(v * v for v in vector.values) == 1.0000000000000002
+        store = EpisodicStore()
+        store.add(text, "succeeded", "s")
+        [(_, similarity)] = store.search(text)
+        assert similarity == 1.0
 
     def test_store_lines_equal_dense_lines(self, tmp_path):
         """Store lines are the dense store's lines without the embedding:

@@ -14,8 +14,7 @@ from hearth.memory.episodic import EpisodicStore
 from hearth.memory.scratchpad import Scratchpad
 from hearth.rpc.client import RpcClient, RpcError
 from hearth.rpc.server import RpcConnection, ToolRpcServer, serve_stdio
-from hearth.tools.dispatch import MemoryHandles, ToolCall, dispatch
-from hearth.tools.schemas import TOOL_SCHEMAS
+from hearth.tools.dispatch import TOOL_SCHEMAS, MemoryHandles, ToolCall, dispatch
 from hearth.world.scenario import default_scenario_data, load_scenario
 from hearth.world.state import canonical_json, snapshot
 
@@ -40,7 +39,10 @@ def server():
     srv = ToolRpcServer(
         ("127.0.0.1", 0), default_scenario_data(), expose_ground_truth=True
     )
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    # shutdown() waits up to one poll; serve_forever's default is 0.5 s.
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield srv
     srv.shutdown()
@@ -52,7 +54,9 @@ def gated_server():
     srv = ToolRpcServer(
         ("127.0.0.1", 0), default_scenario_data(), expose_ground_truth=False
     )
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield srv
     srv.shutdown()
@@ -130,7 +134,9 @@ class TestSessionLifecycle:
 
     def test_scenario_validated_once_per_server(self, scenario_validations):
         srv = ToolRpcServer(("127.0.0.1", 0), default_scenario_data())
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=srv.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         thread.start()
         try:
             for _ in range(3):

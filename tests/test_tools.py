@@ -4,8 +4,7 @@ import pytest
 
 from hearth.memory.episodic import EpisodicStore
 from hearth.memory.scratchpad import Scratchpad
-from hearth.tools.dispatch import MemoryHandles, ToolCall, dispatch
-from hearth.tools.schemas import TOOL_SCHEMAS, function_declarations
+from hearth.tools.dispatch import TOOL_SCHEMAS, MemoryHandles, ToolCall, dispatch
 from hearth.world.actions import execute_move
 from hearth.world.state import canonical_json
 
@@ -26,20 +25,19 @@ class TestSchemas:
         assert set(TOOL_SCHEMAS) == EXPECTED_TOOLS
 
     def test_end_task_takes_three_model_provided_fields(self):
-        schema = TOOL_SCHEMAS["end_task"]
-        assert schema.param_names() == {
+        params = TOOL_SCHEMAS["end_task"]["function"]["parameters"]
+        assert list(params["properties"]) == [
             "task_description",
             "status",
             "action_summary",
-        }
-        status = next(p for p in schema.params if p.name == "status")
-        assert status.enum == ("succeeded", "failed")
+        ]
+        assert params["properties"]["status"]["enum"] == ["succeeded", "failed"]
 
     def test_declarations_are_openai_function_format(self):
-        decls = function_declarations()
+        decls = list(TOOL_SCHEMAS.values())
         assert len(decls) == len(EXPECTED_TOOLS)
         by_name = {d["function"]["name"]: d for d in decls}
-        assert set(by_name) == EXPECTED_TOOLS
+        assert by_name == TOOL_SCHEMAS
         for decl in decls:
             assert decl["type"] == "function"
             params = decl["function"]["parameters"]

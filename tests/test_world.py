@@ -6,7 +6,6 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from jsonschema.validators import validator_for
 
 from hearth.world.actions import (
     CAUSE_ALREADY_HOLDING,
@@ -257,6 +256,8 @@ def walk(value, schema):
 def jsonschema_violations(value, schema):
     """What `walk` should give for `value`: every error of jsonschema's
     `iter_errors`, in its order, as (path, message)."""
+    from jsonschema.validators import validator_for
+
     return [
         (tuple(error.absolute_path), error.message)
         for error in validator_for(schema)(schema).iter_errors(value)
@@ -265,6 +266,8 @@ def jsonschema_violations(value, schema):
 
 class TestSchemaValidator:
     def test_schema_passes_its_metaschema(self):
+        from jsonschema.validators import validator_for
+
         validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
 
     def test_cases_cover_every_schema_keyword(self):
