@@ -4,10 +4,12 @@ A transcript is a header line (run metadata plus the full scenario and
 the world state at task start, so a replay can rebuild the exact world,
 and the memories the run's searches returned, so it can rebuild what
 those searches saw), one line per context message, and a final line
-carrying the termination verdict and the ground-truth snapshot. Lines
-are plain data, each field checked against its annotation on reading;
-replay builds the header's world and store through their own readers,
-then compares the run with the recording message by message.
+carrying the termination verdict and the ground-truth snapshot, in that
+order: a reader refuses a file whose first line is not its one header
+or whose last line is not its one final line. Lines are plain data,
+each field checked against its annotation on reading; replay builds the
+header's world and store through their own readers, then compares the
+run with the recording message by message.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..jsonio import from_json, loads
+from ..jsonio import from_json, loads, replace_file
 
 
 class TranscriptError(ValueError):
@@ -124,11 +126,10 @@ class Transcript:
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(self.header.to_dict(), sort_keys=True) + "\n")
-            for message in self.messages:
-                handle.write(json.dumps(message.to_dict(), sort_keys=True) + "\n")
-            handle.write(json.dumps(self.final.to_dict(), sort_keys=True) + "\n")
+        lines = [self.header, *self.messages, self.final]
+        replace_file(path, "".join(
+            json.dumps(line.to_dict(), sort_keys=True) + "\n" for line in lines
+        ))
 
     @classmethod
     def read_jsonl(cls, path: str) -> "Transcript":
@@ -149,6 +150,16 @@ class Transcript:
                 kind = data.get("type")
                 if kind not in ("header", "message", "final"):
                     raise TranscriptError(f"{path}:{number}: unknown line type {kind!r}")
+                if final is not None:
+                    what = "a second final line" if kind == "final" else (
+                        f"a {kind} line after the final line")
+                    raise TranscriptError(f"{path}:{number}: {what}")
+                if header is None and kind != "header":
+                    raise TranscriptError(
+                        f"{path}:{number}: missing header line: a {kind} line comes first"
+                    )
+                if header is not None and kind == "header":
+                    raise TranscriptError(f"{path}:{number}: a second header line")
                 try:
                     if kind == "header":
                         header = TranscriptHeader.from_dict(data)

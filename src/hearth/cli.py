@@ -24,7 +24,7 @@ from .harness.runner import (
     run_trials,
 )
 from .harness.tasks import TASKS, EvaluationError, check_t1
-from .jsonio import read_json_object
+from .jsonio import read_json_object, replace_file
 from .memory.episodic import EpisodicStore, PersistenceError
 from .world.scenario import load_scenario, read_scenario, scenario_hash
 from .world.state import WorldState, canonical_json, snapshot
@@ -125,8 +125,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "snapshot": snapshot(outcome.world),
             }
             baseline_path = os.path.join(args.output_dir, "baseline.json")
-            with open(baseline_path, "w", encoding="utf-8") as handle:
-                handle.write(canonical_json(baseline))
+            replace_file(baseline_path, canonical_json(baseline))
             print(f"baseline: {baseline_path}")
 
     if run.termination == TERMINATION_BACKEND_ERROR:

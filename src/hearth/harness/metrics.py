@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from ..agent.loop import TERMINATION_BACKEND_ERROR
+from ..jsonio import replace_file
 from .runner import TrialRecord
 from .tasks import EvaluationError
 
@@ -206,7 +207,6 @@ def emit_report(report: MetricsReport, output_dir: str) -> list[str]:
     os.makedirs(output_dir, exist_ok=True)
     for name, renderer in _REPORT_FILES.items():
         path = os.path.join(output_dir, name)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(renderer(report))
+        replace_file(path, renderer(report))
         paths.append(path)
     return paths

@@ -34,7 +34,7 @@ from ..agent.transcript import (
     TranscriptHeader,
     TranscriptMessage,
 )
-from ..jsonio import FieldError, from_json, read_json_object
+from ..jsonio import FieldError, from_json, read_json_object, replace_file
 from ..memory.episodic import EpisodicRecord, EpisodicStore
 from ..memory.scratchpad import Scratchpad
 from ..tools.dispatch import MemoryHandles
@@ -475,10 +475,9 @@ def _prepare_output(plan: ExperimentPlan) -> str | None:
 def _persist_records(plan: ExperimentPlan, records: list[TrialRecord]) -> None:
     if plan.output_dir is None:
         return
-    path = os.path.join(plan.output_dir, "trials.jsonl")
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(vars(record), sort_keys=True) + "\n")
+    replace_file(os.path.join(plan.output_dir, "trials.jsonl"), "".join(
+        json.dumps(vars(record), sort_keys=True) + "\n" for record in records
+    ))
 
 
 def run_trials(plan: ExperimentPlan) -> list[TrialRecord]:

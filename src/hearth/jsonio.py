@@ -1,15 +1,18 @@
-"""JSON input: `loads` and `scan_once` decode JSON for every reader;
-`read_json_object` reads plan, scenario, baseline and `http:` backend
-config files; `from_json` builds plans, backend configs, transcript
-lines and a world's parts, checking each value against its field's
-annotation; `read_field` checks one value the same way, and
-`read_object` that a value is an object.
+"""JSON input, and whole-file output: `loads` and `scan_once` decode
+JSON for every reader; `read_json_object` reads plan, scenario, baseline
+and `http:` backend config files; `from_json` builds plans, backend
+configs, transcript lines and a world's parts, checking each value
+against its field's annotation; `read_field` checks one value the same
+way, and `read_object` that a value is an object. `replace_file` writes
+transcripts, baselines, `trials.jsonl` and the metrics files.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import threading
 import types
 import typing
 from functools import cache
@@ -69,6 +72,23 @@ def read_json_object(path: str, what: str) -> dict[str, Any]:
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object: '{path}'")
     return data
+
+
+def replace_file(path: str, text: str) -> None:
+    """Make `text` the whole of the file at `path`: it is written to a
+    temporary file beside `path`, which then replaces it, so a reader
+    finds the old file or the new one, never a torn one. On an error the
+    temporary file is removed and the old file stays as it was."""
+    # Unique among live writers: a thread writes one file at a time.
+    temporary = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
+        raise
 
 
 def from_json(cls: type, data: dict[str, Any]) -> Any:

@@ -1,13 +1,15 @@
 """JSON-RPC 2.0 access to the tool interface, for external agents.
 
 Frames are newline-delimited JSON over TCP (or stdio for subprocess
-embedding). Each connection owns at most one session: a private copy of
-the world the server built once from its scenario, plus private memory
-handles. Tool failures travel as successful RPC responses carrying
-status=failure; RPC-level errors are reserved for transport problems
-such as unknown methods or malformed params. Ground-truth snapshots are
-withheld unless the server was started with expose_ground_truth, so a
-remote agent cannot peek at the world state it is supposed to discover.
+embedding), at most MAX_FRAME_BYTES each: a longer one is refused and
+ends the connection. Each connection owns at most one session: a
+private copy of the world the server built once from its scenario, plus
+private memory handles. Tool failures travel as successful RPC
+responses carrying status=failure; RPC-level errors are reserved for
+transport problems such as unknown methods or malformed params.
+Ground-truth snapshots are withheld unless the server was started with
+expose_ground_truth, so a remote agent cannot peek at the world state it
+is supposed to discover.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 import socketserver
 import sys
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, BinaryIO, Callable, TextIO
 
 from ..jsonio import loads
 from ..memory.episodic import EpisodicStore
@@ -32,6 +34,9 @@ METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
 INTERNAL_ERROR = -32603
 APP_ERROR = -32000
+
+# The longest frame a connection may send, its newline included.
+MAX_FRAME_BYTES = 1 << 20
 
 # Numbers session ids across every connection; a count's next is one C
 # call, so threads that share it never get the same number.
@@ -155,19 +160,25 @@ class RpcConnection:
         return dispatch(ToolCall(name, params), world, handles).to_dict()
 
 
-def _decoded(frames: Iterable[bytes]) -> Iterator[str]:
-    # Bytes that are not UTF-8 decode to lone surrogates, which JSON
-    # accepts only inside a string: such a frame gets PARSE_ERROR, and
-    # the connection goes on.
-    return (frame.decode("utf-8", "surrogateescape") for frame in frames)
-
-
 def _serve(
-    connection: RpcConnection, lines: Iterable[str], write: Callable[[str], Any]
+    connection: RpcConnection, stream: BinaryIO | TextIO, write: Callable[[str], Any]
 ) -> None:
-    """The read-dispatch-write loop of both transports."""
-    for line in lines:
-        line = line.strip()
+    """The read-dispatch-write loop of both transports. A frame longer
+    than MAX_FRAME_BYTES, its newline counted, is refused and ends the
+    connection, so no client makes the server buffer without bound. A
+    text `stream`, as tests and embedders may pass, is bounded in
+    characters."""
+    while frame := stream.readline(MAX_FRAME_BYTES + 1):
+        if len(frame) > MAX_FRAME_BYTES:
+            refusal = _error(INVALID_REQUEST, f"frame exceeds {MAX_FRAME_BYTES} bytes")
+            write(_encode(None, refusal) + "\n")
+            return
+        if isinstance(frame, bytes):
+            # Bytes that are not UTF-8 decode to lone surrogates, which JSON
+            # accepts only inside a string: such a frame gets PARSE_ERROR,
+            # and the connection goes on.
+            frame = frame.decode("utf-8", "surrogateescape")
+        line = frame.strip()
         if not line:
             continue
         response = connection.handle_line(line)
@@ -180,7 +191,7 @@ class _Handler(socketserver.StreamRequestHandler):
         server: ToolRpcServer = self.server  # type: ignore[assignment]
         _serve(
             RpcConnection(server.initial_world, server.expose_ground_truth),
-            _decoded(self.rfile),
+            self.rfile,
             lambda frame: self.wfile.write(frame.encode("utf-8")),
         )
 
@@ -221,6 +232,6 @@ def serve_stdio(
 
     _serve(
         RpcConnection(load_scenario(scenario_data).to_dict(), expose_ground_truth),
-        stdin if stdin is not None else _decoded(sys.stdin.buffer),
+        stdin if stdin is not None else sys.stdin.buffer,
         write,
     )

@@ -1,5 +1,4 @@
-"""Tool dispatch: declares the tools, validates calls, routes to handlers,
-templates messages.
+"""Tool dispatch: declares the tools, validates calls, and runs each tool.
 
 This layer is the only interface between the reasoning backend and the
 world/memory. Each tool is declared once, in the chat-completions form
@@ -7,9 +6,13 @@ the backend is sent, and an import-time check ties each declaration to
 its handler's parameters, so the model and the executor cannot disagree
 about how a tool is called. Dispatch is total: any syntactically valid
 call produces a ToolResult, never an exception, so the agent can always
-read its own mistake. Messages are templated deterministically; every
-failure message carries the violated-condition keyword in parentheses so
-transcripts are greppable.
+read its own mistake.
+
+Each handler owns its tool's contract: it checks the preconditions in a
+fixed order, words the first one violated as its failure, and changes
+the world only after every check has passed, so a failed call leaves the
+world untouched. Every failure message carries the violated-condition
+keyword in parentheses so transcripts are greppable.
 """
 
 from __future__ import annotations
@@ -20,13 +23,7 @@ from typing import Any, Container
 
 from ..memory.episodic import BELIEVED_STATUSES, EpisodicStore
 from ..memory.scratchpad import Scratchpad
-from ..world.actions import (
-    attach,
-    detach_at,
-    execute_move,
-    objects_in_proximity,
-)
-from ..world.semantic_map import UnknownLocationError
+from ..world.actions import execute_move, objects_in_proximity
 from ..world.state import WorldState
 
 STATUS_SUCCESS = "success"
@@ -111,63 +108,63 @@ def tool_look_around(world: WorldState, mem: MemoryHandles) -> ToolResult:
 def tool_move_to(world: WorldState, mem: MemoryHandles, location: str) -> ToolResult:
     if location == world.agent.location:
         return success(f"Already at {location}.", location=location, hops=0)
-    try:
-        outcome = execute_move(world, location)
-    except UnknownLocationError:
+    if location not in world.map.positions:
         return failure("Move", "unknown-location", f"unknown location '{location}'")
-    if not outcome.ok:
+    path = execute_move(world, location)
+    if path is None:
         return failure(
-            "Move", outcome.cause,
+            "Move", "no-path",
             f"no path available from '{world.agent.location}' to '{location}'",
         )
-    assert outcome.path is not None
-    route = " -> ".join(outcome.path)
+    hops = len(path) - 1
     return success(
-        f"Moved to {location} in {outcome.hops} hops via {route}.",
+        f"Moved to {location} in {hops} hops via {' -> '.join(path)}.",
         location=location,
-        hops=outcome.hops,
-        path=outcome.path,
+        hops=hops,
+        path=path,
     )
 
 
-_GRAB_MESSAGES = {
-    "does-not-exist": "target object does not exist: '{obj}'",
-    "out-of-reach": "'{obj}' is out of reach",
-    "already-holding": "already holding '{held}'",
-    "not-graspable": "'{obj}' cannot be grasped",
-}
-
-
 def tool_grab(world: WorldState, mem: MemoryHandles, object: str) -> ToolResult:
-    held_before = world.agent.held
-    outcome = attach(world, object)
-    if outcome.ok:
-        return success(f"Grabbed {object}.", object=object)
-    detail = _GRAB_MESSAGES[outcome.cause].format(obj=object, held=held_before)
-    return failure("Grab", outcome.cause, detail, object=object)
-
-
-_PLACE_MESSAGES = {
-    "not-holding": "not holding an object",
-    "no-such-slot": "no slot named '{slot}'",
-    "out-of-reach": "slot '{slot}' is out of reach",
-    "occupied": "slot '{slot}' is already occupied",
-}
+    obj = world.objects.get(object)
+    if obj is None:
+        return failure(
+            "Grab", "does-not-exist", f"target object does not exist: '{object}'",
+            object=object,
+        )
+    if not world.within_reach(world.object_position(obj)):
+        return failure("Grab", "out-of-reach", f"'{object}' is out of reach", object=object)
+    if world.agent.held is not None:
+        return failure(
+            "Grab", "already-holding", f"already holding '{world.agent.held}'",
+            object=object,
+        )
+    if not obj.graspable:
+        return failure("Grab", "not-graspable", f"'{object}' cannot be grasped", object=object)
+    c = obj.containment
+    if c["kind"] == "slot":
+        world.furniture[c["furniture"]].slots[c["slot"]] = None
+    obj.containment = {"kind": "held"}
+    world.agent.held = object
+    return success(f"Grabbed {object}.", object=object)
 
 
 def tool_place(world: WorldState, mem: MemoryHandles, slot: str) -> ToolResult:
-    held_before = world.agent.held
-    outcome = detach_at(world, slot)
-    if outcome.ok:
-        assert outcome.furniture_id is not None and outcome.slot_index is not None
-        layer = outcome.slot_index + 1
-        return success(
-            f"Placed {held_before} on {outcome.furniture_id} layer {layer}.",
-            object=held_before,
-            slot=slot,
-        )
-    detail = _PLACE_MESSAGES[outcome.cause].format(slot=slot)
-    return failure("Place", outcome.cause, detail, slot=slot)
+    held = world.agent.held
+    if held is None:
+        return failure("Place", "not-holding", "not holding an object", slot=slot)
+    found = world.find_slot(slot)
+    if found is None:
+        return failure("Place", "no-such-slot", f"no slot named '{slot}'", slot=slot)
+    furn, index = found
+    if not world.within_reach(world.map.positions[furn.location]):
+        return failure("Place", "out-of-reach", f"slot '{slot}' is out of reach", slot=slot)
+    if furn.slots[index] is not None:
+        return failure("Place", "occupied", f"slot '{slot}' is already occupied", slot=slot)
+    furn.slots[index] = held
+    world.objects[held].containment = {"kind": "slot", "furniture": furn.id, "slot": index}
+    world.agent.held = None
+    return success(f"Placed {held} on {furn.id} layer {index + 1}.", object=held, slot=slot)
 
 
 def tool_add_to_scratchpad(

@@ -1,6 +1,7 @@
 """Agent core: prompt assembly, context window, loop terminations, scripts."""
 
 import json
+import os
 
 import pytest
 
@@ -444,6 +445,27 @@ class TestTranscriptRoundtrip:
         assert loaded.header.to_dict() == transcript.header.to_dict()
         assert loaded.final.to_dict() == transcript.final.to_dict()
         assert loaded.messages == transcript.messages
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path, world, handles, monkeypatch):
+        """A write that fails partway, here in encoding the final line,
+        leaves the file it would replace intact and no file beside it."""
+        transcript = self.build(world, handles)
+        path = tmp_path / "run.jsonl"
+        transcript.write_jsonl(str(path))
+        before = path.read_bytes()
+        transcript.final.tool_calls += 1
+        dumps = json.dumps
+
+        def failing_dumps(obj, **kwargs):
+            if obj.get("type") == "final":
+                raise RuntimeError("encoder failed")
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr("hearth.agent.transcript.json.dumps", failing_dumps)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            transcript.write_jsonl(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["run.jsonl"]
 
     def test_missing_final_line_rejected(self, tmp_path, world, handles):
         transcript = self.build(world, handles)

@@ -749,16 +749,23 @@ def bad_baseline(edit):
     return argv
 
 
-def bad_transcript_line(number, edit):
-    """Replay t1's transcript with its line `number` (1-based) edited."""
+def edited_transcript(edit):
+    """Replay t1's transcript with its list of lines edited in place."""
     def argv(t1_output, tmp_path):
         path = t1_output / "run_t1.jsonl"
         lines = read_lines(path)
-        data = json.loads(lines[number - 1])
-        lines[number - 1] = dumps_overflowing(edit(data) or data)
+        edit(lines)
         path.write_text("\n".join(lines) + "\n")
         return ["replay", str(path)]
     return argv
+
+
+def bad_transcript_line(number, edit):
+    """Replay t1's transcript with its line `number` (1-based) edited."""
+    def edit_line(lines):
+        data = json.loads(lines[number - 1])
+        lines[number - 1] = dumps_overflowing(edit(data) or data)
+    return edited_transcript(edit_line)
 
 
 def set_first_call(**fields):
@@ -1095,6 +1102,15 @@ MALFORMED_INPUTS = {
         "malformed world: "),
     "transcript-line-not-an-object": (
         bad_transcript_line(3, lambda d: [1, 2]), ":3: not a JSON object"),
+    "transcript-second-header": (
+        edited_transcript(lambda lines: lines.insert(1, lines[0])),
+        ":2: a second header line"),
+    "transcript-second-final": (
+        edited_transcript(lambda lines: lines.append(lines[-1])),
+        ":33: a second final line"),
+    "transcript-line-after-final": (
+        edited_transcript(lambda lines: lines.append(lines[3])),
+        ":33: a message line after the final line"),
     **{
         f"header-world-{name}": (
             bad_transcript_line(1, lambda d, edit=edit: edit(d["initial_world"])),

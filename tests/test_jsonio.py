@@ -1,9 +1,11 @@
 """The JSON reader: `from_json` checks each field against its annotation,
-`read_json_object` reads one object from a file; and, differentially,
+`read_json_object` reads one object from a file; `replace_file` never
+leaves a torn file; and, differentially,
 plans and transcript lines are accepted and rejected as the hand-written
 checks in oracles.py accepted and rejected them."""
 
 import json
+import os
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Any
@@ -24,7 +26,7 @@ from hearth.harness.runner import (
     task_header,
 )
 from hearth.harness.tasks import TASKS
-from hearth.jsonio import FieldError, from_json, read_json_object
+from hearth.jsonio import FieldError, from_json, read_json_object, replace_file
 from hearth.memory.scratchpad import Scratchpad
 from hearth.tools.dispatch import MemoryHandles
 from hearth.world.state import WorldState
@@ -106,6 +108,15 @@ class TestFromJson:
 
         with pytest.raises(TypeError, match="no JSON reading"):
             from_json(Odd, {"pair": [1, "a"]})
+
+
+def test_a_failed_replace_removes_its_temporary_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        replace_file(str(path), "new \ud800\n")  # a lone surrogate: no UTF-8 for it
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 class TestReadJsonObject:

@@ -1,5 +1,6 @@
-"""README examples: every documented import resolves, and the first
-library-use snippet and the replay snippet run as shown."""
+"""README examples: every documented import resolves, the first
+library-use snippet and the replay snippet run as shown, and the tool
+failure section names exactly the documented causes."""
 
 import importlib
 import pathlib
@@ -8,6 +9,8 @@ import re
 import pytest
 
 from hearth.cli import main
+
+from .oracles import DOCUMENTED_CAUSES
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 IMPORT_LINE = re.compile(r"^from (hearth[\w.]*) import (.+)$", re.MULTILINE)
@@ -56,3 +59,11 @@ def test_replay_snippet_runs(tmp_path, capsys):
     capsys.readouterr()
     exec(compile(snippet, "README.md", "exec"), {})
     assert capsys.readouterr().out == "30 14 end_task\nreplay ok\n"
+
+
+def test_failure_section_names_every_documented_cause():
+    """Every documented cause is in the section, backticked, and every
+    hyphenated keyword there is a cause (`occupied` has no hyphen)."""
+    section = readme_text().split("## Tool failures", 1)[1].split("\n## ", 1)[0]
+    words = set(re.findall(r"`([a-z]+(?:-[a-z]+)*)`", section))
+    assert {word for word in words if "-" in word} <= DOCUMENTED_CAUSES <= words

@@ -442,6 +442,11 @@ CORPUS_RUNS = {
     "optimal_t2.jsonl": ["--task", "t2", "--backend", "scripted:optimal",
                          "--baseline", os.path.join(CORPUS, "baseline.json")],
     "hallucinator_t1.jsonl": ["--task", "t1", "--backend", "scripted:hallucinator"],
+    "refuser_t1.jsonl": ["--task", "t1", "--backend", "scripted:refuser"],
+    "no_memory_t1.jsonl": ["--task", "t1", "--backend", "scripted:memory_hinted",
+                           "--no-memory"],
+    "step_limit_t1.jsonl": ["--task", "t1", "--backend", "scripted:optimal",
+                            "--max-tool-calls", "5"],
     # In this order: the miss leaves the one record that the hit finds.
     "memory_hinted_t1_miss.jsonl": ["--task", "t1", "--backend", "scripted:memory_hinted"],
     "memory_hinted_t1_hit.jsonl": ["--task", "t1", "--backend", "scripted:memory_hinted"],

@@ -245,6 +245,30 @@ class TestProtocolErrors:
         finally:
             raw.close()
 
+    def test_over_long_frame_is_refused_and_ends_the_connection(self, server, monkeypatch):
+        monkeypatch.setattr("hearth.rpc.server.MAX_FRAME_BYTES", 64)
+        create = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "session.create"})
+        assert len(create) + 1 <= 64
+        raw = RawConnection(server)
+        try:
+            raw.send(create)
+            assert raw.recv()["result"]["session_id"].startswith("sess-")
+            raw.send("x" * 64)
+            assert raw.recv() == {
+                "jsonrpc": "2.0",
+                "id": None,
+                "error": {"code": -32600, "message": "frame exceeds 64 bytes"},
+            }
+            assert raw._reader.readline() == ""  # the server closed it
+        finally:
+            raw.close()
+        second = RawConnection(server)
+        try:
+            second.send(create)
+            assert second.recv()["result"]["session_id"].startswith("sess-")
+        finally:
+            second.close()
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_number_is_a_parse_error(self, constant):
         """A constant Python's json reads but JSON lacks is refused, so a

@@ -7,20 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hearth.world.actions import (
-    CAUSE_ALREADY_HOLDING,
-    CAUSE_DOES_NOT_EXIST,
-    CAUSE_NO_PATH,
-    CAUSE_NO_SUCH_SLOT,
-    CAUSE_NOT_GRASPABLE,
-    CAUSE_NOT_HOLDING,
-    CAUSE_OCCUPIED,
-    CAUSE_OUT_OF_REACH,
-    attach,
-    detach_at,
-    execute_move,
-    objects_in_proximity,
-)
+from hearth.tools.dispatch import ToolCall, dispatch
+from hearth.world.actions import execute_move, objects_in_proximity
 from hearth.world.scenario import (
     SCENARIO_SCHEMA,
     ScenarioError,
@@ -41,6 +29,17 @@ from hearth.world.state import (
 )
 
 from .oracles import hand_built_load_scenario, validate_error
+
+
+def act(world, name, **arguments):
+    """One tool call against `world`; the world tools use no memory."""
+    return dispatch(ToolCall(name, arguments), world, None)
+
+
+def cause(world, name, **arguments):
+    """The failure cause of one tool call, or None when it succeeds."""
+    result = act(world, name, **arguments)
+    return None if result.ok else result.machine_payload["cause"]
 
 
 def tiny_scenario(**overrides):
@@ -638,8 +637,8 @@ class TestStateInvariants:
         assert snap["step_counter"] == 0
 
     def test_roundtrip_through_dict(self, world):
-        execute_move(world, "kitchen_table")
-        attach(world, "mug")
+        act(world, "move_to", location="kitchen_table")
+        act(world, "grab", object="mug")
         restored = WorldState.from_dict(world.to_dict())
         assert canonical_json(restored.to_dict()) == canonical_json(world.to_dict())
         assert restored.agent.held == "mug"
@@ -677,23 +676,22 @@ class TestStateInvariants:
 
 class TestMoveAction:
     def test_move_advances_step_counter_by_hops(self, world):
-        outcome = execute_move(world, "kitchen_shelf")
-        assert outcome.ok
-        assert outcome.path == ["hallway", "kitchen_center", "kitchen_shelf"]
-        assert outcome.hops == 2
+        result = act(world, "move_to", location="kitchen_shelf")
+        assert result.ok
+        assert result.machine_payload["path"] == ["hallway", "kitchen_center", "kitchen_shelf"]
+        assert result.machine_payload["hops"] == 2
         assert world.step_counter == 2
         assert world.agent.location == "kitchen_shelf"
 
     def test_move_to_current_location_is_zero_hops(self, world):
-        outcome = execute_move(world, "hallway")
-        assert outcome.ok
-        assert outcome.path == ["hallway"]
+        assert execute_move(world, "hallway") == ["hallway"]
+        assert act(world, "move_to", location="hallway").machine_payload["hops"] == 0
         assert world.step_counter == 0
 
     def test_move_carries_held_object(self, world):
-        execute_move(world, "kitchen_table")
-        attach(world, "mug")
-        execute_move(world, "living_room_table")
+        act(world, "move_to", location="kitchen_table")
+        act(world, "grab", object="mug")
+        act(world, "move_to", location="living_room_table")
         assert world.agent.held == "mug"
         assert world.object_position(world.objects["mug"]) == world.agent_position()
 
@@ -704,60 +702,61 @@ class TestMoveAction:
         world = WorldState(map=smap)
         world.agent.location = "a"
         before = canonical_json(world.to_dict())
-        outcome = execute_move(world, "b")
-        assert not outcome.ok
-        assert outcome.cause == CAUSE_NO_PATH
+        assert execute_move(world, "b") is None
+        assert canonical_json(world.to_dict()) == before
+        assert cause(world, "move_to", location="b") == "no-path"
+        assert cause(world, "move_to", location="c") == "unknown-location"
         assert canonical_json(world.to_dict()) == before
 
 
 class TestAttachDetach:
     def test_grab_cause_order_and_purity(self, world):
         before = canonical_json(world.to_dict())
-        assert attach(world, "unicorn").cause == CAUSE_DOES_NOT_EXIST
-        assert attach(world, "mug").cause == CAUSE_OUT_OF_REACH
+        assert cause(world, "grab", object="unicorn") == "does-not-exist"
+        assert cause(world, "grab", object="mug") == "out-of-reach"
         assert canonical_json(world.to_dict()) == before
 
-        execute_move(world, "living_room_table")
-        assert attach(world, "tv").cause == CAUSE_NOT_GRASPABLE
-        assert attach(world, "cube").ok
-        assert attach(world, "tv").cause == CAUSE_ALREADY_HOLDING
+        act(world, "move_to", location="living_room_table")
+        assert cause(world, "grab", object="tv") == "not-graspable"
+        assert cause(world, "grab", object="cube") is None
+        assert cause(world, "grab", object="tv") == "already-holding"
         validate_state(world)
 
     def test_grab_vacates_source_slot(self, world):
-        execute_move(world, "kitchen_table")
-        assert attach(world, "mug").ok
+        act(world, "move_to", location="kitchen_table")
+        assert cause(world, "grab", object="mug") is None
         assert world.furniture["kitchen_table"].slots[0] is None
         assert world.objects["mug"].containment == {"kind": "held"}
         assert world.agent.held == "mug"
 
     def test_place_cause_order_and_purity(self, world):
-        assert detach_at(world, "shelf_layer_1").cause == CAUSE_NOT_HOLDING
+        assert cause(world, "place", slot="shelf_layer_1") == "not-holding"
 
-        execute_move(world, "kitchen_table")
-        attach(world, "mug")
+        act(world, "move_to", location="kitchen_table")
+        act(world, "grab", object="mug")
         before = canonical_json(world.to_dict())
-        assert detach_at(world, "bathtub_layer_1").cause == CAUSE_NO_SUCH_SLOT
-        assert detach_at(world, "shelf_layer_1").cause == CAUSE_OUT_OF_REACH
-        assert detach_at(world, "kitchen_table_layer_2").cause == CAUSE_OCCUPIED
+        assert cause(world, "place", slot="bathtub_layer_1") == "no-such-slot"
+        assert cause(world, "place", slot="shelf_layer_1") == "out-of-reach"
+        assert cause(world, "place", slot="kitchen_table_layer_2") == "occupied"
         assert canonical_json(world.to_dict()) == before
 
     def test_place_fills_slot_and_empties_hand(self, world):
-        execute_move(world, "kitchen_table")
-        attach(world, "mug")
-        execute_move(world, "kitchen_shelf")
-        outcome = detach_at(world, "shelf_layer_2")
-        assert outcome.ok
-        assert (outcome.furniture_id, outcome.slot_index) == ("shelf", 1)
+        act(world, "move_to", location="kitchen_table")
+        act(world, "grab", object="mug")
+        act(world, "move_to", location="kitchen_shelf")
+        result = act(world, "place", slot="shelf_layer_2")
+        assert result.ok
+        assert result.message == "Placed mug on shelf layer 2."
         assert world.furniture["shelf"].slots[1] == "mug"
         assert world.objects["mug"].containment == {"kind": "slot", "furniture": "shelf", "slot": 1}
         assert world.agent.held is None
         validate_state(world)
 
     def test_grab_then_place_roundtrip_restores_slot(self, world):
-        execute_move(world, "kitchen_table")
+        act(world, "move_to", location="kitchen_table")
         before = snapshot(world)
-        attach(world, "mug")
-        detach_at(world, "kitchen_table_layer_1")
+        act(world, "grab", object="mug")
+        act(world, "place", slot="kitchen_table_layer_1")
         after = snapshot(world)
         assert before["objects"] == after["objects"]
 
@@ -767,21 +766,21 @@ class TestProximity:
         assert objects_in_proximity(world) == []
 
     def test_nearby_sorted_by_id(self, world):
-        execute_move(world, "kitchen_table")
+        act(world, "move_to", location="kitchen_table")
         nearby = objects_in_proximity(world)
         assert [oid for oid, _ in nearby] == ["box", "mug"]
         assert nearby[1][1] == "mug on kitchen_table layer 1"
 
     def test_held_object_is_always_nearby(self, world):
-        execute_move(world, "kitchen_table")
-        attach(world, "mug")
-        execute_move(world, "hallway")
+        act(world, "move_to", location="kitchen_table")
+        act(world, "grab", object="mug")
+        act(world, "move_to", location="hallway")
         nearby = objects_in_proximity(world)
         assert nearby == [("mug", "mug held by agent")]
 
     def test_reach_radius_is_a_hard_boundary(self, world):
-        execute_move(world, "kitchen_center")
+        act(world, "move_to", location="kitchen_center")
         shelf_pos = world.map.positions["kitchen_shelf"]
         distance = math.dist(world.agent_position(), shelf_pos)
         assert distance > world.agent.reach_radius
-        assert attach(world, "mug").cause == CAUSE_OUT_OF_REACH
+        assert cause(world, "grab", object="mug") == "out-of-reach"
