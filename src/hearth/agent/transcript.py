@@ -14,12 +14,11 @@ run with the recording message by message.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..jsonio import from_json, loads, replace_file
+from ..jsonio import dumps, from_json, loads, replace_file
 
 
 class TranscriptError(ValueError):
@@ -128,7 +127,7 @@ class Transcript:
             os.makedirs(directory, exist_ok=True)
         lines = [self.header, *self.messages, self.final]
         replace_file(path, "".join(
-            json.dumps(line.to_dict(), sort_keys=True) + "\n" for line in lines
+            dumps(line.to_dict()) + "\n" for line in lines
         ))
 
     @classmethod

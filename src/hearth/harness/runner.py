@@ -11,7 +11,6 @@ nothing here ever feeds ground truth back to the agent.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -34,7 +33,7 @@ from ..agent.transcript import (
     TranscriptHeader,
     TranscriptMessage,
 )
-from ..jsonio import FieldError, from_json, read_json_object, replace_file
+from ..jsonio import FieldError, dumps, from_json, read_json_object, replace_file
 from ..memory.episodic import EpisodicRecord, EpisodicStore
 from ..memory.scratchpad import Scratchpad
 from ..tools.dispatch import MemoryHandles
@@ -476,7 +475,7 @@ def _persist_records(plan: ExperimentPlan, records: list[TrialRecord]) -> None:
     if plan.output_dir is None:
         return
     replace_file(os.path.join(plan.output_dir, "trials.jsonl"), "".join(
-        json.dumps(vars(record), sort_keys=True) + "\n" for record in records
+        dumps(vars(record)) + "\n" for record in records
     ))
 
 

@@ -1,10 +1,16 @@
-"""JSON input, and whole-file output: `loads` and `scan_once` decode
-JSON for every reader; `read_json_object` reads plan, scenario, baseline
-and `http:` backend config files; `from_json` builds plans, backend
-configs, transcript lines and a world's parts, checking each value
-against its field's annotation; `read_field` checks one value the same
-way, and `read_object` that a value is an object. `replace_file` writes
-transcripts, baselines, `trials.jsonl` and the metrics files.
+"""JSON's one codec, and whole-file output: `loads` decodes JSON for
+every reader, and `dumps` and `canonical_json` encode every line and
+frame hearth writes, with sorted keys; `read_json_object` reads plan,
+scenario, baseline and `http:` backend config files; `from_json` builds
+plans, backend configs, transcript lines and a world's parts, checking
+each value against its field's annotation; `read_field` checks one value
+the same way, and `read_object` that a value is an object.
+`replace_file` writes transcripts, baselines, `trials.jsonl` and the
+metrics files.
+
+Both encoders are built once, at import. `json.dumps` builds an encoder
+on every call, and hearth writes a line or a frame for every message,
+trial, store record and tool call.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import threading
 import types
 import typing
 from functools import cache
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable
 
 # A scalar annotation: the types of the JSON values it takes, and what it
@@ -41,11 +48,7 @@ def _refuse_constant(name: str) -> Any:
 
 
 _decoder = json.JSONDecoder(parse_constant=_refuse_constant)
-
-# Decodes one JSON value at an index, as `loads` does, and returns it with
-# the index where it ends; raises StopIteration where no value starts, and
-# RecursionError for nesting too deep, which `loads` turns into its error.
-scan_once = _decoder.scan_once
+_scan_once = _decoder.scan_once
 
 
 def loads(text: str) -> Any:
@@ -53,12 +56,61 @@ def loads(text: str) -> Any:
     a ValueError for what is not JSON: `NaN`, `Infinity` and `-Infinity`,
     and nesting too deep for the decoder. A syntax error is a
     json.JSONDecodeError (a ValueError), with `json.loads`'s text."""
+    # The scanner alone reads a value that starts the text and is followed
+    # by nothing but JSON whitespace, as the decoder would. Any other text
+    # (leading whitespace, a byte-order mark, extra data, no value) goes
+    # to the decoder, for its value or its error.
+    try:
+        value, end = _scan_once(text, 0)
+    except StopIteration:
+        pass
+    except RecursionError:
+        raise ValueError("nesting too deep") from None
+    else:
+        if end == len(text) or not text[end:].strip(" \t\n\r"):
+            return value
     if text.startswith("\ufeff"):
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
         return _decoder.decode(text)
     except RecursionError:
         raise ValueError("nesting too deep") from None
+
+
+def _sorted_encoder(
+    item_separator: str, key_separator: str, make: Any = c_make_encoder
+) -> Callable[[Any], str]:
+    """A function that encodes a value as `json.dumps(value,
+    sort_keys=True, separators=(item_separator, key_separator))` does. It
+    calls the encoder `make`, the interpreter's C encoder factory, built
+    once; where there is none, or it cannot be built, it is one shared
+    JSONEncoder's `encode`. The C encoder keeps no circular-reference
+    markers: no value hearth encodes refers to itself, so a call leaves
+    no state behind, and threads may share the encoder."""
+    if make is not None:
+        try:
+            encode = make(
+                None, _json_default, encode_basestring_ascii, None,
+                key_separator, item_separator, True, False, True,
+            )
+        except TypeError:
+            pass  # another interpreter's signature: the shared encoder below
+        else:
+            return lambda value: "".join(encode(value, 0))
+    encoder = json.JSONEncoder(sort_keys=True, separators=(item_separator, key_separator))
+    return encoder.encode
+
+
+_json_default = json.JSONEncoder().default
+
+# `json.dumps(value, sort_keys=True)`: transcript, store and
+# `trials.jsonl` lines, and RPC frames.
+dumps = _sorted_encoder(", ", ": ")
+
+# `json.dumps(value, sort_keys=True, separators=(",", ":"))`: the world's
+# bit-exact serialization, which baselines, snapshot comparisons and the
+# scenario hash use.
+canonical_json = _sorted_encoder(",", ":")
 
 
 def read_json_object(path: str, what: str) -> dict[str, Any]:

@@ -16,12 +16,11 @@ and truncates the file to the line before.
 
 A load costs about 9 us a record on a 2-vCPU host, half of it the
 embedding and a sixth the json scanner. Each line is decoded on its own
-by the scanner of `hearth.jsonio`, which refuses `NaN` and `Infinity`;
-only a line the scanner cannot decode is handed to its `loads`, for the
-text of its error. Its fields are then checked one at a time, each read
-as it is checked, in the order `_parse` gives, so an error names the
-first that is missing or wrong. Records and vectors are named tuples:
-immutable, and cheap to build.
+by `hearth.jsonio.loads`, which refuses `NaN` and `Infinity`, and each
+record is written by its `dumps`. A line's fields are then checked one
+at a time, each read as it is checked, in the order `_parse` gives, so
+an error names the first that is missing or wrong. Records and vectors
+are named tuples: immutable, and cheap to build.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from functools import reduce
 from operator import add, mul
 from typing import Any, Iterable, NamedTuple
 
-from ..jsonio import loads, scan_once
+from ..jsonio import dumps, loads
 from .embedding import SparseVector, _tuple_new, embed_sparse
 
 BELIEVED_STATUSES = ("succeeded", "failed")
@@ -123,20 +122,10 @@ class EpisodicStore:
             if not line:
                 continue
             try:
-                # The scanner decodes a line that is one JSON value and
-                # nothing else as `loads` would; a line it cannot start (a
-                # byte-order mark), stops short in (extra data) or nests
-                # too deep for goes to `loads` for its error text. Each
-                # line is decoded on its own: lines joined into one
+                # Each line is decoded on its own: lines joined into one
                 # document could pair up a bad line's brackets with the
                 # next line's.
-                try:
-                    data, end = scan_once(line, 0)
-                except (StopIteration, RecursionError):
-                    end = -1
-                if end != len(line):
-                    data = loads(line)
-                record = parse(data)
+                record = parse(loads(line))
             except (KeyError, TypeError, ValueError) as exc:
                 raise PersistenceError(
                     f"corrupt record at {path}:{number}: {exc}"
@@ -234,7 +223,7 @@ class EpisodicStore:
         assert self.path is not None
         try:
             with open(self.path, "a", encoding="utf-8") as handle:
-                line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
+                line = dumps(record.to_dict()) + "\n"
                 handle.write("\n" + line if self._unended else line)
                 handle.flush()
                 os.fsync(handle.fileno())

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import json
 import socket
 from typing import Any
+
+from ..jsonio import dumps, loads
+
+# The code of an RpcError the client raises itself: for a closed
+# connection, or a reply that is not a JSON-RPC response to the request.
+_INTERNAL_ERROR = -32603
 
 
 class RpcError(RuntimeError):
@@ -21,7 +26,7 @@ class RpcClient:
 
     def __init__(self, host: str, port: int, timeout_s: float = 10.0) -> None:
         self._socket = socket.create_connection((host, port), timeout=timeout_s)
-        self._reader = self._socket.makefile("r", encoding="utf-8")
+        self._reader = self._socket.makefile("rb")
         self._next_id = 1
 
     def request(self, method: str, params: dict[str, Any] | None = None) -> Any:
@@ -33,16 +38,28 @@ class RpcClient:
             "method": method,
             "params": params or {},
         }
-        self._socket.sendall(json.dumps(frame).encode("utf-8") + b"\n")
+        self._socket.sendall(f"{dumps(frame)}\n".encode())
         line = self._reader.readline()
         if not line:
-            raise RpcError(-32603, "server closed the connection")
-        response = json.loads(line)
+            raise RpcError(_INTERNAL_ERROR, "server closed the connection")
+        try:
+            response = loads(line.decode("utf-8"))
+        except ValueError as exc:  # a UnicodeDecodeError too
+            raise RpcError(_INTERNAL_ERROR, f"reply is not JSON: {exc}") from None
+        if not isinstance(response, dict):
+            raise RpcError(_INTERNAL_ERROR, f"reply must be an object: {response!r}")
         if response.get("id") != request_id:
-            raise RpcError(-32603, f"response id mismatch: {response.get('id')}")
+            raise RpcError(_INTERNAL_ERROR, f"response id mismatch: {response.get('id')}")
         if "error" in response:
             error = response["error"]
-            raise RpcError(int(error.get("code", -32603)), error.get("message", ""))
+            if not isinstance(error, dict):
+                raise RpcError(_INTERNAL_ERROR, f"reply error must be an object: {error!r}")
+            code = error.get("code", _INTERNAL_ERROR)
+            if type(code) is not int:  # a bool is an int to Python, not to JSON
+                raise RpcError(
+                    _INTERNAL_ERROR, f"reply error code must be an integer: {code!r}"
+                )
+            raise RpcError(code, error.get("message", ""))
         return response.get("result")
 
     def create_session(self, model_id: str = "rpc-client") -> dict[str, Any]:

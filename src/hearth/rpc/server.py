@@ -15,13 +15,12 @@ is supposed to discover.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import socketserver
 import sys
 from typing import Any, BinaryIO, Callable, TextIO
 
-from ..jsonio import loads
+from ..jsonio import dumps, loads
 from ..memory.episodic import EpisodicStore
 from ..memory.scratchpad import Scratchpad
 from ..tools.dispatch import TOOL_SCHEMAS, MemoryHandles, ToolCall, dispatch
@@ -56,7 +55,7 @@ def _error(code: int, message: str) -> dict[str, Any]:
 
 def _encode(request_id: Any, response: dict[str, Any]) -> str:
     """The frame of a response: `response` holds its result or error."""
-    return json.dumps({"jsonrpc": "2.0", "id": request_id, **response}, sort_keys=True)
+    return dumps({"jsonrpc": "2.0", "id": request_id, **response})
 
 
 class RpcConnection:
@@ -161,17 +160,18 @@ class RpcConnection:
 
 
 def _serve(
-    connection: RpcConnection, stream: BinaryIO | TextIO, write: Callable[[str], Any]
+    connection: RpcConnection, stream: BinaryIO | TextIO, write: Callable[[bytes], Any]
 ) -> None:
-    """The read-dispatch-write loop of both transports. A frame longer
-    than MAX_FRAME_BYTES, its newline counted, is refused and ends the
+    """The read-dispatch-write loop of both transports; `write` takes each
+    reply's frame, its newline included. A frame longer than
+    MAX_FRAME_BYTES, its newline counted, is refused and ends the
     connection, so no client makes the server buffer without bound. A
     text `stream`, as tests and embedders may pass, is bounded in
     characters."""
     while frame := stream.readline(MAX_FRAME_BYTES + 1):
         if len(frame) > MAX_FRAME_BYTES:
             refusal = _error(INVALID_REQUEST, f"frame exceeds {MAX_FRAME_BYTES} bytes")
-            write(_encode(None, refusal) + "\n")
+            write(f"{_encode(None, refusal)}\n".encode())
             return
         if isinstance(frame, bytes):
             # Bytes that are not UTF-8 decode to lone surrogates, which JSON
@@ -183,7 +183,7 @@ def _serve(
             continue
         response = connection.handle_line(line)
         if response is not None:
-            write(response + "\n")
+            write(f"{response}\n".encode())
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -192,7 +192,7 @@ class _Handler(socketserver.StreamRequestHandler):
         _serve(
             RpcConnection(server.initial_world, server.expose_ground_truth),
             self.rfile,
-            lambda frame: self.wfile.write(frame.encode("utf-8")),
+            self.request.sendall,
         )
 
 
@@ -226,8 +226,8 @@ def serve_stdio(
     """Serve one implicit connection over stdin/stdout."""
     out = stdout or sys.stdout
 
-    def write(frame: str) -> None:
-        out.write(frame)
+    def write(frame: bytes) -> None:
+        out.write(frame.decode())  # ASCII: the encoder escapes the rest
         out.flush()
 
     _serve(

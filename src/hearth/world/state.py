@@ -7,12 +7,12 @@ harness reads immutable snapshots.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..jsonio import from_json, read_field, read_object
+# canonical_json, the world's bit-exact serialization, is taken from here.
+from ..jsonio import canonical_json, from_json, read_field, read_object
 from .semantic_map import SemanticMap, finite
 
 DEFAULT_REACH_RADIUS = 1.5
@@ -155,11 +155,6 @@ class WorldState:
         ) as exc:
             raise ValueError(f"malformed world: {type(exc).__name__}: {exc}") from exc
         return state
-
-
-def canonical_json(data) -> str:
-    """Canonical serialization: sorted keys, no whitespace, bit-exact."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def snapshot(state: WorldState) -> dict:

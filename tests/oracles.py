@@ -14,11 +14,13 @@ was before it kept vectors sparse: a dense embedding, whose token
 buckets come from `hashlib`'s blake2b rather than the package's, and a
 cosine that sums all 256 buckets and recomputes both norms for every
 record. Its records' embeddings come from `dense_embed` of their
-descriptions, never from the store under test. The `json.loads` store
+descriptions, never from the store under test. The decoder-first
+`loads` is `hearth.jsonio.loads` as it was before it read through the
+json scanner first: a byte-order-mark check, then the whole decoder,
+which refuses what is not JSON. The `json.loads` store
 load is the store's loader as it was before it decoded lines with the
 json scanner and checked a line's fields at once, but decoding each
-line whole with
-`hearth.jsonio.loads`, which refuses what is not JSON; it embeds with
+line whole with the decoder-first `loads`; it embeds with
 `dense_embed`. The
 prefix-checking replay is replay as it was before it compared once:
 before every turn its backend checks that the live context is a prefix
@@ -74,7 +76,6 @@ from hearth.harness.runner import (
     seed_store,
 )
 from hearth.harness.tasks import TASKS
-from hearth.jsonio import loads
 from hearth.memory.embedding import EMBEDDING_DIM, SparseVector, tokenize
 from hearth.memory.episodic import (
     BELIEVED_STATUSES,
@@ -268,11 +269,29 @@ def sparse_dense_embed(text: str) -> SparseVector:
     )
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def decoder_first_loads(text: str):
+    """The JSON value that is all of `text`, or `hearth.jsonio.loads`'s
+    error for it, from the whole decoder."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    try:
+        return _DECODER.decode(text)
+    except RecursionError:
+        raise ValueError("nesting too deep") from None
+
+
 def _is_torn(line: str) -> bool:
     if line.endswith(("\n", "\r")) or not line.strip():
         return False
     try:
-        loads(line)
+        decoder_first_loads(line)
     except json.JSONDecodeError:
         return True
     except ValueError:
@@ -331,7 +350,7 @@ def json_loads_store_load(path: str) -> tuple[list[EpisodicRecord], int, bool]:
         if not line:
             continue
         try:
-            record = _parse_line(loads(line), ids)
+            record = _parse_line(decoder_first_loads(line), ids)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise PersistenceError(f"corrupt record at {path}:{number}: {exc}") from exc
         records.append(record)

@@ -42,6 +42,7 @@ from hearth.agent.transcript import (
     TranscriptHeader,
 )
 from hearth.harness.tasks import check_t1, check_t2
+from hearth.jsonio import dumps
 from hearth.tools.dispatch import TOOL_SCHEMAS, ToolCall
 from hearth.world.scenario import default_scenario_data, scenario_hash
 from hearth.world.state import canonical_json, snapshot
@@ -454,14 +455,12 @@ class TestTranscriptRoundtrip:
         transcript.write_jsonl(str(path))
         before = path.read_bytes()
         transcript.final.tool_calls += 1
-        dumps = json.dumps
-
-        def failing_dumps(obj, **kwargs):
+        def failing_dumps(obj):
             if obj.get("type") == "final":
                 raise RuntimeError("encoder failed")
-            return dumps(obj, **kwargs)
+            return dumps(obj)
 
-        monkeypatch.setattr("hearth.agent.transcript.json.dumps", failing_dumps)
+        monkeypatch.setattr("hearth.agent.transcript.dumps", failing_dumps)
         with pytest.raises(RuntimeError, match="encoder failed"):
             transcript.write_jsonl(str(path))
         assert path.read_bytes() == before

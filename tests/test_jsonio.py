@@ -1,17 +1,21 @@
 """The JSON reader: `from_json` checks each field against its annotation,
 `read_json_object` reads one object from a file; `replace_file` never
-leaves a torn file; and, differentially,
-plans and transcript lines are accepted and rejected as the hand-written
-checks in oracles.py accepted and rejected them."""
+leaves a torn file; and, differentially, the codec's encoders write what
+`json.dumps` writes and `loads` reads what the decoder-first `loads` in
+oracles.py read, and plans and transcript lines are accepted and
+rejected as the hand-written checks in oracles.py accepted and rejected
+them."""
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Any
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hearth.agent.loop import DEFAULT_MAX_TOOL_CALLS
@@ -26,12 +30,22 @@ from hearth.harness.runner import (
     task_header,
 )
 from hearth.harness.tasks import TASKS
-from hearth.jsonio import FieldError, from_json, read_json_object, replace_file
+from hearth.jsonio import (
+    FieldError,
+    _sorted_encoder,
+    canonical_json,
+    dumps,
+    from_json,
+    loads,
+    read_json_object,
+    replace_file,
+)
 from hearth.memory.scratchpad import Scratchpad
 from hearth.tools.dispatch import MemoryHandles
 from hearth.world.state import WorldState
 
 from .oracles import (
+    decoder_first_loads,
     hand_checked_final,
     hand_checked_header,
     hand_checked_message,
@@ -138,6 +152,105 @@ class TestReadJsonObject:
         with pytest.raises(ValueError) as info:
             read_json_object(str(path), "backend config")
         assert str(info.value) == f"backend config must be a JSON object: '{path}'"
+
+
+# ---- differential: the codec against json.dumps and the decoder ----
+
+# Characters from every plane, and lone surrogates, which the encoder
+# escapes one by one.
+CHARACTERS = st.characters() | st.integers(0xD800, 0xDFFF).map(chr)
+CODEC_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(1 << 200), 1 << 200)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308])
+    | st.text(CHARACTERS, max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(CHARACTERS, max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _refuse(*args):
+    raise TypeError("not this interpreter's encoder")
+
+
+# The encoders hearth falls back to: one shared JSONEncoder, where the
+# interpreter has no C encoder (`make` None) or it cannot be built.
+FALLBACKS = [
+    (_sorted_encoder(", ", ": ", make), _sorted_encoder(",", ":", make))
+    for make in (None, _refuse)
+]
+
+
+@given(value=CODEC_JSON)
+@settings(max_examples=300, deadline=None)
+def test_encoders_write_what_json_dumps_writes(value):
+    want = (
+        json.dumps(value, sort_keys=True),
+        json.dumps(value, sort_keys=True, separators=(",", ":")),
+    )
+    assert (dumps(value), canonical_json(value)) == want
+    for line, compact in FALLBACKS:
+        assert (line(value), compact(value)) == want
+    with mock.patch("json.encoder.c_make_encoder", None):  # pure Python
+        for line, compact in FALLBACKS:
+            assert (line(value), compact(value)) == want
+
+
+def test_the_encoders_are_built_in_c_where_the_interpreter_has_it():
+    """Not the fallback, a JSONEncoder's bound `encode`."""
+    if json.encoder.c_make_encoder is None:
+        pytest.skip("no C encoder in this interpreter")
+    assert not hasattr(dumps, "__self__") and not hasattr(canonical_json, "__self__")
+
+
+def outcome(read, text):
+    """The value `read` gives for `text`, as its repr (so -0.0 is not
+    0.0), or the type and text of its error."""
+    try:
+        return repr(read(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Whitespace JSON skips, and characters Python calls space but JSON does not.
+SPACE = st.text(st.sampled_from(" \t\n\r\x0c\xa0\u2028"), max_size=3)
+DEEP = 100_000  # past the decoder's nesting limit on every interpreter
+
+
+@given(
+    value=CODEC_JSON,
+    indent=st.sampled_from([None, 0, 2]),
+    lead=SPACE,
+    bom=st.booleans(),
+    trail=SPACE | st.sampled_from(["1", " x", "]", "}", ",", "[", '"', " NaN"]),
+    cut=st.integers(0, 8),
+)
+@example(value=[1], indent=None, lead="", bom=False, trail="", cut=0)
+@settings(max_examples=500, deadline=None)
+def test_loads_reads_what_the_decoder_read(value, indent, lead, bom, trail, cut):
+    """The same value, or the same error type and text: over whole values,
+    surrounding whitespace, a byte-order mark, NaN and infinities, extra
+    data and cut tails."""
+    text = "\ufeff" * bom + lead + json.dumps(value, indent=indent) + trail
+    text = text[: len(text) - cut]
+    assert outcome(loads, text) == outcome(decoder_first_loads, text)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * DEEP,
+    "[" * DEEP + "]" * DEEP,
+    '{"a": ' * DEEP + "1" + "}" * DEEP,
+    " " + "[" * DEEP,
+    "[" * DEEP + "]" * DEEP + " x",
+    "\ufeff" + "[" * DEEP,
+    "", " ", "\ufeff", "\ufeff1", "NaN", "-Infinity", "[1, NaN]", "1 2", "[1,]",
+], ids=lambda text: text[:12])
+def test_loads_reads_these_as_the_decoder_read_them(text):
+    assert outcome(loads, text) == outcome(decoder_first_loads, text)
 
 
 # ---- differential: the reader against the hand-written checks ----

@@ -1,7 +1,9 @@
 """JSON-RPC server: protocol conformance, sessions, wire-level parity."""
 
 import io
+import itertools
 import json
+import os
 import random
 import socket
 import threading
@@ -395,6 +397,83 @@ class TestProtocolErrors:
         reply = json.loads(connection.handle_line(json.dumps(frame)))
         assert reply["id"] == request_id
         assert reply["result"]["session_id"].startswith("sess-")
+
+
+# Request frames and the replies an earlier hearth's `serve --stdio
+# --expose-ground-truth` gave them: errors before and outside a session, a
+# notification, optimal t1 then t2 from `hearth.agent.scripts`, snapshots,
+# tool failures (`unknown-location`, `invalid-arguments`, `occupied`),
+# floats, non-ASCII text and a string and a float id. Every reply must
+# stay byte for byte what it was.
+FRAMES = os.path.join(os.path.dirname(__file__), "data", "rpc")
+
+
+def frozen_frames():
+    with open(os.path.join(FRAMES, "requests.jsonl"), "rb") as requests:
+        with open(os.path.join(FRAMES, "replies.jsonl"), "rb") as replies:
+            return requests.read(), replies.read()
+
+
+class TestFrozenFrames:
+    @pytest.fixture(autouse=True)
+    def first_session(self, monkeypatch):
+        """The recording's session was its server's first."""
+        monkeypatch.setattr("hearth.rpc.server._session_numbers", itertools.count(1))
+
+    def test_stdio_replies_are_byte_identical(self):
+        requests, replies = frozen_frames()
+        stdout = io.StringIO()
+        serve_stdio(
+            default_scenario_data(),
+            expose_ground_truth=True,
+            stdin=io.StringIO(requests.decode("utf-8")),
+            stdout=stdout,
+        )
+        assert stdout.getvalue().encode("utf-8") == replies
+
+    def test_tcp_replies_are_byte_identical(self, server):
+        requests, replies = frozen_frames()
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(requests)
+            sock.shutdown(socket.SHUT_WR)  # the server answers all, then closes
+            received = b"".join(iter(lambda: sock.recv(1 << 16), b""))
+        assert received == replies
+
+
+class TestMalformedReplies:
+    """A reply the client cannot read as a response raises RpcError
+    -32603, naming what was wrong, and nothing else."""
+
+    @pytest.mark.parametrize("reply, message", [
+        (b"[1,2]", "reply must be an object: [1, 2]"),
+        (b'{"jsonrpc": "2.0", "id": 1, "error": 5}', "reply error must be an object: 5"),
+        (b'{"jsonrpc": "2.0", "id": 1, "error": {"code": "x"}}',
+         "reply error code must be an integer: 'x'"),
+        (b'{"jsonrpc": "2.0", "id": 1, "error": {"code": true}}',
+         "reply error code must be an integer: True"),
+        (b"not json", "reply is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (b'{"jsonrpc": "2.0", "id": 1, "result": "\xff"}',
+         "reply is not JSON: 'utf-8' codec can't decode byte 0xff in position 39: "
+         "invalid start byte"),
+    ], ids=["not-an-object", "error-not-an-object", "code-a-string", "code-a-bool",
+            "not-json", "not-utf-8"])
+    def test_is_an_internal_error(self, reply, message):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer():
+                connection, _ = listener.accept()
+                with connection, connection.makefile("rb") as reader:
+                    reader.readline()
+                    connection.sendall(reply + b"\n")
+
+            thread = threading.Thread(target=answer, daemon=True)
+            thread.start()
+            with RpcClient("127.0.0.1", listener.getsockname()[1]) as client:
+                with pytest.raises(RpcError) as info:
+                    client.request("session.create")
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert (info.value.code, info.value.message) == (-32603, message)
 
 
 class TestStdioMode:
