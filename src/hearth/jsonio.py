@@ -77,6 +77,9 @@ def loads(text: str) -> Any:
         raise ValueError("nesting too deep") from None
 
 
+_json_default = json.JSONEncoder().default
+
+
 def _sorted_encoder(
     item_separator: str, key_separator: str, make: Any = c_make_encoder
 ) -> Callable[[Any], str]:
@@ -100,8 +103,6 @@ def _sorted_encoder(
     encoder = json.JSONEncoder(sort_keys=True, separators=(item_separator, key_separator))
     return encoder.encode
 
-
-_json_default = json.JSONEncoder().default
 
 # `json.dumps(value, sort_keys=True)`: transcript, store and
 # `trials.jsonl` lines, and RPC frames.
