@@ -288,41 +288,51 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for an invocation whose first argument is `command`.
+def build_parser() -> argparse.ArgumentParser:
+    """The whole-CLI parser: the top-level parser and every command's.
 
-    A known command gets only its own subparser; the metavar keeps every
-    command in the top-level usage line, which an `unrecognized
-    arguments` error prints. Anything else (`-h`, no argument, an
-    unknown name) gets every subparser and no metavar, so the help and
-    the `required` and `invalid choice` errors name the argument
-    `command`.
+    `main` builds it only for `-h`, no argument, an unknown command, or
+    arguments a command's own parser leaves over, so that the help, the
+    `required`, `invalid choice` and `unrecognized arguments` errors and
+    their usage line name the argument `command` and list every command.
     """
     parser = argparse.ArgumentParser(
         prog="hearth",
         description="Household-agent simulator: run tasks, experiments, and "
         "the tool server.",
     )
-    if command in COMMANDS:
-        names = [command]
-        sub = parser.add_subparsers(
-            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}"
-        )
-    else:
-        names = list(COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_text, add_arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the whole-CLI parser parses it.
+
+    A known command is parsed by a parser of its own alone, built as the
+    whole-CLI parser builds that command's subparser and handed the same
+    arguments. Only when it leaves some over does the whole-CLI parser
+    run, to word the `unrecognized arguments` error.
+    """
+    name = argv[0] if argv else None
+    if name in COMMANDS:
+        _, add_arguments = COMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"hearth {name}")
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(
+            argv[1:], argparse.Namespace(command=name)
+        )
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_CONFIG

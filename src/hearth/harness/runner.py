@@ -83,6 +83,8 @@ class ExperimentPlan:
             task = TASKS.get(task_id)
             if task is None:
                 raise ValueError(f"unknown task '{task_id}'")
+            if task_id in tasks[:position]:
+                raise ValueError(f"plan lists task '{task_id}' more than once")
             if task.prerequisite is not None and task.prerequisite not in tasks[:position]:
                 raise ValueError(
                     f"task '{task_id}' requires '{task.prerequisite}' earlier "

@@ -39,10 +39,11 @@ transcript lines were read before the generic reader: one `isinstance`
 check per field, in the order the fields were checked. The tool-contract
 model restates, over a world's plain `to_dict` data, which tool call
 succeeds and which cause a failure names, with a breadth-first walk in
-place of A*. The whole-CLI parser is `build_parser` as it was before a
-command built only its own subparser: the top-level parser and all five
-subcommands, on every call. The shipped script calls are the tool calls
-each scripted agent yielded when it spelled out every call by hand.
+place of A*. The whole-CLI parser is the one `main` built for every argv
+before a known command was parsed by its own parser alone: the top-level
+parser and all five subcommands, on every call. The shipped script calls
+are the tool calls each scripted agent yielded when it spelled out every
+call by hand.
 """
 
 from __future__ import annotations
@@ -945,6 +946,8 @@ def hand_checked_plan(data) -> ExperimentPlan:
         task = TASKS.get(task_id) if isinstance(task_id, str) else None
         if task is None:
             raise ValueError(f"unknown task '{task_id}'")
+        if task_id in tasks[:position]:
+            raise ValueError(f"plan lists task '{task_id}' more than once")
         if task.prerequisite is not None and task.prerequisite not in tasks[:position]:
             raise ValueError(
                 f"task '{task_id}' requires '{task.prerequisite}' earlier in the task list"

@@ -658,6 +658,14 @@ class TestExperimentCommand:
         plan = self.write_plan(tmp_path, tasks=["t2"])
         assert main(["experiment", plan]) == 2
 
+    def test_repeated_task_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        plan = self.write_plan(tmp_path, tasks=["t1", "t1"], trials=1, output_dir=str(out))
+        assert main(["experiment", plan]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: plan lists task 't1' more than once\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["{broken", "[1, 2]"])
     def test_unreadable_plan_scenario_is_config_error(self, tmp_path, capsys, text):
         scenario = tmp_path / "scenario.json"
@@ -1181,6 +1189,14 @@ ARGV_CASES = {
     "replay-extra": ["replay", "a", "b"],
     "run-extra": RUN_T1 + ["extra"],
     "replay-unknown-option": ["replay", "--bogus", "t.jsonl"],
+    "replay-after-double-dash": ["replay", "--", "t.jsonl"],
+    "replay-dashed-after-double-dash": ["replay", "--", "--x"],
+    "replay-extra-after-double-dash": ["replay", "a", "--", "b"],
+    "run-joined-values": ["run", "--task=t1", "--backend=scripted:optimal"],
+    "run-repeated-seed": RUN_T1 + ["--seed", "1", "--seed", "2"],
+    "experiment-option-without-value": ["experiment", "p.json", "--report-dir"],
+    "memory-option-before-action": ["memory", "--store", "s.jsonl", "list"],
+    "serve-joined-port": ["serve", "--port=9"],
     "ambiguous-abbreviation": RUN_T1 + ["--s", "x"],
     "abbreviated-option": ["run", "--ta", "t1", "--backend", "scripted:optimal"],
     "run": RUN_T1 + ["--seed", "4", "--max-tool-calls", "9", "--no-memory",
@@ -1238,7 +1254,15 @@ class TestParser:
 
     def test_a_command_builds_only_its_own_parser(self, t1_output, monkeypatch, capsys):
         path = str(t1_output / "run_t1.jsonl")
-        assert count_parsers(monkeypatch, ["replay", path]) == (0, 2)
+        assert count_parsers(monkeypatch, ["replay", path]) == (0, 1)
+
+    def test_unrecognized_arguments_build_every_parser(self, monkeypatch, capsys):
+        """The command's parser leaves `b` over; the whole-CLI parser words
+        the error with its own usage line."""
+        assert count_parsers(monkeypatch, ["replay", "a", "b"]) == (2, 2 + len(COMMANDS))
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hearth [-h] {run,experiment,memory,serve,replay} ...")
+        assert err.endswith("error: unrecognized arguments: b\n")
 
     def test_help_builds_every_parser(self, monkeypatch, capsys):
         assert count_parsers(monkeypatch, ["-h"]) == (0, 1 + len(COMMANDS))

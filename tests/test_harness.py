@@ -182,6 +182,13 @@ class TestExperimentPlan:
         with pytest.raises(ValueError, match="unknown task 't9'"):
             ExperimentPlan.from_dict(self.base(tasks=["t9"]))
 
+    def test_repeated_task_rejected(self):
+        # Both runs would write the one transcript `<name>-000_t1.jsonl`.
+        with pytest.raises(ValueError, match="plan lists task 't1' more than once"):
+            ExperimentPlan.from_dict(self.base(tasks=["t1", "t1"]))
+        with pytest.raises(ValueError, match="plan lists task 't2' more than once"):
+            ExperimentPlan.from_dict(self.base(tasks=["t1", "t2", "t2"]))
+
     def test_memory_sizes_bounded(self):
         plan = ExperimentPlan.from_dict(self.base(memory_sizes=[0, 1, 2, 3]))
         assert plan.memory_sizes == (0, 1, 2, 3)

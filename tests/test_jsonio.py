@@ -276,7 +276,7 @@ MEMORY = {"task_description": "put the mug away", "believed_status": "failed",
 # both readers also accept, and reject for reasons other than a type.
 NEAR = {
     "name": ["", "t1"],
-    "tasks": [["t1", "t2"], ["t2"], ["t2", "t1"], ["t9"], [], [5, "t1"]],
+    "tasks": [["t1", "t2"], ["t2"], ["t2", "t1"], ["t1", "t1"], ["t9"], [], [5, "t1"]],
     "memory_sizes": [[0, 1, 2, 3], [0, 0], [4], [1.0], [False], None],
     "trials": [0, 1, 2, 2.0, True],
     "parallelism": [0, 1, 4],
